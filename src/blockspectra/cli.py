@@ -1,25 +1,37 @@
 """Experiment orchestration: subcommands, configs, seeds, CSV/SVG emission.
 
 Every subcommand takes ``--config PATH --out DIR --seed N --jobs K
-[--cheap]``.  Configs are flat ``key = value`` text files (see README for
-the schema).  A run is fully determined by its manifest (subcommand, config
-contents, seed, cheap flag): reruns produce byte-identical CSVs no matter
-the parallelism degree, because every random stream is keyed by the seed
-plus fixed counters and results are written in a fixed order.
+[--cheap]``; ``--jobs`` is recorded in the manifest and otherwise ignored.
+Configs are flat ``key = value`` text files.  The keys each subcommand reads,
+with their defaults, are the ``cfg.get`` calls of its ``cmd_*`` function:
+
+- ``spectrum`` and ``heatmap`` (``_resolve_source``, ``_slq_params``):
+  source, case, spectrum_files, matrix, blocks, steps, probes, sigma, svg;
+  ``heatmap`` adds estimator, mode, log_axis.
+- ``quadlab`` (``_quadlab_problem``, ``_one_quadlab_run``): case, w0,
+  spectrum_files, optimizer, seeds, eta, eta_grid, grid_points, max_iters,
+  target, beta2, verify, transient, window, svg, strict.
+- ``toynet`` (``_toynet_dataset`` and the two experiments): experiment,
+  data_csv, dataset, samples, features, separation; ``train`` adds hidden,
+  optimizer, eta, steps, batch, snapshot_stride, svg, strict; ``scaled``
+  adds widths, c_values, seeds, gap, lr_grid, gap_steps, batch.
+
+A run is fully determined by its manifest (subcommand, config contents,
+seed, cheap flag): every random stream is keyed by the seed plus fixed
+counters and results are written in a fixed order, so reruns produce
+byte-identical outputs.  Every file goes through ``fileio``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from blockspectra import heterogeneity, quadlab, slq, svgplot, toynet
+from blockspectra import fileio, heterogeneity, quadlab, slq, svgplot, toynet
 from blockspectra.operators import (
     BlockPartition,
     DenseSymmetric,
@@ -97,30 +109,7 @@ def _write_manifest(manifest: Manifest):
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
         lines.append(f"config.{key} = {value}")
-    _atomic_write(os.path.join(manifest.out, "manifest.txt"), "\n".join(lines) + "\n")
-
-
-def _atomic_write(path, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_csv(path, header, rows):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    os.replace(tmp, path)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    fileio.write_text(os.path.join(manifest.out, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
@@ -128,15 +117,6 @@ def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
         return np.arange(n)
     idx = np.unique(np.linspace(0, n - 1, cap).astype(int))
     return idx
-
-
-def _run_parallel(jobs: int, tasks):
-    """Run callables, returning results in task order regardless of schedule."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 def _listify(value):
@@ -206,16 +186,14 @@ def cmd_spectrum(manifest: Manifest) -> int:
         )
         densities, labels = [density], ["full"]
         path = os.path.join(out, "density_full.csv")
-        slq.save_density_csv(path + ".tmp", density)
-        os.replace(path + ".tmp", path)
+        slq.save_density_csv(path, density)
         print(f"wrote {path}")
     else:
         densities = slq.blockwise_densities(op, partition, params)
         labels = [f"block{i:02d}" for i in range(partition.num_blocks)]
         for label, density in zip(labels, densities):
             path = os.path.join(out, f"density_{label}.csv")
-            slq.save_density_csv(path + ".tmp", density)
-            os.replace(path + ".tmp", path)
+            slq.save_density_csv(path, density)
             print(f"wrote {path}")
     if cfg.get("svg", False):
         path = os.path.join(out, "spectrum.svg")
@@ -243,39 +221,25 @@ def cmd_heatmap(manifest: Manifest) -> int:
             raise ConfigError("log_axis compares magnitudes directly; use mode = none")
         if block_eigs is None:
             raise ConfigError("log_axis needs exact block eigenvalues")
-        logs = heterogeneity.log_magnitude_spectra(block_eigs)
-        densities = slq.smoothed_densities(logs)
-        report = heterogeneity.pairwise_heatmap(densities, mode="none", labels=labels)
+        densities = slq.smoothed_densities(heterogeneity.log_magnitude_spectra(block_eigs))
     elif estimator == "exact":
         if block_eigs is None:
             raise ConfigError("estimator = exact needs block eigenvalues (case or matrix source)")
-        if mode == "none":
-            densities = slq.smoothed_densities(block_eigs)
-        else:
-            densities = slq.smoothed_densities(
-                [heterogeneity.normalize_spectrum(e, mode=mode).value for e in block_eigs]
-            )
-        report = heterogeneity.pairwise_heatmap(densities, mode="none", labels=labels)
-        report = heterogeneity.HeterogeneityReport(
-            labels=report.labels, pairwise=report.pairwise, js0=report.js0,
-            normalization_mode=mode, warnings=report.warnings,
-        )
+        densities = slq.smoothed_densities(block_eigs)
     elif estimator == "slq":
         params = _slq_params(cfg, manifest.seed, manifest.cheap)
         densities = slq.blockwise_densities(op, partition, params)
-        report = heterogeneity.pairwise_heatmap(
-            densities, mode=mode, eigenvalues=block_eigs, labels=labels
-        )
     else:
         raise ConfigError(f"estimator must be 'slq' or 'exact', got {estimator!r}")
+    report = heterogeneity.pairwise_heatmap(
+        densities, mode=mode, eigenvalues=block_eigs, labels=labels
+    )
 
     path = os.path.join(manifest.out, "heatmap.csv")
-    heterogeneity.save_heatmap_csv(path + ".tmp", report)
-    os.replace(path + ".tmp", path)
+    heterogeneity.save_heatmap_csv(path, report)
     print(f"wrote {path}")
     spath = os.path.join(manifest.out, "summary.txt")
-    heterogeneity.save_js0_summary(spath + ".tmp", report)
-    os.replace(spath + ".tmp", spath)
+    heterogeneity.save_js0_summary(spath, report)
     print(f"wrote {spath}  (js0 = {report.js0!r})")
     if cfg.get("svg", False):
         hpath = os.path.join(manifest.out, "heatmap.svg")
@@ -387,46 +351,40 @@ def cmd_quadlab(manifest: Manifest) -> int:
     n_seeds = int(cfg.get("seeds", 1))
     eta_spec = cfg.get("eta")
 
-    tasks = []
-    keys = []
-    for kind in kinds:
-        for i in range(n_seeds):
-            keys.append((kind, i))
-            tasks.append(
-                lambda kind=kind, i=i: _one_quadlab_run(
-                    problem, fixed_w0, kind, eta_spec, cfg, manifest.seed, i
-                )
-            )
-    results = _run_parallel(manifest.jobs, tasks)
+    keys = [(kind, i) for kind in kinds for i in range(n_seeds)]
+    results = [
+        _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, manifest.seed, i)
+        for kind, i in keys
+    ]
 
     failed = False
     rows = []
     for (kind, i), (record, trajectory) in zip(keys, results):
         name = f"run_{kind}_s{i:03d}.csv"
         idx = _stride_indices(trajectory.loss_ratios.size)
-        _atomic_csv(
+        fileio.write_csv(
             os.path.join(manifest.out, name),
             ["iter", "loss_ratio"],
-            [[int(t), _fmt(trajectory.loss_ratios[t])] for t in idx],
+            ([int(t), trajectory.loss_ratios[t]] for t in idx),
         )
         rows.append(
             [
                 case_label,
                 record["optimizer"],
                 record["seed"],
-                _fmt(record["eta"]),
-                _fmt(record["beta2"]),
+                record["eta"],
+                record["beta2"],
                 record["status"],
                 record["iterations"],
-                _fmt(record["final_ratio"]),
+                record["final_ratio"],
                 record["violations"],
                 record["cycling"],
-                _fmt(record["tail_min_loss"]) if record["tail_min_loss"] != "" else "",
+                record["tail_min_loss"],
             ]
         )
         if record["status"] == "diverged" or (record["violations"] not in ("", 0)):
             failed = True
-    _atomic_csv(
+    fileio.write_csv(
         os.path.join(manifest.out, "summary.csv"),
         [
             "case", "optimizer", "seed", "eta", "beta2", "status", "iterations",
@@ -437,26 +395,23 @@ def cmd_quadlab(manifest: Manifest) -> int:
     print(f"wrote {os.path.join(manifest.out, 'summary.csv')} ({len(rows)} runs)")
 
     w0_theory = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, manifest.seed, index=0)
-    try:
-        report = quadlab.theory_report(problem, w0_theory)
-        lines = [
-            f"kappa = {report.kappa!r}",
-            f"r = {report.r!r}",
-            f"eta_theory = {report.eta_theory!r}",
-            f"gd_factor = {report.gd_factor!r}",
-            f"adam_factor = {report.adam_factor!r}",
-        ]
-        for l, (k, c1, c2, ka) in enumerate(
-            zip(report.block_kappas, report.c1, report.c2, report.adam_block_kappas)
-        ):
-            lines.append(f"block{l}.kappa = {k!r}")
-            lines.append(f"block{l}.c1 = {c1!r}")
-            lines.append(f"block{l}.c2 = {c2!r}")
-            lines.append(f"block{l}.kappa_precond = {ka!r}")
-        _atomic_write(os.path.join(manifest.out, "theory.txt"), "\n".join(lines) + "\n")
-        print(f"wrote {os.path.join(manifest.out, 'theory.txt')}")
-    except ValueError:
-        pass
+    report = quadlab.theory_report(problem, w0_theory)
+    lines = [
+        f"kappa = {report.kappa!r}",
+        f"r = {report.r!r}",
+        f"eta_theory = {report.eta_theory!r}",
+        f"gd_factor = {report.gd_factor!r}",
+        f"adam_factor = {report.adam_factor!r}",
+    ]
+    for l, (k, c1, c2, ka) in enumerate(
+        zip(report.block_kappas, report.c1, report.c2, report.adam_block_kappas)
+    ):
+        lines.append(f"block{l}.kappa = {k!r}")
+        lines.append(f"block{l}.c1 = {c1!r}")
+        lines.append(f"block{l}.c2 = {c2!r}")
+        lines.append(f"block{l}.kappa_precond = {ka!r}")
+    fileio.write_text(os.path.join(manifest.out, "theory.txt"), "\n".join(lines) + "\n")
+    print(f"wrote {os.path.join(manifest.out, 'theory.txt')}")
 
     if cfg.get("svg", False):
         series = []
@@ -514,20 +469,20 @@ def _cmd_toynet_train(manifest: Manifest) -> int:
     )
     steps_axis = np.arange(result.losses.size)
     idx = _stride_indices(result.losses.size)
-    _atomic_csv(
+    fileio.write_csv(
         os.path.join(manifest.out, "curves.csv"),
         ["step", "loss", "accuracy"],
-        [[int(t), _fmt(result.losses[t]), _fmt(result.accuracies[t])] for t in idx],
+        ([int(t), result.losses[t], result.accuracies[t]] for t in idx),
     )
     print(f"wrote {os.path.join(manifest.out, 'curves.csv')} (status {result.status})")
 
     if result.snapshots:
         mass_rows, js0_rows = [], []
         for snap in result.snapshots:
-            mass_rows.append([snap.step_index, _fmt(toynet.offdiag_mass_ratio(snap))])
-            js0_rows.append([snap.step_index, _fmt(toynet.snapshot_js0(snap))])
-        _atomic_csv(os.path.join(manifest.out, "mass_ratio.csv"), ["step", "ratio"], mass_rows)
-        _atomic_csv(os.path.join(manifest.out, "js0_series.csv"), ["step", "js0"], js0_rows)
+            mass_rows.append([snap.step_index, toynet.offdiag_mass_ratio(snap)])
+            js0_rows.append([snap.step_index, toynet.snapshot_js0(snap)])
+        fileio.write_csv(os.path.join(manifest.out, "mass_ratio.csv"), ["step", "ratio"], mass_rows)
+        fileio.write_csv(os.path.join(manifest.out, "js0_series.csv"), ["step", "js0"], js0_rows)
         print(f"wrote {os.path.join(manifest.out, 'mass_ratio.csv')} ({len(mass_rows)} snapshots)")
         print(f"wrote {os.path.join(manifest.out, 'js0_series.csv')}")
 
@@ -579,42 +534,38 @@ def _cmd_toynet_scaled(manifest: Manifest) -> int:
     c_values = [float(c) for c in _listify(cfg.get("c_values", [1, 2, 4, 8]))]
     n_seeds = int(cfg.get("seeds", 5))
 
-    tasks = []
-    for c in c_values:
-        for s in range(n_seeds):
-            tasks.append(lambda c=c, s=s: _scaled_cell(cfg, c, s))
-    cells = _run_parallel(manifest.jobs, tasks)
+    cells = [_scaled_cell(cfg, c, s) for c in c_values for s in range(n_seeds)]
 
-    _atomic_csv(
+    fileio.write_csv(
         os.path.join(manifest.out, "js0_vs_scale.csv"),
         ["scale", "seed", "js0"],
-        [[_fmt(cell["scale"]), cell["seed"], _fmt(cell["js0"])] for cell in cells],
+        ([cell["scale"], cell["seed"], cell["js0"]] for cell in cells),
     )
     med_rows = []
     for c in c_values:
         vals = [cell["js0"] for cell in cells if cell["scale"] == c]
-        med_rows.append([_fmt(c), _fmt(float(np.median(vals)))])
-    _atomic_csv(os.path.join(manifest.out, "js0_medians.csv"), ["scale", "median_js0"], med_rows)
+        med_rows.append([c, np.median(vals)])
+    fileio.write_csv(os.path.join(manifest.out, "js0_medians.csv"), ["scale", "median_js0"], med_rows)
     print(f"wrote {os.path.join(manifest.out, 'js0_vs_scale.csv')} ({len(cells)} cells)")
     print(f"wrote {os.path.join(manifest.out, 'js0_medians.csv')}")
 
     if cfg.get("gap", False):
-        _atomic_csv(
+        fileio.write_csv(
             os.path.join(manifest.out, "gap.csv"),
             ["scale", "seed", "best_sgd", "best_adam", "gap"],
-            [
+            (
                 [
-                    _fmt(cell["scale"]), cell["seed"], _fmt(cell["best_sgd"]),
-                    _fmt(cell["best_adam"]), _fmt(cell["best_adam"] - cell["best_sgd"]),
+                    cell["scale"], cell["seed"], cell["best_sgd"],
+                    cell["best_adam"], cell["best_adam"] - cell["best_sgd"],
                 ]
                 for cell in cells
-            ],
+            ),
         )
         gap_rows = []
         for c in c_values:
             gaps = [cell["best_adam"] - cell["best_sgd"] for cell in cells if cell["scale"] == c]
-            gap_rows.append([_fmt(c), _fmt(float(np.median(gaps)))])
-        _atomic_csv(os.path.join(manifest.out, "gap_medians.csv"), ["scale", "median_gap"], gap_rows)
+            gap_rows.append([c, np.median(gaps)])
+        fileio.write_csv(os.path.join(manifest.out, "gap_medians.csv"), ["scale", "median_gap"], gap_rows)
         print(f"wrote {os.path.join(manifest.out, 'gap.csv')}")
         print(f"wrote {os.path.join(manifest.out, 'gap_medians.csv')}")
     return 0
@@ -658,7 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="accepted for compatibility and ignored: runs are sequential",
+        )
         p.add_argument("--cheap", action="store_true", help="fast low-fidelity preset")
     return parser
 
@@ -683,7 +637,7 @@ def main(argv=None) -> int:
     try:
         _write_manifest(manifest)
         return COMMANDS[args.subcommand](manifest)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, quadlab.AllDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,11 @@ comparable in shape.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from blockspectra import fileio
 from blockspectra.slq import SpectralDensity
 
 MODES = ("tenth_largest", "max_abs", "none")
@@ -261,26 +261,24 @@ def pairwise_heatmap(
 # ---------------------------------------------------------------------------
 
 def save_heatmap_csv(path, report: HeterogeneityReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", *report.labels])
-        for label, row in zip(report.labels, report.pairwise):
-            writer.writerow([label, *[repr(float(x)) for x in row]])
+    fileio.write_csv(
+        path,
+        ["block", *report.labels],
+        ([label, *row] for label, row in zip(report.labels, report.pairwise)),
+    )
 
 
 def load_heatmap_csv(path) -> tuple[tuple, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        labels = tuple(header[1:])
-        rows = [[float(x) for x in row[1:]] for row in reader if row]
-    return labels, np.asarray(rows)
+    rows = fileio.read_csv(path)
+    labels = tuple(next(rows)[1:])
+    return labels, np.asarray([[float(x) for x in row[1:]] for row in rows])
 
 
 def save_js0_summary(path, report: HeterogeneityReport) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"js0 = {report.js0!r}\n")
-        fh.write(f"blocks = {len(report.labels)}\n")
-        fh.write(f"normalization_mode = {report.normalization_mode}\n")
-        for w in report.warnings:
-            fh.write(f"warning = {w}\n")
+    lines = [
+        f"js0 = {report.js0!r}",
+        f"blocks = {len(report.labels)}",
+        f"normalization_mode = {report.normalization_mode}",
+        *(f"warning = {w}" for w in report.warnings),
+    ]
+    fileio.write_text(path, "\n".join(lines) + "\n")

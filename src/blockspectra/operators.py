@@ -8,9 +8,9 @@ against an exact eigendecomposition.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
+
+from blockspectra import fileio
 
 # Exact eigendecompositions are meant for desk-scale oracles only.
 MAX_ORACLE_DIM = 2000
@@ -279,37 +279,24 @@ def symmetry_defect(op: SymmetricOperator, n_samples: int = 8, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 # CSV serialization: matrices as one row per matrix row, spectra as one value
 # per line.  All writers emit a header row; readers skip a non-numeric first
-# line so the files round-trip.
+# row so the files round-trip.
 # ---------------------------------------------------------------------------
 
 def save_matrix_csv(path, matrix: np.ndarray) -> None:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in range(m.shape[1])])
-        for row in m:
-            writer.writerow([repr(float(x)) for x in row])
+    fileio.write_csv(path, [f"c{j}" for j in range(m.shape[1])], m)
 
 
-def _is_numeric_row(row) -> bool:
-    try:
-        [float(x) for x in row]
-        return True
-    except ValueError:
-        return False
+def _data_rows(path):
+    for i, row in enumerate(fileio.read_csv(path)):
+        if i > 0 or fileio.is_numeric(row):
+            yield row
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            if i == 0 and not _is_numeric_row(row):
-                continue
-            rows.append([float(x) for x in row])
+    rows = [list(map(float, row)) for row in _data_rows(path)]
     if not rows:
         raise ValueError(f"no numeric rows in {path}")
     return np.asarray(rows)
@@ -317,22 +304,11 @@ def load_matrix_csv(path) -> np.ndarray:
 
 def save_spectrum_csv(path, eigenvalues) -> None:
     e = np.asarray(eigenvalues, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eigenvalue"])
-        for x in e:
-            writer.writerow([repr(float(x))])
+    fileio.write_csv(path, ["eigenvalue"], e[:, None])
 
 
 def load_spectrum_csv(path) -> np.ndarray:
-    values = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            if i == 0 and not _is_numeric_row(row):
-                continue
-            values.append(float(row[0]))
+    values = [float(row[0]) for row in _data_rows(path)]
     if not values:
         raise ValueError(f"no numeric rows in {path}")
     return np.asarray(values)

@@ -308,6 +308,9 @@ def _run_batch(
     W = W0.astype(float).copy()
 
     gap0 = 0.5 * np.einsum("nd,nd->n", W - wstar, (W - wstar) @ H)
+    if not np.all(np.isfinite(gap0)):
+        bad = int(np.flatnonzero(~np.isfinite(gap0))[0])
+        raise ValueError(f"initial point {bad} is not finite or its loss overflows")
     if np.any(gap0 <= 0):
         bad = int(np.argmin(gap0))
         raise ValueError(f"initial point {bad} already sits at the minimizer")

@@ -10,12 +10,12 @@ Gaussian kernel yields an estimate of the operator's eigenvalue density.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from blockspectra import fileio
 from blockspectra.operators import BlockPartition, SymmetricOperator, principal_block
 from blockspectra.rng import TAG_BLOCK_PROBE, TAG_PROBE, derive_rng
 
@@ -261,19 +261,30 @@ def _finalize_density(grid, raw, sigma) -> SpectralDensity:
     return SpectralDensity(grid=grid, values=raw / mass, sigma=sigma)
 
 
+def _averaged_densities(quad_lists, lo, hi, sigma, grid, grid_points) -> list[SpectralDensity]:
+    """One density per list of quadrature rules, each the rules' mean mixture.
+
+    ``[lo, hi]`` is the spectral support that fixes the shared grid and, when
+    not given, the kernel width.
+    """
+    sigma, grid = _resolve_grid(lo, hi, sigma, grid, grid_points)
+    out = []
+    for quads in quad_lists:
+        raw = np.zeros_like(grid)
+        for quad in quads:
+            raw += _gaussian_mixture(grid, quad.nodes, quad.weights, sigma)
+        raw /= len(quads)
+        out.append(_finalize_density(grid, raw, sigma))
+    return out
+
+
 def smoothed_density(eigenvalues, sigma=None, grid=None, grid_points=2048) -> SpectralDensity:
     """Gaussian-smoothed density of an explicit eigenvalue list.
 
     Serves as the exact reference that the stochastic estimator is compared
     against: identical kernel, identical grid conventions, no sampling.
     """
-    eigs = np.asarray(eigenvalues, dtype=float)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ValueError("expected a nonempty 1-d eigenvalue array")
-    sigma, grid = _resolve_grid(float(eigs.min()), float(eigs.max()), sigma, grid, grid_points)
-    weights = np.full(eigs.size, 1.0 / eigs.size)
-    raw = _gaussian_mixture(grid, eigs, weights, sigma)
-    return _finalize_density(grid, raw, sigma)
+    return smoothed_densities([eigenvalues], sigma=sigma, grid=grid, grid_points=grid_points)[0]
 
 
 def slq_density(
@@ -294,12 +305,7 @@ def slq_density(
     """
     quads = _probe_quadratures(op, steps, probes, seed, reorth, (seed, TAG_PROBE))
     lo, hi = _support_from_quads(quads)
-    sigma, grid = _resolve_grid(lo, hi, sigma, grid, grid_points)
-    raw = np.zeros_like(grid)
-    for quad in quads:
-        raw += _gaussian_mixture(grid, quad.nodes, quad.weights, sigma)
-    raw /= len(quads)
-    return _finalize_density(grid, raw, sigma)
+    return _averaged_densities([quads], lo, hi, sigma, grid, grid_points)[0]
 
 
 def blockwise_densities(
@@ -325,15 +331,7 @@ def blockwise_densities(
         per_block.append(quads)
     lo = min(_support_from_quads(q)[0] for q in per_block)
     hi = max(_support_from_quads(q)[1] for q in per_block)
-    sigma, grid = _resolve_grid(lo, hi, params.sigma, params.grid, params.grid_points)
-    densities = []
-    for quads in per_block:
-        raw = np.zeros_like(grid)
-        for quad in quads:
-            raw += _gaussian_mixture(grid, quad.nodes, quad.weights, sigma)
-        raw /= len(quads)
-        densities.append(_finalize_density(grid, raw, sigma))
-    return densities
+    return _averaged_densities(per_block, lo, hi, params.sigma, params.grid, params.grid_points)
 
 
 def smoothed_densities(eigenvalue_lists, sigma=None, grid=None, grid_points=2048) -> list[SpectralDensity]:
@@ -347,13 +345,8 @@ def smoothed_densities(eigenvalue_lists, sigma=None, grid=None, grid_points=2048
         raise ValueError("expected nonempty 1-d eigenvalue arrays")
     lo = min(float(e.min()) for e in lists)
     hi = max(float(e.max()) for e in lists)
-    sigma, grid = _resolve_grid(lo, hi, sigma, grid, grid_points)
-    out = []
-    for eigs in lists:
-        weights = np.full(eigs.size, 1.0 / eigs.size)
-        raw = _gaussian_mixture(grid, eigs, weights, sigma)
-        out.append(_finalize_density(grid, raw, sigma))
-    return out
+    rules = [[RitzQuadrature(nodes=e, weights=np.full(e.size, 1.0 / e.size))] for e in lists]
+    return _averaged_densities(rules, lo, hi, sigma, grid, grid_points)
 
 
 def l1_distance(p: SpectralDensity, q: SpectralDensity) -> float:
@@ -368,25 +361,18 @@ def l1_distance(p: SpectralDensity, q: SpectralDensity) -> float:
 # ---------------------------------------------------------------------------
 
 def save_density_csv(path, density: SpectralDensity) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "density"])
-        for t, v in zip(density.grid, density.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    fileio.write_csv(path, ["t", "density"], zip(density.grid, density.values))
 
 
 def load_density_csv(path, sigma: float | None = None) -> SpectralDensity:
+    rows = fileio.read_csv(path)
+    header = next(rows)
+    if header[:2] != ["t", "density"]:
+        raise ValueError(f"unexpected density header {header} in {path}")
     grid, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["t", "density"]:
-            raise ValueError(f"unexpected density header {header} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            grid.append(float(row[0]))
-            values.append(float(row[1]))
+    for row in rows:
+        grid.append(float(row[0]))
+        values.append(float(row[1]))
     grid_arr = np.asarray(grid)
     if sigma is None:
         # The kernel width is not stored in the CSV; default to the grid
@@ -396,27 +382,23 @@ def load_density_csv(path, sigma: float | None = None) -> SpectralDensity:
 
 
 def save_factorization_csv(path, fact: LanczosFactorization) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "beta"])
-        for i, a in enumerate(fact.alphas):
-            beta = repr(float(fact.betas[i])) if i < fact.betas.size else ""
-            writer.writerow([repr(float(a)), beta])
+    fileio.write_csv(
+        path,
+        ["alpha", "beta"],
+        ([a, fact.betas[i] if i < fact.betas.size else ""] for i, a in enumerate(fact.alphas)),
+    )
 
 
 def load_factorization_csv(path) -> LanczosFactorization:
+    rows = fileio.read_csv(path)
+    header = next(rows)
+    if header[:2] != ["alpha", "beta"]:
+        raise ValueError(f"unexpected factorization header {header} in {path}")
     alphas, betas = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["alpha", "beta"]:
-            raise ValueError(f"unexpected factorization header {header} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            alphas.append(float(row[0]))
-            if len(row) > 1 and row[1] != "":
-                betas.append(float(row[1]))
+    for row in rows:
+        alphas.append(float(row[0]))
+        if len(row) > 1 and row[1] != "":
+            betas.append(float(row[1]))
     return LanczosFactorization(alphas=np.asarray(alphas), betas=np.asarray(betas))
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from blockspectra import fileio
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 30, 50
 
@@ -95,8 +97,7 @@ def line_plot_svg(path, series, title="", x_label="", y_label="", log_y=False) -
             f'font-size="11" fill="{color}">{label}</text>'
         )
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    fileio.write_text(path, "\n".join(out) + "\n")
 
 
 def heatmap_svg(path, matrix, labels, title="") -> None:
@@ -137,8 +138,7 @@ def heatmap_svg(path, matrix, labels, title="") -> None:
             f'font-size="10">{label}</text>'
         )
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    fileio.write_text(path, "\n".join(out) + "\n")
 
 
 def density_overlay_svg(path, densities, labels, title="eigenvalue densities") -> None:

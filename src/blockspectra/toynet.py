@@ -14,11 +14,11 @@ p = 1 / (1 + exp(-y f)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from blockspectra import fileio
 from blockspectra.operators import BlockPartition
 from blockspectra.rng import TAG_DATA, TAG_INIT, TAG_TRAIN, derive_rng
 
@@ -378,22 +378,17 @@ def make_xor_blobs(n_samples: int, d_in: int, separation: float = 4.0, seed: int
 
 
 def save_dataset_csv(path, dataset: Dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(dataset.X.shape[1])] + ["label"])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
+    fileio.write_csv(
+        path,
+        [f"x{j}" for j in range(dataset.X.shape[1])] + ["label"],
+        np.column_stack([dataset.X, dataset.y]),
+    )
 
 
 def load_dataset_csv(path) -> Dataset:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            if row:
-                rows.append([float(v) for v in row])
-    arr = np.asarray(rows)
+    rows = fileio.read_csv(path)
+    next(rows)  # header
+    arr = np.asarray([[float(v) for v in row] for row in rows])
     return Dataset(X=arr[:, :-1], y=arr[:, -1])
 
 

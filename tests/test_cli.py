@@ -153,6 +153,41 @@ def test_heatmap_single_block_rejected(tmp_path):
     assert main(["heatmap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "settings, mode",
+    [("estimator = exact\nmode = tenth_largest\n", "tenth_largest"), ("log_axis = true\n", "none")],
+)
+def test_heatmap_from_exact_eigenvalues_follows_the_slq_path(tmp_path, rng, settings, mode):
+    # Exact spectra are smoothed on one shared grid and normalized afterwards,
+    # exactly as SLQ densities are.
+    from blockspectra.heterogeneity import log_magnitude_spectra, pairwise_heatmap
+    from blockspectra.operators import BlockPartition, DenseSymmetric, exact_eigenvalues, principal_block
+    from blockspectra.slq import smoothed_densities
+
+    blocks = [12, 12, 14]
+    m = np.zeros((38, 38))
+    start = 0
+    for n, scale in zip(blocks, (1.0, 30.0, 900.0)):
+        g = rng.standard_normal((n, 2 * n))
+        m[start : start + n, start : start + n] = scale * (g @ g.T) / (2 * n)
+        start += n
+    mpath = tmp_path / "m.csv"
+    save_matrix_csv(mpath, m)
+    cfg = write_config(tmp_path / "h.cfg", f"source = matrix\nmatrix = {mpath}\nblocks = 12,12,14\n{settings}")
+    out = tmp_path / "out"
+    assert main(["heatmap", "--config", cfg, "--out", str(out)]) == 0
+
+    op = DenseSymmetric(m)
+    eigs = [exact_eigenvalues(principal_block(op, a, z)) for a, z in BlockPartition(blocks).ranges()]
+    spectra = log_magnitude_spectra(eigs) if "log_axis" in settings else eigs
+    expected = pairwise_heatmap(smoothed_densities(spectra), mode=mode, eigenvalues=eigs)
+    _, matrix = load_heatmap_csv(out / "heatmap.csv")
+    assert np.array_equal(matrix, expected.pairwise)
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[0] == f"js0 = {expected.js0!r}"
+    assert f"normalization_mode = {mode}" in summary
+
+
 # ---------------------------------------------------------------------------
 # quadlab
 # ---------------------------------------------------------------------------
@@ -235,6 +270,41 @@ def test_quadlab_theory_record(tmp_path):
     rows = read_rows(out / "summary.csv")
     assert rows[1][rows[0].index("violations")] == "0"
 
+
+@pytest.mark.parametrize("grid", ["false", "true"])
+def test_quadlab_rejects_nonfinite_w0(tmp_path, capsys, grid):
+    cfg = write_config(
+        tmp_path / "q.cfg", f"case = scalar\nw0 = nan\neta = 0.1\neta_grid = {grid}\nmax_iters = 50\n"
+    )
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+def test_quadlab_all_diverged_grid_exits_2(tmp_path, capsys):
+    # A tiny initial gradient makes the fixed preconditioner huge, so even the
+    # smallest grid step (1e-6) overshoots: |1 - eta / w0| > 1 for every eta.
+    cfg = write_config(
+        tmp_path / "q.cfg",
+        "case = scalar\noptimizer = adam_fixed\nw0 = 1e-9\neta_grid = true\nmax_iters = 50\n",
+    )
+    assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: all 25 runs diverged")
+
+
+def test_quadlab_theory_failure_exits_2(tmp_path, monkeypatch, capsys):
+    from blockspectra import quadlab
+
+    def failing_report(problem, w0):
+        raise ValueError("initial gradient coordinate 0 is exactly zero")
+
+    monkeypatch.setattr(quadlab, "theory_report", failing_report)
+    cfg = write_config(tmp_path / "q.cfg", "case = 3\noptimizer = gd\neta = 0.0001\nmax_iters = 20\n")
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
+    assert "exactly zero" in capsys.readouterr().err
+    assert not (out / "theory.txt").exists()
 
 # ---------------------------------------------------------------------------
 # toynet

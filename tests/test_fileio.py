@@ -1,0 +1,168 @@
+import inspect
+import os
+
+import numpy as np
+import pytest
+
+from blockspectra import fileio
+from blockspectra.cli import main
+from blockspectra.heterogeneity import HeterogeneityReport, save_heatmap_csv, save_js0_summary
+from blockspectra.operators import load_matrix_csv, save_matrix_csv, save_spectrum_csv
+from blockspectra.slq import (
+    LanczosFactorization,
+    SpectralDensity,
+    save_density_csv,
+    save_factorization_csv,
+)
+from blockspectra.svgplot import heatmap_svg, line_plot_svg
+from blockspectra.toynet import Dataset, save_dataset_csv
+
+
+# ---------------------------------------------------------------------------
+# Exact bytes of each writer: CRLF rows, repr floats, LF text files
+# ---------------------------------------------------------------------------
+
+def _report():
+    return HeterogeneityReport(
+        labels=("a", "b"),
+        pairwise=np.array([[0.0, 0.25], [0.25, 0.0]]),
+        js0=0.25,
+        normalization_mode="none",
+        warnings=("b: fell back",),
+    )
+
+
+WRITERS = {
+    "matrix": (
+        lambda p: save_matrix_csv(p, np.array([[1.0, 0.1], [0.1, 2]])),
+        b"c0,c1\r\n1.0,0.1\r\n0.1,2.0\r\n",
+    ),
+    "spectrum": (
+        lambda p: save_spectrum_csv(p, [3, 0.5]),
+        b"eigenvalue\r\n3.0\r\n0.5\r\n",
+    ),
+    "density": (
+        lambda p: save_density_csv(p, SpectralDensity(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.5)),
+        b"t,density\r\n0.0,1.0\r\n1.0,1.0\r\n",
+    ),
+    "factorization": (
+        lambda p: save_factorization_csv(p, LanczosFactorization(np.array([1.0, 2.5]), np.array([0.5]))),
+        b"alpha,beta\r\n1.0,0.5\r\n2.5,\r\n",
+    ),
+    "heatmap": (
+        lambda p: save_heatmap_csv(p, _report()),
+        b"block,a,b\r\na,0.0,0.25\r\nb,0.25,0.0\r\n",
+    ),
+    "js0_summary": (
+        lambda p: save_js0_summary(p, _report()),
+        b"js0 = 0.25\nblocks = 2\nnormalization_mode = none\nwarning = b: fell back\n",
+    ),
+    "dataset": (
+        lambda p: save_dataset_csv(p, Dataset(np.array([[0.1, 2.0], [3.0, -4.5]]), np.array([1, -1]))),
+        b"x0,x1,label\r\n0.1,2.0,1.0\r\n3.0,-4.5,-1.0\r\n",
+    ),
+    "csv_cells": (
+        lambda p: fileio.write_csv(p, ["n", "x", "y", "s"], [[7, np.float64(1e-300), 0.1, ""], [np.int64(3), 2.0, np.float32(0.5), "ok"]]),
+        b"n,x,y,s\r\n7,1e-300,0.1,\r\n3,2.0,0.5,ok\r\n",
+    ),
+    "text": (
+        lambda p: fileio.write_text(p, "k = 1\nj = 2\n"),
+        b"k = 1\nj = 2\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_bytes_are_pinned(tmp_path, name):
+    write, expected = WRITERS[name]
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == expected
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_svg_writers_end_lines_with_lf(tmp_path):
+    line_plot_svg(tmp_path / "line.svg", [("s", [0, 1, 2], [1.0, 0.5, 0.25])], log_y=True)
+    heatmap_svg(tmp_path / "heat.svg", _report().pairwise, ("a", "b"))
+    for name in ("line.svg", "heat.svg"):
+        data = (tmp_path / name).read_bytes()
+        assert data.startswith(b"<svg ") and data.endswith(b"</svg>\n") and b"\r" not in data
+    assert sorted(os.listdir(tmp_path)) == ["heat.svg", "line.svg"]
+
+
+# ---------------------------------------------------------------------------
+# Write policy
+# ---------------------------------------------------------------------------
+
+def test_failed_csv_write_keeps_previous_file_and_no_tmp(tmp_path):
+    path = tmp_path / "data.csv"
+    fileio.write_csv(path, ["x"], [[1.0]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2.0]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        fileio.write_csv(path, ["x"], rows())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+def test_failed_text_write_keeps_previous_file_and_no_tmp(tmp_path):
+    path = tmp_path / "note.txt"
+    fileio.write_text(path, "old\n")
+    with pytest.raises(TypeError):
+        fileio.write_text(path, b"not text")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["note.txt"]
+
+
+# ---------------------------------------------------------------------------
+# Reading
+# ---------------------------------------------------------------------------
+
+def test_read_csv_streams_and_skips_blank_rows(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"a,b\r\n\r\n1,2\n\n3,4\r\n")
+    rows = fileio.read_csv(path)
+    assert inspect.isgenerator(rows)
+    assert list(rows) == [["a", "b"], ["1", "2"], ["3", "4"]]
+
+
+def test_is_numeric():
+    assert fileio.is_numeric(["1", "-2.5e3", "nan", " 4 "])
+    assert not fileio.is_numeric(["1", "c1"])
+    assert fileio.is_numeric([])
+
+
+def test_matrix_header_is_optional(tmp_path):
+    m = np.array([[1.0, 0.25], [0.25, -3.0]])
+    with_header, bare = tmp_path / "h.csv", tmp_path / "b.csv"
+    save_matrix_csv(with_header, m)
+    np.savetxt(bare, m, fmt="%.17g", delimiter=",")
+    assert np.array_equal(load_matrix_csv(with_header), m)
+    assert np.array_equal(load_matrix_csv(bare), m)
+
+
+# ---------------------------------------------------------------------------
+# No temporary file survives a CLI run
+# ---------------------------------------------------------------------------
+
+CLI_RUNS = {
+    "spectrum": "source = case\ncase = 3\nsvg = true\n",
+    "heatmap": "source = case\ncase = 4\nsvg = true\n",
+    "quadlab": "case = 3\noptimizer = gd,adam_fixed\neta_grid = true\ngrid_points = 3\nmax_iters = 200\nseeds = 1\nsvg = true\n",
+    "toynet": "experiment = train\nsamples = 48\nfeatures = 3\nhidden = 4\nsteps = 20\nsnapshot_stride = 10\nsvg = true\n",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CLI_RUNS))
+def test_cli_leaves_no_tmp_files(tmp_path, subcommand):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CLI_RUNS[subcommand])
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--cheap"]) == 0
+    names = os.listdir(out)
+    assert "manifest.txt" in names and len(names) > 2
+    assert not [n for n in names if n.endswith(".tmp")]
