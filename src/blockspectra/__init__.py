@@ -69,6 +69,7 @@ from blockspectra.quadlab import (
     detect_limit_cycle,
     gd_run,
     grid_search,
+    is_hard_instance,
     make_case,
     make_hard_instance,
     theory_report,
@@ -121,6 +122,7 @@ __all__ = [
     "detect_limit_cycle",
     "gd_run",
     "grid_search",
+    "is_hard_instance",
     "make_case",
     "make_hard_instance",
     "theory_report",

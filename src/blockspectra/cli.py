@@ -313,7 +313,7 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
 
     verify = cfg.get("verify", "auto")
     if verify == "auto":
-        if kind == "gd" and quadlab._is_hard_instance(problem, trajectory.w0):
+        if kind == "gd" and quadlab.is_hard_instance(problem, trajectory.w0):
             verify = "gd_lower"
         elif kind == "adam_fixed" and eta_spec in ("theory", None, "default"):
             verify = "adam_upper"

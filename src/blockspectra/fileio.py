@@ -12,8 +12,10 @@ Conventions:
   minimal quoting, every row ended by ``"\\r\\n"``.  The first row is a
   header.  Floats, Python or numpy, are written with ``repr`` so every double
   round-trips; all other cells are written as the ``csv`` module writes them.
-- Readers stream rows one at a time and skip blank rows.  Files whose header
-  is optional (matrices and spectra) tell it from data with ``is_numeric``.
+- Readers stream rows one at a time and skip blank rows.  A file whose
+  header is required but missing (it has no rows at all) is rejected with
+  ``ValueError``.  Files whose header is optional (matrices, spectra and
+  datasets) tell it from data with ``is_numeric``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,25 @@ def read_csv(path):
         for row in csv.reader(fh):
             if row:
                 yield row
+
+
+def read_csv_with_header(path):
+    """The header of a CSV file and an iterator over its remaining rows.
+
+    Raises ValueError naming ``path`` when the file has no rows at all.
+    """
+    rows = read_csv(path)
+    header = next(rows, None)
+    if header is None:
+        raise ValueError(f"{path} is empty, expected a header row")
+    return header, rows
+
+
+def read_data_rows(path):
+    """Yield the rows of a CSV file whose header is optional, without the header."""
+    for i, row in enumerate(read_csv(path)):
+        if i > 0 or is_numeric(row):
+            yield row
 
 
 def is_numeric(row) -> bool:

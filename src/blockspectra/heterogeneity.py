@@ -269,8 +269,8 @@ def save_heatmap_csv(path, report: HeterogeneityReport) -> None:
 
 
 def load_heatmap_csv(path) -> tuple[tuple, np.ndarray]:
-    rows = fileio.read_csv(path)
-    labels = tuple(next(rows)[1:])
+    header, rows = fileio.read_csv_with_header(path)
+    labels = tuple(header[1:])
     return labels, np.asarray([[float(x) for x in row[1:]] for row in rows])
 
 

@@ -289,14 +289,8 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
     fileio.write_csv(path, [f"c{j}" for j in range(m.shape[1])], m)
 
 
-def _data_rows(path):
-    for i, row in enumerate(fileio.read_csv(path)):
-        if i > 0 or fileio.is_numeric(row):
-            yield row
-
-
 def load_matrix_csv(path) -> np.ndarray:
-    rows = [list(map(float, row)) for row in _data_rows(path)]
+    rows = [list(map(float, row)) for row in fileio.read_data_rows(path)]
     if not rows:
         raise ValueError(f"no numeric rows in {path}")
     return np.asarray(rows)
@@ -308,7 +302,7 @@ def save_spectrum_csv(path, eigenvalues) -> None:
 
 
 def load_spectrum_csv(path) -> np.ndarray:
-    values = [float(row[0]) for row in _data_rows(path)]
+    values = [float(row[0]) for row in fileio.read_data_rows(path)]
     if not values:
         raise ValueError(f"no numeric rows in {path}")
     return np.asarray(values)

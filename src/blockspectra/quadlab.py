@@ -152,6 +152,12 @@ class Trajectory:
     ``loss_ratios[t]`` is (L(w_t) - L*) / (L(w_0) - L*); entry 0 is exactly 1.
     ``snapshots`` holds (t, w_t) pairs for the first 50 iterations, every
     ``stride`` iterations, and the last 50 recorded iterations.
+
+    ``status`` is ``"converged"`` (reached the target), ``"diverged"`` (the
+    ratio blew past DIVERGENCE_RATIO or stopped being finite), ``"max_iters"``
+    (ran the whole budget) or ``"pruned"`` (a grid search stopped the run when
+    another run of its grid converged first).  ``iterations`` is the index
+    of the last entry of ``loss_ratios``.
     """
 
     kind: str
@@ -261,13 +267,21 @@ def default_eta_grid(points: int = 25) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched run engine.  Rows are independent runs sharing one problem; results
-# are bit-identical however many rows run together because each row's updates
-# touch only its own slice.
+# Batched run engine.  Rows are independent runs sharing one problem, and each
+# row's updates touch only its own slice.  Results are bit-identical across
+# batches of two or more rows, which all go through the matrix-matrix product.
+# A one-row batch goes through the BLAS matrix-vector product instead, whose
+# summation order can differ in the last bit (seen with OpenBLAS 0.3.31), so a
+# single run need not match the same row of a grid exactly.
 # ---------------------------------------------------------------------------
 
-_LIVE, _CONVERGED, _MAXITERS, _DIVERGED = 0, 1, 2, 3
-_STATUS_NAMES = {_CONVERGED: "converged", _MAXITERS: "max_iters", _DIVERGED: "diverged"}
+_LIVE, _CONVERGED, _MAXITERS, _DIVERGED, _PRUNED = 0, 1, 2, 3, 4
+_STATUS_NAMES = {
+    _CONVERGED: "converged",
+    _MAXITERS: "max_iters",
+    _DIVERGED: "diverged",
+    _PRUNED: "pruned",
+}
 
 
 class _SnapshotRecorder:
@@ -298,8 +312,15 @@ def _run_batch(
     max_iters: int,
     target: float | None,
     snapshot_stride: int = 100,
+    stop_at_first_converged: bool = False,
 ):
-    """Run len(etas) independent iterations of one kind on a shared problem."""
+    """Run len(etas) independent iterations of one kind on a shared problem.
+
+    With ``stop_at_first_converged`` the batch ends at the first iteration
+    t* at which any row reaches the target; rows still live then are marked
+    ``"pruned"`` with ``iterations = t*``, since they could only converge
+    later.
+    """
     H = problem.matrix
     h = problem.h
     wstar = problem.minimizer
@@ -328,10 +349,17 @@ def _run_batch(
 
     V = None  # second-moment accumulator for adam_ema
     status = np.full(n, _LIVE, dtype=int)
-    ratios = np.full((n, max_iters + 1), np.nan)
+    live = np.ones(n, dtype=bool)
+    # Every row's ratio is stored at every iteration run, and each row is cut
+    # at its own last iteration, so columns never written are never read.
+    ratios = np.empty((n, max_iters + 1))
     iters = np.zeros(n, dtype=int)
     diag_counts = np.zeros(n, dtype=int)
     recorder = _SnapshotRecorder(stride=snapshot_stride) if n == 1 else None
+    step_sizes = etas[:, None]
+    # A live row's status can change only when its ratio leaves
+    # (lower, DIVERGENCE_RATIO]: non-finite, at or below target, or blown up.
+    lower = -np.inf if target is None else target
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iters + 1):
@@ -339,31 +367,36 @@ def _run_batch(
             diff = W - wstar
             gap = 0.5 * np.einsum("nd,nd->n", diff, G - resid)
             ratio = gap / gap0
+            ratios[:, t] = ratio
 
-            live = status == _LIVE
             if recorder is not None and live[0]:
                 recorder.record(t, W[0])
-            nonfinite = live & ~np.isfinite(ratio)
-            status[nonfinite] = _DIVERGED
-            iters[nonfinite] = t - 1
-            W[nonfinite] = wstar  # freeze so later batched updates stay finite
-            live = status == _LIVE
-            ratios[live, t] = ratio[live]
-            if target is not None:
-                converged = live & (ratio <= target)
-                status[converged] = _CONVERGED
-                iters[converged] = t
+            quiet = (ratio > lower) & (ratio <= DIVERGENCE_RATIO)
+            if not np.all(quiet, where=live):
+                nonfinite = live & ~np.isfinite(ratio)
+                status[nonfinite] = _DIVERGED
+                iters[nonfinite] = t - 1
+                W[nonfinite] = wstar  # freeze so later batched updates stay finite
                 live = status == _LIVE
-            blown = live & (ratio > DIVERGENCE_RATIO)
-            status[blown] = _DIVERGED
-            iters[blown] = t
-            W[blown] = wstar
-            live = status == _LIVE
+                if target is not None:
+                    converged = live & (ratio <= target)
+                    status[converged] = _CONVERGED
+                    iters[converged] = t
+                    live = status == _LIVE
+                blown = live & (ratio > DIVERGENCE_RATIO)
+                status[blown] = _DIVERGED
+                iters[blown] = t
+                W[blown] = wstar
+                live = status == _LIVE
+                if stop_at_first_converged and t < max_iters and (status == _CONVERGED).any():
+                    status[live] = _PRUNED
+                    iters[live] = t
+                    break
+                if not live.any():
+                    break
             if t == max_iters:
                 status[live] = _MAXITERS
                 iters[live] = t
-                break
-            if not live.any():
                 break
 
             if kind == "gd":
@@ -382,13 +415,13 @@ def _run_batch(
                     step = np.where(zero, 0.0, G / np.where(zero, 1.0, D))
                 else:
                     step = G / D
-            W -= etas[:, None] * step
+            W -= step_sizes * step
 
     trajectories = []
     for i in range(n):
-        row = ratios[i]
-        valid = np.where(np.isfinite(row))[0]
-        series = row[: valid[-1] + 1] if valid.size else np.array([1.0])
+        # A row that turned non-finite at t ends at t - 1, so every series is
+        # finite; the copy frees the dense buffer.
+        series = ratios[i, : iters[i] + 1].copy()
         diagnostics = ()
         if diag_counts[i]:
             diagnostics = (
@@ -477,7 +510,10 @@ def grid_search(
     """Run one optimizer across a step-size grid from a shared initial point.
 
     The best run converges to the target in the fewest iterations (ties go
-    to the smaller step size).  If nothing converges, the best run is the
+    to the smaller step size).  The batch stops at the first iteration at
+    which any run converges: runs still going then could only converge later,
+    so they end ``"pruned"`` with ``iterations`` equal to the winner's.  If
+    nothing converges, every run goes to the budget and the best run is the
     non-diverged one with the lowest final loss ratio; if everything
     diverges, AllDivergedError is raised.  All runs are retained.
     """
@@ -491,7 +527,9 @@ def grid_search(
     w0 = np.asarray(w0, dtype=float)
     W0 = np.tile(w0, (etas.size, 1))
     b2 = beta2 if kind == "adam_ema" else 1.0
-    trajectories = _run_batch(problem, W0, etas, kind, b2, int(budget), target)
+    trajectories = _run_batch(
+        problem, W0, etas, kind, b2, int(budget), target, stop_at_first_converged=True
+    )
 
     converged = [
         (tr.iterations, tr.eta, i)
@@ -581,7 +619,12 @@ class BoundCheck:
     per_step_ratios: np.ndarray
 
 
-def _is_hard_instance(problem: QuadraticProblem, w0: np.ndarray) -> bool:
+def is_hard_instance(problem: QuadraticProblem, w0: np.ndarray) -> bool:
+    """Whether (problem, w0) is the ``make_hard_instance`` pair, up to rotation.
+
+    That is H with eigenvalues {1, 5000}, h = 0, and a w0 with equal initial
+    loss in both eigendirections: the instance the ``gd_lower`` bound covers.
+    """
     if problem.dim != 2 or np.any(problem.h != 0):
         return False
     eigs = problem.eigenvalues
@@ -628,7 +671,7 @@ def verify_bounds(trajectory: Trajectory, report: TheoryReport, which: str, slac
     if trajectory.kind != "gd":
         raise ValueError(f"gd_lower applies to gd trajectories, got {trajectory.kind!r}")
     problem = trajectory.problem
-    if problem is None or not _is_hard_instance(problem, trajectory.w0):
+    if problem is None or not is_hard_instance(problem, trajectory.w0):
         raise ValueError(
             "gd_lower requires the shipped hard instance "
             "(H = diag(1, 5000), h = 0, equal-energy initial point)"

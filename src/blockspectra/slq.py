@@ -365,8 +365,7 @@ def save_density_csv(path, density: SpectralDensity) -> None:
 
 
 def load_density_csv(path, sigma: float | None = None) -> SpectralDensity:
-    rows = fileio.read_csv(path)
-    header = next(rows)
+    header, rows = fileio.read_csv_with_header(path)
     if header[:2] != ["t", "density"]:
         raise ValueError(f"unexpected density header {header} in {path}")
     grid, values = [], []
@@ -390,8 +389,7 @@ def save_factorization_csv(path, fact: LanczosFactorization) -> None:
 
 
 def load_factorization_csv(path) -> LanczosFactorization:
-    rows = fileio.read_csv(path)
-    header = next(rows)
+    header, rows = fileio.read_csv_with_header(path)
     if header[:2] != ["alpha", "beta"]:
         raise ValueError(f"unexpected factorization header {header} in {path}")
     alphas, betas = [], []

@@ -386,9 +386,10 @@ def save_dataset_csv(path, dataset: Dataset) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
-    rows = fileio.read_csv(path)
-    next(rows)  # header
-    arr = np.asarray([[float(v) for v in row] for row in rows])
+    """Samples as feature columns then a label column; the header row is optional."""
+    arr = np.asarray([[float(v) for v in row] for row in fileio.read_data_rows(path)])
+    if arr.size == 0:
+        raise ValueError(f"no samples in {path}")
     return Dataset(X=arr[:, :-1], y=arr[:, -1])
 
 

@@ -342,6 +342,15 @@ def test_toynet_scaled_outputs(tmp_path):
     assert len(med) == 3
 
 
+def test_toynet_empty_data_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"")
+    cfg = write_config(tmp_path / "t.cfg", f"experiment = train\ndata_csv = {data}\nsteps = 5\n")
+    assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "data.csv" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism and round-trips
 # ---------------------------------------------------------------------------

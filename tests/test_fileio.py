@@ -6,16 +6,23 @@ import pytest
 
 from blockspectra import fileio
 from blockspectra.cli import main
-from blockspectra.heterogeneity import HeterogeneityReport, save_heatmap_csv, save_js0_summary
+from blockspectra.heterogeneity import (
+    HeterogeneityReport,
+    load_heatmap_csv,
+    save_heatmap_csv,
+    save_js0_summary,
+)
 from blockspectra.operators import load_matrix_csv, save_matrix_csv, save_spectrum_csv
 from blockspectra.slq import (
     LanczosFactorization,
     SpectralDensity,
+    load_density_csv,
+    load_factorization_csv,
     save_density_csv,
     save_factorization_csv,
 )
 from blockspectra.svgplot import heatmap_svg, line_plot_svg
-from blockspectra.toynet import Dataset, save_dataset_csv
+from blockspectra.toynet import Dataset, load_dataset_csv, save_dataset_csv
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +150,29 @@ def test_matrix_header_is_optional(tmp_path):
     np.savetxt(bare, m, fmt="%.17g", delimiter=",")
     assert np.array_equal(load_matrix_csv(with_header), m)
     assert np.array_equal(load_matrix_csv(bare), m)
+
+
+@pytest.mark.parametrize(
+    "loader", [load_dataset_csv, load_heatmap_csv, load_density_csv, load_factorization_csv],
+    ids=["dataset", "heatmap", "density", "factorization"],
+)
+def test_empty_csv_is_rejected_naming_the_file(tmp_path, loader):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="empty.csv"):
+        loader(path)
+
+
+def test_dataset_header_is_optional(tmp_path):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("0.5,1.5,-1\n-1,2,1\n3,-0.25,1\n")
+    data = load_dataset_csv(bare)
+    assert np.array_equal(data.X, [[0.5, 1.5], [-1.0, 2.0], [3.0, -0.25]])
+    assert np.array_equal(data.y, [-1.0, 1.0, 1.0])
+    with_header = tmp_path / "h.csv"
+    save_dataset_csv(with_header, data)
+    back = load_dataset_csv(with_header)
+    assert np.array_equal(back.X, data.X) and np.array_equal(back.y, data.y)
 
 
 # ---------------------------------------------------------------------------

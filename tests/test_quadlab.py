@@ -6,6 +6,7 @@ from blockspectra.quadlab import (
     AllDivergedError,
     OptimizerConfig,
     QuadraticProblem,
+    _run_batch,
     adam_ema_run,
     adam_fixed_run,
     default_eta_grid,
@@ -334,6 +335,50 @@ def test_grid_search_gd_default_eta_rate_is_optimal(case4):
         if traj.status == "converged" and traj.iterations > 200:
             assert tail_rate(traj) >= tail_rate(default) - 1e-6
     assert result.best.iterations <= 1.05 * default.iterations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["gd", "adam_fixed"])
+@pytest.mark.parametrize("case_id", [3, 4])
+def test_grid_search_stop_rule_matches_full_budget(case_id, kind, seed):
+    problem = make_case(case_id, seed=0)
+    w0 = gaussian_init(9, seed=seed)
+    etas = default_eta_grid()
+    budget, target = 16_000, 1e-6
+    result = grid_search(problem, kind, etas, w0, budget=budget, target=target)
+    full = _run_batch(problem, np.tile(w0, (etas.size, 1)), etas, kind, 1.0, budget, target)
+
+    converged = [(tr.iterations, tr.eta, i) for i, tr in enumerate(full) if tr.status == "converged"]
+    assert converged
+    full_best = full[min(converged)[2]]
+    best = result.best
+    assert result.best_index == min(converged)[2]
+    assert (best.eta, best.status, best.iterations) == (full_best.eta, "converged", full_best.iterations)
+    assert np.array_equal(best.loss_ratios, full_best.loss_ratios)
+
+    t_star = best.iterations
+    pruned = 0
+    for stopped, ran in zip(result.trajectories, full):
+        if stopped.status == "pruned":
+            pruned += 1
+            assert stopped.iterations == t_star
+            assert ran.status != "converged" or ran.iterations > t_star
+            assert np.array_equal(stopped.loss_ratios, ran.loss_ratios[: t_star + 1])
+        else:
+            assert (stopped.status, stopped.iterations) == (ran.status, ran.iterations)
+            assert np.array_equal(stopped.loss_ratios, ran.loss_ratios)
+    assert pruned  # the smallest step sizes are still running at t*
+
+
+def test_grid_row_equals_same_eta_in_two_row_batch(case3):
+    # Batches of two or more rows share the matrix-matrix product, so a grid
+    # row is reproduced bit for bit by a 2-row batch (a 1-row batch may not be).
+    w0 = gaussian_init(9, seed=4)
+    result = grid_search(case3, "gd", default_eta_grid(), w0, budget=20_000, target=1e-6)
+    etas = np.array([result.best_eta, 1e-6])
+    pair = _run_batch(case3, np.tile(w0, (2, 1)), etas, "gd", 1.0, 20_000, 1e-6)
+    assert (pair[0].status, pair[0].iterations) == ("converged", result.best.iterations)
+    assert np.array_equal(pair[0].loss_ratios, result.best.loss_ratios)
 
 
 # ---------------------------------------------------------------------------
