@@ -55,12 +55,10 @@ from blockspectra.toynet import (
 from blockspectra.heterogeneity import (
     HeterogeneityReport,
     js_distance,
-    js_metric,
     normalize_spectrum,
     pairwise_heatmap,
 )
 from blockspectra.quadlab import (
-    OptimizerConfig,
     QuadraticProblem,
     TheoryReport,
     Trajectory,
@@ -110,10 +108,8 @@ __all__ = [
     "train",
     "HeterogeneityReport",
     "js_distance",
-    "js_metric",
     "normalize_spectrum",
     "pairwise_heatmap",
-    "OptimizerConfig",
     "QuadraticProblem",
     "TheoryReport",
     "Trajectory",

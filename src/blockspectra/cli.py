@@ -125,6 +125,14 @@ def _listify(value):
     return value if isinstance(value, list) else [value]
 
 
+def _int_at_least(cfg, key, default, low=1) -> int:
+    """An integer config value that must be at least ``low``."""
+    value = int(cfg.get(key, default))
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Operator sources shared by spectrum and heatmap
 # ---------------------------------------------------------------------------
@@ -158,12 +166,11 @@ def _resolve_source(cfg, seed):
 
 
 def _slq_params(cfg, seed, cheap) -> slq.SLQParams:
-    steps = int(cfg.get("steps", 10 if cheap else 80))
-    probes = int(cfg.get("probes", 1 if cheap else 10))
+    preset = slq.SLQParams.cheap() if cheap else slq.SLQParams()
     sigma = cfg.get("sigma")
     return slq.SLQParams(
-        steps=steps,
-        probes=probes,
+        steps=int(cfg.get("steps", preset.steps)),
+        probes=int(cfg.get("probes", preset.probes)),
         sigma=float(sigma) if sigma is not None else None,
         seed=seed,
     )
@@ -281,8 +288,10 @@ def _resolve_eta(spec, kind, problem, w0):
 
 
 def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
-    max_iters = int(cfg.get("max_iters", 100_000))
+    max_iters = _int_at_least(cfg, "max_iters", 100_000, low=0)
     target = float(cfg.get("target", 1e-6))
+    if not (0 <= target < np.inf):
+        raise ConfigError(f"target must be a finite number >= 0, got {target}")
     beta2 = float(cfg.get("beta2", 0.99))
     w0 = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, seed, index=run_index)
 
@@ -301,7 +310,6 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
             budget=max_iters, target=target, beta2=beta2,
         )
         trajectory = result.best
-        record["grid_best_eta"] = trajectory.eta
     else:
         eta = _resolve_eta(eta_spec, kind, problem, w0)
         if kind == "gd":
@@ -325,7 +333,8 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
         record["violations"] = check.violations
 
     if kind == "adam_ema":
-        transient = int(cfg.get("transient", max(len(trajectory.loss_ratios) // 2, 1)))
+        default_transient = max(len(trajectory.loss_ratios) // 2, 1)
+        transient = _int_at_least(cfg, "transient", default_transient, low=0)
         window = int(cfg.get("window", len(trajectory.loss_ratios) - transient))
         if trajectory.loss_ratios.size >= transient + window and window > 0:
             cycle = quadlab.detect_limit_cycle(trajectory, transient, window)
@@ -348,7 +357,7 @@ def cmd_quadlab(manifest: Manifest) -> int:
     for kind in kinds:
         if kind not in quadlab.KINDS:
             raise ConfigError(f"unknown optimizer {kind!r}")
-    n_seeds = int(cfg.get("seeds", 1))
+    n_seeds = _int_at_least(cfg, "seeds", 1)
     eta_spec = cfg.get("eta")
 
     keys = [(kind, i) for kind in kinds for i in range(n_seeds)]
@@ -454,7 +463,7 @@ def _cmd_toynet_train(manifest: Manifest) -> int:
     cfg = manifest.config
     dataset = _toynet_dataset(cfg, manifest.seed)
     net = toynet.random_toynet(
-        int(cfg.get("hidden", 8)), dataset.X.shape[1], seed=manifest.seed
+        _int_at_least(cfg, "hidden", 8), dataset.X.shape[1], seed=manifest.seed
     )
     stride = int(cfg.get("snapshot_stride", 0))
     result = toynet.train(
@@ -532,7 +541,7 @@ def _scaled_cell(cfg, c, s):
 def _cmd_toynet_scaled(manifest: Manifest) -> int:
     cfg = manifest.config
     c_values = [float(c) for c in _listify(cfg.get("c_values", [1, 2, 4, 8]))]
-    n_seeds = int(cfg.get("seeds", 5))
+    n_seeds = _int_at_least(cfg, "seeds", 5)
 
     cells = [_scaled_cell(cfg, c, s) for c in c_values for s in range(n_seeds)]
 

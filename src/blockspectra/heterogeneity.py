@@ -202,11 +202,6 @@ def js_distance(p: SpectralDensity, q: SpectralDensity) -> float:
     return float(np.clip(js, 0.0, 1.0))
 
 
-def js_metric(p: SpectralDensity, q: SpectralDensity) -> float:
-    """Square root of the divergence; a true metric, exposed as a variant."""
-    return float(np.sqrt(js_distance(p, q)))
-
-
 def pairwise_heatmap(
     densities,
     mode: str = "none",

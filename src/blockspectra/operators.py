@@ -14,6 +14,7 @@ from blockspectra import fileio
 
 # Exact eigendecompositions are meant for desk-scale oracles only.
 MAX_ORACLE_DIM = 2000
+SYMMETRY_TOL = 1e-8
 
 
 class SymmetricOperator:
@@ -42,18 +43,18 @@ class DenseSymmetric(SymmetricOperator):
     """Dense symmetric matrix, stored so that M == M.T holds exactly.
 
     The constructor keeps the upper triangle of the input and mirrors it, so
-    any asymmetry in the input below ``asym_tol`` is silently repaired and
-    anything larger is rejected.
+    an asymmetry up to ``SYMMETRY_TOL`` times max(largest |entry|, 1) is
+    silently repaired and anything larger is rejected.
     """
 
-    def __init__(self, matrix: np.ndarray, asym_tol: float = 1e-8):
+    def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
         scale = np.abs(m).max() if m.size else 0.0
-        if scale > 0 and np.abs(m - m.T).max() > asym_tol * max(scale, 1.0):
+        if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_TOL * max(scale, 1.0):
             raise ValueError("matrix is not symmetric within tolerance")
         upper = np.triu(m)
         self._matrix = upper + np.triu(m, 1).T
@@ -256,24 +257,6 @@ def condition_number(eigs) -> float:
     if lo <= 0:
         raise ValueError(f"spectrum is not strictly positive (min eigenvalue {lo})")
     return float(e.max() / lo)
-
-
-def symmetry_defect(op: SymmetricOperator, n_samples: int = 8, seed: int = 0) -> float:
-    """max over sampled unit pairs of |<u, Av> - <v, Au>| / (|Au| |v|)."""
-    rng = np.random.default_rng([seed, op.dim])
-    worst = 0.0
-    for _ in range(n_samples):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        au = op.apply(u)
-        av = op.apply(v)
-        denom = np.linalg.norm(au) * np.linalg.norm(v)
-        if denom == 0:
-            continue
-        worst = max(worst, abs(u @ av - v @ au) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ CASE_RANGE = (1.0, 5000.0)
 
 CASE3_SPECTRA = ((1.0, 2.0, 3.0), (99.0, 100.0, 101.0), (4998.0, 4999.0, 5000.0))
 CASE4_SPECTRA = ((1.0, 99.0, 4998.0), (2.0, 100.0, 4999.0), (3.0, 101.0, 5000.0))
+CASE_BLOCK_DIM = 25
+
+SNAPSHOT_EDGE = 50
+SNAPSHOT_STRIDE = 100
+BOUND_SLACK = 1e-9
 
 
 class AllDivergedError(RuntimeError):
@@ -121,37 +126,13 @@ class QuadraticProblem:
         return QuadraticProblem([c * m for m in self.blocks], c * self.h)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Which iteration to run and with what constants.
-
-    ``beta2`` is 1 for the frozen-preconditioner variant and must be in
-    [0, 1) for the exponentially averaged one; momentum and epsilon are
-    structurally zero in this lab.
-    """
-
-    kind: str
-    eta: float
-    beta2: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.kind == "adam_fixed" and self.beta2 != 1.0:
-            raise ValueError("adam_fixed requires beta2 = 1")
-        if self.kind == "adam_ema" and not (0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"adam_ema requires beta2 in [0, 1), got {self.beta2}")
-
-
 @dataclass
 class Trajectory:
     """One optimizer run: normalized loss curve plus sparse iterate snapshots.
 
     ``loss_ratios[t]`` is (L(w_t) - L*) / (L(w_0) - L*); entry 0 is exactly 1.
     ``snapshots`` holds (t, w_t) pairs for the first 50 iterations, every
-    ``stride`` iterations, and the last 50 recorded iterations.
+    100th iteration, and the last 50 recorded iterations.
 
     ``status`` is ``"converged"`` (reached the target), ``"diverged"`` (the
     ratio blew past DIVERGENCE_RATIO or stopped being finite), ``"max_iters"``
@@ -195,14 +176,14 @@ def _rotated_block(rng, eigenvalues) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def make_case(case_id: int, seed: int = 0, spectrum_files=None, block_dim: int = 25) -> QuadraticProblem:
+def make_case(case_id: int, seed: int = 0, spectrum_files=None) -> QuadraticProblem:
     """One of the four shipped benchmark Hessians, with h = 0.
 
     Cases 3 and 4 are self-contained 9-dimensional problems built from the
     same nine eigenvalues {1,2,3, 99,100,101, 4998,4999,5000}; case 3 groups
     them by magnitude (strongly heterogeneous blocks), case 4 spreads each
     magnitude across all blocks (near-identical blocks).  Cases 1 and 2 draw
-    ``block_dim`` eigenvalues per block from user-supplied spectrum CSV files
+    ``CASE_BLOCK_DIM`` eigenvalues per block from user-supplied spectrum CSV files
     and affinely map the union onto [1, 5000].  Every block is conjugated by
     a seeded random orthogonal factor so nothing is axis-aligned.
     """
@@ -215,15 +196,15 @@ def make_case(case_id: int, seed: int = 0, spectrum_files=None, block_dim: int =
             )
         pools = [load_spectrum_csv(p) for p in spectrum_files]
         for i, pool in enumerate(pools):
-            if pool.size < block_dim:
+            if pool.size < CASE_BLOCK_DIM:
                 raise ValueError(
                     f"spectrum file {spectrum_files[i]} has {pool.size} values, "
-                    f"need at least {block_dim}"
+                    f"need at least {CASE_BLOCK_DIM}"
                 )
         sampled = []
         for i, pool in enumerate(pools):
             rng = derive_rng(seed, TAG_CASE, case_id, i)
-            sampled.append(rng.choice(pool, size=block_dim, replace=False))
+            sampled.append(rng.choice(pool, size=CASE_BLOCK_DIM, replace=False))
         lo = min(float(s.min()) for s in sampled)
         hi = max(float(s.max()) for s in sampled)
         if hi <= lo:
@@ -285,14 +266,12 @@ _STATUS_NAMES = {
 
 
 class _SnapshotRecorder:
-    def __init__(self, first: int = 50, stride: int = 100, last: int = 50):
-        self.first = first
-        self.stride = stride
+    def __init__(self):
         self.head: list = []
-        self.tail: deque = deque(maxlen=last)
+        self.tail: deque = deque(maxlen=SNAPSHOT_EDGE)
 
     def record(self, t: int, w: np.ndarray):
-        if t < self.first or (self.stride and t % self.stride == 0):
+        if t < SNAPSHOT_EDGE or t % SNAPSHOT_STRIDE == 0:
             self.head.append((t, w.copy()))
         self.tail.append((t, w.copy()))
 
@@ -311,7 +290,6 @@ def _run_batch(
     beta2: float,
     max_iters: int,
     target: float | None,
-    snapshot_stride: int = 100,
     stop_at_first_converged: bool = False,
 ):
     """Run len(etas) independent iterations of one kind on a shared problem.
@@ -355,7 +333,7 @@ def _run_batch(
     ratios = np.empty((n, max_iters + 1))
     iters = np.zeros(n, dtype=int)
     diag_counts = np.zeros(n, dtype=int)
-    recorder = _SnapshotRecorder(stride=snapshot_stride) if n == 1 else None
+    recorder = _SnapshotRecorder() if n == 1 else None
     step_sizes = etas[:, None]
     # A live row's status can change only when its ratio leaves
     # (lower, DIVERGENCE_RATIO]: non-finite, at or below target, or blown up.
@@ -445,7 +423,7 @@ def _run_batch(
     return trajectories
 
 
-def _single_run(problem, w0, eta, kind, beta2, max_iters, target, snapshot_stride=100) -> Trajectory:
+def _single_run(problem, w0, eta, kind, beta2, max_iters, target) -> Trajectory:
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (problem.dim,):
         raise ValueError(f"w0 has shape {w0.shape}, expected ({problem.dim},)")
@@ -453,23 +431,23 @@ def _single_run(problem, w0, eta, kind, beta2, max_iters, target, snapshot_strid
         raise ValueError(f"eta must be positive, got {eta}")
     return _run_batch(
         problem, w0[None, :], np.array([float(eta)]), kind, beta2,
-        int(max_iters), target, snapshot_stride,
+        int(max_iters), target,
     )[0]
 
 
-def gd_run(problem, w0, eta=None, max_iters=100_000, target=1e-8, snapshot_stride=100) -> Trajectory:
+def gd_run(problem, w0, eta=None, max_iters=100_000, target=1e-8) -> Trajectory:
     """Gradient descent w <- w - eta (Hw - h); eta defaults to 2/(l1 + ld)."""
     if eta is None:
         eta = default_gd_eta(problem)
-    return _single_run(problem, w0, eta, "gd", 1.0, max_iters, target, snapshot_stride)
+    return _single_run(problem, w0, eta, "gd", 1.0, max_iters, target)
 
 
-def adam_fixed_run(problem, w0, eta, max_iters=100_000, target=1e-8, snapshot_stride=100) -> Trajectory:
+def adam_fixed_run(problem, w0, eta, max_iters=100_000, target=1e-8) -> Trajectory:
     """Preconditioned descent with the frozen diagonal D = diag(|grad L(w0)|)."""
-    return _single_run(problem, w0, eta, "adam_fixed", 1.0, max_iters, target, snapshot_stride)
+    return _single_run(problem, w0, eta, "adam_fixed", 1.0, max_iters, target)
 
 
-def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None, snapshot_stride=100) -> Trajectory:
+def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None) -> Trajectory:
     """Coordinate-wise descent with an exponentially averaged second moment.
 
     The accumulator is v_0 = g_0 * g_0 and v_t = beta2 v_{t-1} +
@@ -479,7 +457,7 @@ def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None, snapsh
     """
     if not (0.0 <= beta2 < 1.0):
         raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
-    return _single_run(problem, w0, eta, "adam_ema", beta2, max_iters, target, snapshot_stride)
+    return _single_run(problem, w0, eta, "adam_ema", beta2, max_iters, target)
 
 
 @dataclass
@@ -492,10 +470,6 @@ class GridSearchResult:
     @property
     def best(self) -> Trajectory:
         return self.trajectories[self.best_index]
-
-    @property
-    def best_eta(self) -> float:
-        return float(self.etas[self.best_index])
 
 
 def grid_search(
@@ -635,12 +609,12 @@ def is_hard_instance(problem: QuadraticProblem, w0: np.ndarray) -> bool:
     return bool(abs(energy[0] - energy[1]) <= 1e-9 * energy.sum())
 
 
-def verify_bounds(trajectory: Trajectory, report: TheoryReport, which: str, slack: float = 1e-9) -> BoundCheck:
+def verify_bounds(trajectory: Trajectory, report: TheoryReport, which: str) -> BoundCheck:
     """Check a trajectory against the predicted contraction factor.
 
     ``adam_upper`` requires an adam_fixed trajectory and verifies that every
     recorded step contracts the loss gap by at least ``report.adam_factor``
-    (up to ``slack`` relative).  ``gd_lower`` requires a gd trajectory on the
+    (up to ``BOUND_SLACK`` relative).  ``gd_lower`` requires a gd trajectory on the
     shipped hard instance and verifies that the largest per-eigendirection
     error contraction factor max_i |1 - eta lambda_i| never falls below
     ``report.gd_factor``, i.e. no step size escapes the floor.
@@ -664,7 +638,7 @@ def verify_bounds(trajectory: Trajectory, report: TheoryReport, which: str, slac
         bound = report.adam_factor
         excess = nxt[ok] - bound * prev[ok]
         rel = excess / prev[ok]
-        violations = int(np.sum(rel > slack))
+        violations = int(np.sum(rel > BOUND_SLACK))
         max_violation = float(rel.max()) if rel.size else 0.0
         return BoundCheck(which, bound, violations, max(max_violation, 0.0), int(ok.sum()), per_step)
 
@@ -679,7 +653,7 @@ def verify_bounds(trajectory: Trajectory, report: TheoryReport, which: str, slac
     bound = report.gd_factor
     factor = float(np.max(np.abs(1.0 - trajectory.eta * problem.eigenvalues)))
     shortfall = bound - factor
-    violations = int(shortfall > slack)
+    violations = int(shortfall > BOUND_SLACK)
     return BoundCheck(which, bound, violations, max(float(shortfall), 0.0), int(ok.sum()), per_step)
 
 

@@ -10,7 +10,7 @@ Gaussian kernel yields an estimate of the operator's eigenvalue density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -21,6 +21,7 @@ from blockspectra.rng import TAG_BLOCK_PROBE, TAG_PROBE, derive_rng
 
 BREAKDOWN_RTOL = 1e-12
 MASS_LEAK_TOL = 1e-2
+GRID_POINTS = 2048
 
 
 class GridError(ValueError):
@@ -32,10 +33,10 @@ class LanczosFactorization:
     """Tridiagonal coefficients from m Lanczos steps.
 
     ``alphas`` is the diagonal, ``betas`` the (nonnegative) off-diagonal one
-    entry shorter.  ``basis`` holds the orthonormal Lanczos vectors as columns
-    when reorthogonalization was on.  A beta falling below the breakdown
-    tolerance ends the recursion early, so ``steps`` may be smaller than
-    requested.
+    entry shorter.  ``basis`` holds the orthonormal Lanczos vectors as its
+    ``steps`` columns; ``lanczos`` always sets it.  A beta falling below the
+    breakdown tolerance ends the recursion early, so ``steps`` may be smaller
+    than requested.
     """
 
     alphas: np.ndarray
@@ -97,22 +98,20 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class SLQParams:
-    """Knobs for the density estimator.
+    """Lanczos depth, probe count, kernel width and seed of the density estimator.
 
-    The defaults favor fidelity; ``cheap()`` is a fast preset that trades
-    accuracy for speed by cutting both the Lanczos depth and the probe count.
-    When ``sigma`` or ``grid`` are None they are derived from the observed
-    Ritz support: the support is padded by 5%, sigma defaults to 1% of the
-    padded width, and the grid spans the support plus a 3-sigma margin.
+    The defaults favor fidelity; ``cheap()`` is the fast preset of the CLI's
+    ``--cheap`` flag, which cuts both the Lanczos depth and the probe count.
+    The grid is always derived from the observed Ritz support: the support is
+    padded by 5%, ``sigma`` defaults to 1% of the padded width when None, and
+    the ``GRID_POINTS``-point grid spans the padded support plus a 3-sigma
+    margin.
     """
 
     steps: int = 80
     probes: int = 10
     sigma: float | None = None
-    grid: np.ndarray | None = field(default=None, compare=False)
-    grid_points: int = 2048
     seed: int = 0
-    reorth: bool = True
 
     @classmethod
     def cheap(cls, **overrides) -> "SLQParams":
@@ -121,8 +120,8 @@ class SLQParams:
         return cls(**merged)
 
 
-def lanczos(op: SymmetricOperator, v0: np.ndarray, m: int, reorth: bool = True) -> LanczosFactorization:
-    """Three-term Lanczos recursion with optional full reorthogonalization.
+def lanczos(op: SymmetricOperator, v0: np.ndarray, m: int) -> LanczosFactorization:
+    """Three-term Lanczos recursion with full reorthogonalization.
 
     ``v0`` must be a unit vector and ``m`` at most the operator dimension.
     Returns the tridiagonal coefficients of T = V' A V; the recursion stops
@@ -150,12 +149,11 @@ def lanczos(op: SymmetricOperator, v0: np.ndarray, m: int, reorth: bool = True) 
         w = w - alpha * q
         if q_prev is not None:
             w = w - betas[-1] * q_prev
-        if reorth:
-            # Two passes keep the basis orthonormal to ~1e-14 even when the
-            # plain recursion has already lost orthogonality.
-            basis = np.column_stack(vectors)
-            for _ in range(2):
-                w = w - basis @ (basis.T @ w)
+        # Two passes keep the basis orthonormal to ~1e-14 even when the
+        # plain recursion has already lost orthogonality.
+        basis = np.column_stack(vectors)
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
         beta = float(np.linalg.norm(w))
         scale = _gershgorin_scale(alphas, betas)
         if j == m - 1 or beta < BREAKDOWN_RTOL * scale:
@@ -165,9 +163,8 @@ def lanczos(op: SymmetricOperator, v0: np.ndarray, m: int, reorth: bool = True) 
         q = w / beta
         vectors.append(q)
 
-    basis_out = np.column_stack(vectors) if reorth else None
     return LanczosFactorization(
-        alphas=np.asarray(alphas), betas=np.asarray(betas), basis=basis_out
+        alphas=np.asarray(alphas), betas=np.asarray(betas), basis=np.column_stack(vectors)
     )
 
 
@@ -204,7 +201,7 @@ def _rademacher_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _probe_quadratures(op, steps, probes, seed, reorth, key_prefix) -> list[RitzQuadrature]:
+def _probe_quadratures(op, steps, probes, key_prefix) -> list[RitzQuadrature]:
     if probes <= 0:
         raise ValueError(f"probe count must be positive, got {probes}")
     if steps <= 0:
@@ -214,7 +211,7 @@ def _probe_quadratures(op, steps, probes, seed, reorth, key_prefix) -> list[Ritz
     for p in range(probes):
         rng = derive_rng(*key_prefix, p)
         v0 = _rademacher_unit(rng, op.dim)
-        fact = lanczos(op, v0, m, reorth=reorth)
+        fact = lanczos(op, v0, m)
         quads.append(ritz_quadrature(fact))
     return quads
 
@@ -225,7 +222,7 @@ def _support_from_quads(quads) -> tuple[float, float]:
     return lo, hi
 
 
-def _resolve_grid(lo, hi, sigma, grid, grid_points):
+def _resolve_grid(lo, hi, sigma, grid):
     pad = 0.05 * max(hi - lo, 1e-8 * max(1.0, abs(lo), abs(hi)), 0.0)
     if pad == 0.0:
         pad = 0.05 * max(1.0, abs(lo))
@@ -233,7 +230,7 @@ def _resolve_grid(lo, hi, sigma, grid, grid_points):
     if sigma is None:
         sigma = 0.01 * (hi_p - lo_p)
     if grid is None:
-        grid = np.linspace(lo_p - 3 * sigma, hi_p + 3 * sigma, grid_points)
+        grid = np.linspace(lo_p - 3 * sigma, hi_p + 3 * sigma, GRID_POINTS)
     else:
         grid = np.asarray(grid, dtype=float)
         margin = 3 * sigma
@@ -261,13 +258,13 @@ def _finalize_density(grid, raw, sigma) -> SpectralDensity:
     return SpectralDensity(grid=grid, values=raw / mass, sigma=sigma)
 
 
-def _averaged_densities(quad_lists, lo, hi, sigma, grid, grid_points) -> list[SpectralDensity]:
+def _averaged_densities(quad_lists, lo, hi, sigma, grid) -> list[SpectralDensity]:
     """One density per list of quadrature rules, each the rules' mean mixture.
 
     ``[lo, hi]`` is the spectral support that fixes the shared grid and, when
     not given, the kernel width.
     """
-    sigma, grid = _resolve_grid(lo, hi, sigma, grid, grid_points)
+    sigma, grid = _resolve_grid(lo, hi, sigma, grid)
     out = []
     for quads in quad_lists:
         raw = np.zeros_like(grid)
@@ -278,13 +275,13 @@ def _averaged_densities(quad_lists, lo, hi, sigma, grid, grid_points) -> list[Sp
     return out
 
 
-def smoothed_density(eigenvalues, sigma=None, grid=None, grid_points=2048) -> SpectralDensity:
+def smoothed_density(eigenvalues, sigma=None, grid=None) -> SpectralDensity:
     """Gaussian-smoothed density of an explicit eigenvalue list.
 
     Serves as the exact reference that the stochastic estimator is compared
     against: identical kernel, identical grid conventions, no sampling.
     """
-    return smoothed_densities([eigenvalues], sigma=sigma, grid=grid, grid_points=grid_points)[0]
+    return smoothed_densities([eigenvalues], sigma=sigma, grid=grid)[0]
 
 
 def slq_density(
@@ -293,9 +290,7 @@ def slq_density(
     probes: int = 10,
     sigma: float | None = None,
     grid: np.ndarray | None = None,
-    grid_points: int = 2048,
     seed: int = 0,
-    reorth: bool = True,
 ) -> SpectralDensity:
     """Probe-averaged SLQ estimate of the operator's eigenvalue density.
 
@@ -303,9 +298,9 @@ def slq_density(
     keyed (seed, TAG_PROBE, p) and the probe average is taken in index order,
     so the result does not depend on any parallel schedule.
     """
-    quads = _probe_quadratures(op, steps, probes, seed, reorth, (seed, TAG_PROBE))
+    quads = _probe_quadratures(op, steps, probes, (seed, TAG_PROBE))
     lo, hi = _support_from_quads(quads)
-    return _averaged_densities([quads], lo, hi, sigma, grid, grid_points)[0]
+    return _averaged_densities([quads], lo, hi, sigma, grid)[0]
 
 
 def blockwise_densities(
@@ -325,16 +320,15 @@ def blockwise_densities(
     for b, (a, z) in enumerate(partition.ranges()):
         sub = principal_block(op, a, z)
         quads = _probe_quadratures(
-            sub, params.steps, params.probes, params.seed, params.reorth,
-            (params.seed, TAG_BLOCK_PROBE, b),
+            sub, params.steps, params.probes, (params.seed, TAG_BLOCK_PROBE, b)
         )
         per_block.append(quads)
     lo = min(_support_from_quads(q)[0] for q in per_block)
     hi = max(_support_from_quads(q)[1] for q in per_block)
-    return _averaged_densities(per_block, lo, hi, params.sigma, params.grid, params.grid_points)
+    return _averaged_densities(per_block, lo, hi, params.sigma, None)
 
 
-def smoothed_densities(eigenvalue_lists, sigma=None, grid=None, grid_points=2048) -> list[SpectralDensity]:
+def smoothed_densities(eigenvalue_lists, sigma=None, grid=None) -> list[SpectralDensity]:
     """Exactly smoothed densities of several spectra on one shared grid.
 
     The grid conventions match ``blockwise_densities`` so estimator outputs
@@ -346,7 +340,7 @@ def smoothed_densities(eigenvalue_lists, sigma=None, grid=None, grid_points=2048
     lo = min(float(e.min()) for e in lists)
     hi = max(float(e.max()) for e in lists)
     rules = [[RitzQuadrature(nodes=e, weights=np.full(e.size, 1.0 / e.size))] for e in lists]
-    return _averaged_densities(rules, lo, hi, sigma, grid, grid_points)
+    return _averaged_densities(rules, lo, hi, sigma, grid)
 
 
 def l1_distance(p: SpectralDensity, q: SpectralDensity) -> float:
@@ -374,31 +368,9 @@ def load_density_csv(path, sigma: float | None = None) -> SpectralDensity:
         values.append(float(row[1]))
     grid_arr = np.asarray(grid)
     if sigma is None:
-        # The kernel width is not stored in the CSV; default to the grid
-        # convention used when the file was produced.
-        sigma = 0.01 * (grid_arr[-1] - grid_arr[0])
+        # The kernel width is not stored in the CSV.  A derived grid spans the
+        # padded support (100 sigma wide) plus a 3-sigma margin on each side,
+        # so it is 106 sigma wide; a caller-chosen sigma must be passed in.
+        sigma = (grid_arr[-1] - grid_arr[0]) / 106
     return SpectralDensity(grid=grid_arr, values=np.asarray(values), sigma=sigma)
 
-
-def save_factorization_csv(path, fact: LanczosFactorization) -> None:
-    fileio.write_csv(
-        path,
-        ["alpha", "beta"],
-        ([a, fact.betas[i] if i < fact.betas.size else ""] for i, a in enumerate(fact.alphas)),
-    )
-
-
-def load_factorization_csv(path) -> LanczosFactorization:
-    header, rows = fileio.read_csv_with_header(path)
-    if header[:2] != ["alpha", "beta"]:
-        raise ValueError(f"unexpected factorization header {header} in {path}")
-    alphas, betas = [], []
-    for row in rows:
-        alphas.append(float(row[0]))
-        if len(row) > 1 and row[1] != "":
-            betas.append(float(row[1]))
-    return LanczosFactorization(alphas=np.asarray(alphas), betas=np.asarray(betas))
-
-
-def with_params(params: SLQParams, **overrides) -> SLQParams:
-    return replace(params, **overrides)

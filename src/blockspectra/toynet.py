@@ -5,10 +5,12 @@ Hessian blocks have a closed form worth checking numerically, and a deeper
 tanh MLP whose per-layer initialization scale can be swept to dial the
 spectral heterogeneity across parameter blocks up and down.
 
-Both models expose the same protocol: ``num_params``, ``get_flat`` /
-``set_flat`` for the flattened parameter vector, and ``loss_grad`` returning
-the mean logistic loss and its analytic gradient over a batch.  Labels are
--1/+1 and the per-sample probability of the observed label is
+Both models expose the same protocol, which ``hessian_fd`` and ``train``
+rely on: ``num_params``; ``get_flat`` / ``set_flat`` for the flattened
+parameter vector; ``loss_grad`` returning the mean logistic loss and its
+analytic gradient over a batch; ``logits``; and ``partition()``, the
+``BlockPartition`` of the flattened vector into the model's parameter blocks.
+Labels are -1/+1 and the per-sample probability of the observed label is
 p = 1 / (1 + exp(-y f)).
 """
 
@@ -23,6 +25,11 @@ from blockspectra.operators import BlockPartition
 from blockspectra.rng import TAG_DATA, TAG_INIT, TAG_TRAIN, derive_rng
 
 MAX_FD_DIM = 500
+FD_STEP = 1e-4
+SGD_MOMENTUM = 0.9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _sigmoid(z):
@@ -94,7 +101,7 @@ class ToyNet:
         """Mean probability assigned to the observed labels."""
         return float(np.mean(_sigmoid(np.asarray(y, dtype=float) * self.logits(X))))
 
-    def neuron_partition(self) -> BlockPartition:
+    def partition(self) -> BlockPartition:
         """One block per hidden neuron's input weights, plus the output block."""
         return BlockPartition([self.d_in] * self.n_hidden + [self.n_hidden])
 
@@ -144,12 +151,13 @@ class HessianSnapshot:
         return self.matrix[a:z, a:z]
 
 
-def hessian_fd(model, X, y, base_step: float = 1e-4, partition: BlockPartition | None = None, step_index: int = 0) -> HessianSnapshot:
+def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     """Full Hessian by central differences of the analytic gradient.
 
-    Column j uses step h_j = base_step * (1 + |theta_j|); the result is
+    Column j uses step h_j = FD_STEP * (1 + |theta_j|); the result is
     symmetrized as (H + H')/2 and the pre-symmetrization defect is kept for
-    inspection.  Quadratic cost, so the flattened dimension is capped.
+    inspection.  The snapshot carries ``model.partition()``.  Quadratic cost,
+    so the flattened dimension is capped.
     """
     dim = model.num_params
     if dim > MAX_FD_DIM:
@@ -158,7 +166,7 @@ def hessian_fd(model, X, y, base_step: float = 1e-4, partition: BlockPartition |
     H = np.empty((dim, dim))
     try:
         for j in range(dim):
-            hj = base_step * (1.0 + abs(theta[j]))
+            hj = FD_STEP * (1.0 + abs(theta[j]))
             theta[j] += hj
             model.set_flat(theta)
             _, g_plus = model.loss_grad(X, y)
@@ -171,14 +179,7 @@ def hessian_fd(model, X, y, base_step: float = 1e-4, partition: BlockPartition |
         model.set_flat(theta)
     asym = float(np.abs(H - H.T).max())
     H = 0.5 * (H + H.T)
-    if partition is None:
-        if hasattr(model, "neuron_partition"):
-            partition = model.neuron_partition()
-        elif hasattr(model, "layer_partition"):
-            partition = model.layer_partition()
-        else:
-            partition = BlockPartition([dim])
-    return HessianSnapshot(matrix=H, partition=partition, step_index=step_index, asymmetry=asym)
+    return HessianSnapshot(matrix=H, partition=model.partition(), step_index=step_index, asymmetry=asym)
 
 
 def offdiag_mass_ratio(snapshot, partition: BlockPartition | None = None) -> float:
@@ -243,7 +244,7 @@ class ScaledMLP:
             self.biases[k] = theta[pos : pos + b.size].copy()
             pos += b.size
 
-    def layer_partition(self) -> BlockPartition:
+    def partition(self) -> BlockPartition:
         """One block per weight matrix and per bias vector."""
         sizes = []
         for w, b in zip(self.weights, self.biases):
@@ -282,9 +283,6 @@ class ScaledMLP:
             parts.append(gw.ravel())
             parts.append(gb)
         return loss, np.concatenate(parts)
-
-    def mean_prob(self, X, y) -> float:
-        return float(np.mean(_sigmoid(np.asarray(y, dtype=float) * self.logits(X))))
 
 
 def scaled_mlp(widths, scale_growth: float, seed: int = 0) -> ScaledMLP:
@@ -419,10 +417,6 @@ def train(
     batch_size: int = 64,
     seed: int = 0,
     snapshot_stride: int = 0,
-    momentum: float = 0.9,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> TrainResult:
     """Minibatch training with heavy-ball SGD or bias-corrected Adam.
 
@@ -472,14 +466,14 @@ def train(
             status = "diverged"
             break
         if optimizer == "sgd":
-            buf = momentum * buf + g
+            buf = SGD_MOMENTUM * buf + g
             theta = theta - eta * buf
         else:
-            buf = beta1 * buf + (1 - beta1) * g
-            vbuf = beta2 * vbuf + (1 - beta2) * g * g
-            mhat = buf / (1 - beta1 ** (step + 1))
-            vhat = vbuf / (1 - beta2 ** (step + 1))
-            theta = theta - eta * mhat / (np.sqrt(vhat) + eps)
+            buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
+            vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
+            mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
+            vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
+            theta = theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
         model.set_flat(theta)
 
     return TrainResult(
@@ -495,18 +489,18 @@ def blockwise_exact_eigenvalues(snapshot: HessianSnapshot) -> list[np.ndarray]:
     return [np.linalg.eigvalsh(snapshot.block(i))[::-1] for i in range(snapshot.partition.num_blocks)]
 
 
-def snapshot_js0(snapshot: HessianSnapshot, floor_rel: float = 1e-8, grid_points: int = 2048) -> float:
+def snapshot_js0(snapshot: HessianSnapshot) -> float:
     """Mean pairwise distance between the blocks' log-magnitude spectra.
 
     Block spectra of layer-scaled networks differ mainly multiplicatively, so
     the blocks' eigenvalue magnitudes are compared on a log10 axis where a
     scale gap becomes a translation the smoothing kernel can resolve;
-    magnitudes below floor_rel times the largest one are clamped to the floor.
+    magnitudes below 1e-8 times the largest one are clamped to that floor.
     """
     from blockspectra.heterogeneity import log_magnitude_spectra, pairwise_heatmap
     from blockspectra.slq import smoothed_densities
 
     eigs = blockwise_exact_eigenvalues(snapshot)
-    logs = log_magnitude_spectra(eigs, floor_rel=floor_rel)
-    densities = smoothed_densities(logs, grid_points=grid_points)
+    logs = log_magnitude_spectra(eigs)
+    densities = smoothed_densities(logs)
     return pairwise_heatmap(densities, mode="none").js0

@@ -328,6 +328,28 @@ def test_toynet_train_outputs(tmp_path):
     assert js0[0] == ["step", "js0"]
 
 
+@pytest.mark.parametrize(
+    "subcommand, text, key",
+    [
+        ("toynet", "experiment = scaled\nc_values = 1\nseeds = 0\nsamples = 32\n", "seeds"),
+        ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nseeds = 0\n", "seeds"),
+        ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\ntarget = nan\n", "target"),
+        ("quadlab", "case = 3\noptimizer = gd\nmax_iters = -1\n", "max_iters"),
+        ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\ntransient = -3\n", "transient"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nhidden = 0\nsteps = 5\n", "hidden"),
+    ],
+    ids=[
+        "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
+        "quadlab_transient_negative", "toynet_hidden_0",
+    ],
+)
+def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, key):
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_toynet_scaled_outputs(tmp_path):
     cfg = write_config(
         tmp_path / "t.cfg",

@@ -13,14 +13,7 @@ from blockspectra.heterogeneity import (
     save_js0_summary,
 )
 from blockspectra.operators import load_matrix_csv, save_matrix_csv, save_spectrum_csv
-from blockspectra.slq import (
-    LanczosFactorization,
-    SpectralDensity,
-    load_density_csv,
-    load_factorization_csv,
-    save_density_csv,
-    save_factorization_csv,
-)
+from blockspectra.slq import SpectralDensity, load_density_csv, save_density_csv
 from blockspectra.svgplot import heatmap_svg, line_plot_svg
 from blockspectra.toynet import Dataset, load_dataset_csv, save_dataset_csv
 
@@ -51,10 +44,6 @@ WRITERS = {
     "density": (
         lambda p: save_density_csv(p, SpectralDensity(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.5)),
         b"t,density\r\n0.0,1.0\r\n1.0,1.0\r\n",
-    ),
-    "factorization": (
-        lambda p: save_factorization_csv(p, LanczosFactorization(np.array([1.0, 2.5]), np.array([0.5]))),
-        b"alpha,beta\r\n1.0,0.5\r\n2.5,\r\n",
     ),
     "heatmap": (
         lambda p: save_heatmap_csv(p, _report()),
@@ -153,8 +142,8 @@ def test_matrix_header_is_optional(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "loader", [load_dataset_csv, load_heatmap_csv, load_density_csv, load_factorization_csv],
-    ids=["dataset", "heatmap", "density", "factorization"],
+    "loader", [load_dataset_csv, load_heatmap_csv, load_density_csv],
+    ids=["dataset", "heatmap", "density"],
 )
 def test_empty_csv_is_rejected_naming_the_file(tmp_path, loader):
     path = tmp_path / "empty.csv"

@@ -4,7 +4,6 @@ import pytest
 from blockspectra.heterogeneity import (
     HeterogeneityReport,
     js_distance,
-    js_metric,
     load_heatmap_csv,
     log_magnitude_spectra,
     normalize_spectrum,
@@ -129,13 +128,6 @@ def test_js_resamples_mismatched_grids():
     p = gaussian_density(0.0, 0.4, np.linspace(-4, 4, 801))
     q = gaussian_density(0.0, 0.4, np.linspace(-6, 6, 1201))
     assert js_distance(p, q) <= 1e-4
-
-
-def test_js_metric_is_sqrt():
-    grid = np.linspace(-10, 10, 2001)
-    p = gaussian_density(-1.0, 0.5, grid)
-    q = gaussian_density(1.0, 0.5, grid)
-    assert js_metric(p, q) == pytest.approx(np.sqrt(js_distance(p, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from blockspectra.operators import save_spectrum_csv
 from blockspectra.quadlab import (
     AllDivergedError,
-    OptimizerConfig,
     QuadraticProblem,
     _run_batch,
     adam_ema_run,
@@ -96,17 +95,16 @@ def test_problem_minimizer_is_minimum(rng):
         assert prob.loss(w) >= prob.optimum - 1e-10
 
 
-def test_optimizer_config_validation():
-    OptimizerConfig(kind="gd", eta=0.1)
-    OptimizerConfig(kind="adam_ema", eta=0.1, beta2=0.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(kind="adam_fixed", eta=0.1, beta2=0.9)
-    with pytest.raises(ValueError):
-        OptimizerConfig(kind="adam_ema", eta=0.1, beta2=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(kind="gd", eta=-0.1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(kind="sgd", eta=0.1)
+@pytest.mark.parametrize("run", [gd_run, adam_fixed_run])
+@pytest.mark.parametrize("eta", [0.0, -0.1])
+def test_runs_reject_nonpositive_eta(case3, run, eta):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        run(case3, np.ones(9), eta=eta, max_iters=5)
+
+
+def test_grid_search_rejects_unknown_kind(case3):
+    with pytest.raises(ValueError, match="kind must be one of"):
+        grid_search(case3, "sgd", [0.1], np.ones(9), budget=5)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,7 @@ def test_adam_ema_rejects_bad_beta2(case3):
 def test_grid_search_picks_fewest_iterations():
     prob = scalar_problem(1.0)
     result = grid_search(prob, "gd", [0.5, 1.0, 1.5], np.array([4.0]), target=1e-10)
-    assert result.best_eta == 1.0
+    assert result.best.eta == 1.0
     assert result.best.iterations == 1
     assert len(result.trajectories) == 3
 
@@ -301,7 +299,7 @@ def test_grid_search_tie_prefers_smaller_eta():
     prob = scalar_problem(1.0)
     # 0.5 and 1.5 give the same |1 - eta| contraction, hence identical counts
     result = grid_search(prob, "gd", [1.5, 0.5], np.array([4.0]), target=1e-8)
-    assert result.best_eta == 0.5
+    assert result.best.eta == 0.5
 
 
 def test_grid_search_all_diverged(case3, rng):
@@ -375,7 +373,7 @@ def test_grid_row_equals_same_eta_in_two_row_batch(case3):
     # row is reproduced bit for bit by a 2-row batch (a 1-row batch may not be).
     w0 = gaussian_init(9, seed=4)
     result = grid_search(case3, "gd", default_eta_grid(), w0, budget=20_000, target=1e-6)
-    etas = np.array([result.best_eta, 1e-6])
+    etas = np.array([result.best.eta, 1e-6])
     pair = _run_batch(case3, np.tile(w0, (2, 1)), etas, "gd", 1.0, 20_000, 1e-6)
     assert (pair[0].status, pair[0].iterations) == ("converged", result.best.iterations)
     assert np.array_equal(pair[0].loss_ratios, result.best.loss_ratios)

@@ -10,14 +10,11 @@ from blockspectra.slq import (
     l1_distance,
     lanczos,
     load_density_csv,
-    load_factorization_csv,
     ritz_quadrature,
     save_density_csv,
-    save_factorization_csv,
     slq_density,
     smoothed_densities,
     smoothed_density,
-    with_params,
 )
 
 
@@ -286,19 +283,16 @@ def test_density_csv_roundtrip(tmp_path):
     assert np.array_equal(back.values, dens.values)
 
 
-def test_factorization_csv_roundtrip(tmp_path, rng):
-    op = random_symmetric(10, rng)
-    v0 = rng.standard_normal(10)
-    v0 /= np.linalg.norm(v0)
-    fact = lanczos(op, v0, 6)
-    path = tmp_path / "f.csv"
-    save_factorization_csv(path, fact)
-    back = load_factorization_csv(path)
-    assert np.array_equal(back.alphas, fact.alphas)
-    assert np.array_equal(back.betas, fact.betas)
+@pytest.mark.parametrize("eigs", [[1.0, 3.0], [-2.0, 0.5, 40.0], [1.0, 99.0, 4998.0]])
+def test_density_csv_infers_the_derived_sigma(tmp_path, eigs):
+    # A derived grid is 106 sigma wide: the padded support (100 sigma) plus a
+    # 3-sigma margin on each side.
+    dens = smoothed_density(eigs)
+    path = tmp_path / "d.csv"
+    save_density_csv(path, dens)
+    assert load_density_csv(path).sigma == pytest.approx(dens.sigma, rel=1e-12)
 
 
 def test_params_cheap_preset():
     params = SLQParams.cheap(seed=5)
     assert params.steps == 10 and params.probes == 1 and params.seed == 5
-    assert with_params(params, probes=4).probes == 4

@@ -175,15 +175,30 @@ class _QuadraticModel:
     def logits(self, X):
         return np.zeros(len(X))
 
+    def partition(self):
+        return BlockPartition([self.theta.size])
+
 
 def test_hessian_fd_recovers_quadratic(rng):
     g = rng.standard_normal((7, 7))
     A = 0.5 * (g + g.T) + 3 * np.eye(7)
     model = _QuadraticModel(A, rng.standard_normal(7))
     model.set_flat(rng.standard_normal(7))
-    snap = hessian_fd(model, None, None, partition=BlockPartition([7]))
+    snap = hessian_fd(model, None, None)
     assert np.abs(snap.matrix - A).max() <= 1e-6 * np.abs(A).max()
     assert snap.asymmetry <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [lambda: random_toynet(4, 3, seed=1), lambda: scaled_mlp((3, 4, 4, 4, 1), 2.0, seed=1)],
+    ids=["toynet", "scaled_mlp"],
+)
+def test_models_share_the_partition_protocol(make_model):
+    model = make_model()
+    data = make_blobs(16, 3, seed=1)
+    assert model.partition().dim == model.num_params
+    assert hessian_fd(model, data.X, data.y).partition == model.partition()
 
 
 def test_hessian_fd_symmetric_exactly(rng):
@@ -292,7 +307,7 @@ def test_training_divergence_is_reported(rng):
     model.set_flat(rng.standard_normal(5))
     data = make_blobs(8, 2, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        result = train(model, data, optimizer="sgd", eta=1e150, steps=50, momentum=0.0, seed=0)
+        result = train(model, data, optimizer="sgd", eta=1e150, steps=50, seed=0)
     assert result.status == "diverged"
     assert np.all(np.isfinite(result.losses))
     assert result.losses.size < 51
@@ -327,7 +342,7 @@ def test_scaled_mlp_validation():
 
 def test_scaled_mlp_layer_partition():
     mlp = scaled_mlp((4, 5, 5, 5, 1), 2.0, seed=0)
-    part = mlp.layer_partition()
+    part = mlp.partition()
     assert part.block_sizes == (20, 5, 25, 5, 25, 5, 5, 1)
     assert part.dim == mlp.num_params
 
