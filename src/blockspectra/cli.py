@@ -335,7 +335,10 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
     if kind == "adam_ema":
         default_transient = max(len(trajectory.loss_ratios) // 2, 1)
         transient = _int_at_least(cfg, "transient", default_transient, low=0)
-        window = int(cfg.get("window", len(trajectory.loss_ratios) - transient))
+        if "window" in cfg:
+            window = _int_at_least(cfg, "window", 1)
+        else:
+            window = len(trajectory.loss_ratios) - transient
         if trajectory.loss_ratios.size >= transient + window and window > 0:
             cycle = quadlab.detect_limit_cycle(trajectory, transient, window)
             record["cycling"] = str(cycle.cycling).lower()
@@ -471,8 +474,8 @@ def _cmd_toynet_train(manifest: Manifest) -> int:
         dataset,
         optimizer=str(cfg.get("optimizer", "adam")),
         eta=float(cfg.get("eta", 0.02)),
-        steps=int(cfg.get("steps", 1500)),
-        batch_size=int(cfg.get("batch", 32)),
+        steps=_int_at_least(cfg, "steps", 1500, low=0),
+        batch_size=_int_at_least(cfg, "batch", 32),
         seed=manifest.seed,
         snapshot_stride=stride,
     )
@@ -520,8 +523,8 @@ def _scaled_cell(cfg, c, s):
     cell = {"scale": c, "seed": s, "js0": js0}
     if cfg.get("gap", False):
         lr_grid = [float(v) for v in _listify(cfg.get("lr_grid", [0.001, 0.003, 0.01, 0.03, 0.1]))]
-        steps = int(cfg.get("gap_steps", 300))
-        batch = int(cfg.get("batch", 64))
+        steps = _int_at_least(cfg, "gap_steps", 300, low=0)
+        batch = _int_at_least(cfg, "batch", 64)
         best = {}
         for opt in ("sgd", "adam"):
             accs = []

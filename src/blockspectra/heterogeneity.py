@@ -9,6 +9,7 @@ comparable in shape.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,18 @@ def _union_grid(p: SpectralDensity, q: SpectralDensity) -> np.ndarray:
     lo = min(p.grid[0], q.grid[0])
     hi = max(p.grid[-1], q.grid[-1])
     dt = min(np.diff(p.grid).min(), np.diff(q.grid).min())
-    n = int(np.ceil((hi - lo) / dt)) + 1
-    n = min(max(n, 2), MAX_UNION_POINTS)
+    n = max(int(np.ceil((hi - lo) / dt)) + 1, 2)
+    if n > MAX_UNION_POINTS:
+        # Warned rather than added to HeterogeneityReport.warnings, which the
+        # CLI writes into summary.txt.
+        warnings.warn(
+            f"union grid of supports [{float(p.grid[0])!r}, {float(p.grid[-1])!r}] and "
+            f"[{float(q.grid[0])!r}, {float(q.grid[-1])!r}] needs {n} points; capped at "
+            f"{MAX_UNION_POINTS}, so narrow densities are undersampled",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        n = MAX_UNION_POINTS
     return np.linspace(lo, hi, n)
 
 

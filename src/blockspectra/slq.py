@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from blockspectra import fileio
 from blockspectra.operators import BlockPartition, SymmetricOperator, principal_block
@@ -191,6 +190,9 @@ def ritz_quadrature(fact: LanczosFactorization) -> RitzQuadrature:
         raise ValueError("degenerate factorization with zero steps")
     if fact.steps == 1:
         return RitzQuadrature(nodes=fact.alphas.copy(), weights=np.array([1.0]))
+    # Imported here, its only use, so that runs without Lanczos never load scipy.
+    from scipy.linalg import eigh_tridiagonal
+
     nodes, vecs = eigh_tridiagonal(fact.alphas, fact.betas)
     weights = vecs[0, :] ** 2
     return RitzQuadrature(nodes=nodes, weights=weights)

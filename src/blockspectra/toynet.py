@@ -36,6 +36,15 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _logistic_loss(f: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss of logits ``f`` on -1/+1 labels ``y``."""
+    return float(np.mean(np.logaddexp(0.0, -y * f)))
+
+
+def _accuracy(f: np.ndarray, y) -> float:
+    return float(np.mean((f > 0) == (np.asarray(y) > 0)))
+
+
 def _check_finite_logits(f: np.ndarray):
     bad = np.where(~np.isfinite(f))[0]
     if bad.size:
@@ -90,7 +99,7 @@ class ToyNet:
         t = np.tanh(X @ self.W.T)  # (b, n)
         f = t @ self.v
         _check_finite_logits(f)
-        loss = float(np.mean(np.logaddexp(0.0, -y * f)))
+        loss = _logistic_loss(f, y)
         # d loss / d f = -y (1 - p) with p = sigmoid(y f)
         dldf = -y * _sigmoid(-y * f) / X.shape[0]
         gv = t.T @ dldf
@@ -269,7 +278,7 @@ class ScaledMLP:
         b = activations[0].shape[0]
         if b == 0:
             raise ValueError("empty batch")
-        loss = float(np.mean(np.logaddexp(0.0, -y * f)))
+        loss = _logistic_loss(f, y)
         delta = (-y * _sigmoid(-y * f) / b)[:, None]
         grads_w = [None] * self.num_layers
         grads_b = [None] * self.num_layers
@@ -404,8 +413,7 @@ class TrainResult:
 
 
 def accuracy(model, X, y) -> float:
-    f = model.logits(X)
-    return float(np.mean((f > 0) == (np.asarray(y) > 0)))
+    return _accuracy(model.logits(X), y)
 
 
 def train(
@@ -420,7 +428,9 @@ def train(
 ) -> TrainResult:
     """Minibatch training with heavy-ball SGD or bias-corrected Adam.
 
-    Per-step loss and accuracy are evaluated on the full dataset.  When
+    Each step evaluates the full dataset with one forward pass: the logistic
+    loss and the accuracy both come from the same ``model.logits`` call, and
+    only the minibatch gradient runs a backward pass.  When
     ``snapshot_stride`` > 0 a finite-difference Hessian of the full-dataset
     loss is captured at that stride (and at the final step), which is only
     practical for small models.
@@ -429,6 +439,10 @@ def train(
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = derive_rng(seed, TAG_TRAIN, steps)
     theta = model.get_flat()
     buf = np.zeros_like(theta)  # momentum / first moment
@@ -440,15 +454,17 @@ def train(
 
     for step in range(steps + 1):
         try:
-            full_loss, _ = model.loss_grad(dataset.X, dataset.y)
+            f = model.logits(dataset.X)
+            _check_finite_logits(f)
         except FloatingPointError:
             status = "diverged"
             break
+        full_loss = _logistic_loss(f, dataset.y)
         if not np.isfinite(full_loss):
             status = "diverged"
             break
         losses.append(full_loss)
-        accs.append(accuracy(model, dataset.X, dataset.y))
+        accs.append(_accuracy(f, dataset.y))
         want_snapshot = snapshot_stride > 0 and (
             step % snapshot_stride == 0 or step == steps
         )

@@ -1,5 +1,9 @@
 import csv
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,18 @@ def test_quadlab_sign_descent_exact_cycle(tmp_path):
     assert float(row[header.index("tail_min_loss")]) == pytest.approx(0.1**2 / 8, rel=1e-9)
 
 
+def test_quadlab_unset_window_keeps_the_default(tmp_path):
+    # Unset, the window is the rest of the run after the transient, which is
+    # empty (no cycle check) when the transient covers the whole run.
+    base = "case = scalar\noptimizer = adam_ema\neta = 0.1\nbeta2 = 0.0\nw0 = 0.05\nmax_iters = 3000\n"
+    for name, extra, cycling in (("half", "", "true"), ("all", "transient = 3001\n", "")):
+        cfg = write_config(tmp_path / f"{name}.cfg", base + extra)
+        out = tmp_path / name
+        assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 0
+        header, row = read_rows(out / "summary.csv")
+        assert row[header.index("cycling")] == cycling
+
+
 def test_quadlab_hard_instance_verification(tmp_path):
     cfg = write_config(
         tmp_path / "q.cfg",
@@ -328,6 +344,9 @@ def test_toynet_train_outputs(tmp_path):
     assert js0[0] == ["step", "js0"]
 
 
+TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = true\nlr_grid = 0.01\n"
+
+
 @pytest.mark.parametrize(
     "subcommand, text, key",
     [
@@ -337,17 +356,26 @@ def test_toynet_train_outputs(tmp_path):
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = -1\n", "max_iters"),
         ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\ntransient = -3\n", "transient"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nhidden = 0\nsteps = 5\n", "hidden"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = -2\n", "steps"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\nbatch = 0\n", "batch"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\nbatch = -3\n", "batch"),
+        ("toynet", TOYNET_GAP + "gap_steps = -2\n", "gap_steps"),
+        ("toynet", TOYNET_GAP + "gap_steps = 3\nbatch = 0\n", "batch"),
+        ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = -5\n", "window"),
+        ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = 0\n", "window"),
     ],
     ids=[
         "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
-        "quadlab_transient_negative", "toynet_hidden_0",
+        "quadlab_transient_negative", "toynet_hidden_0", "toynet_steps_negative", "toynet_batch_0",
+        "toynet_batch_negative", "toynet_gap_steps_negative", "toynet_gap_batch_0",
+        "quadlab_window_negative", "quadlab_window_0",
     ],
 )
 def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, key):
     cfg = write_config(tmp_path / "c.cfg", text)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and f"{key} must" in err
 
 
 def test_toynet_scaled_outputs(tmp_path):
@@ -411,3 +439,48 @@ def test_all_csv_outputs_have_headers_and_reparse(tmp_path):
                 [float(x) for x in rows[0]]  # header row is not numeric
             dens = load_density_csv(out / name)
             assert dens.values.size == dens.grid.size
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+SCIPY_PROBE = """
+import json, sys
+from blockspectra.cli import main
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.startswith("scipy"))
+
+seen = {"import": scipy_modules()}
+for label, argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        raise SystemExit(f"{label} failed")
+    seen[label] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_ritz_quadrature(tmp_path):
+    # quadlab and toynet never run Lanczos, so a fresh process running them
+    # never pays for importing scipy; a heatmap loads it for its quadrature.
+    runs = [
+        ("quadlab", "quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\n", []),
+        ("toynet", "toynet", TOYNET_GAP + "gap_steps = 3\n", []),
+        ("heatmap", "heatmap", "source = case\ncase = 3\n", ["--cheap"]),
+    ]
+    argvs = [
+        (label, [cmd, "--config", write_config(tmp_path / f"{label}.cfg", text),
+                 "--out", str(tmp_path / label), *extra])
+        for label, cmd, text, extra in runs
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["quadlab"] == seen["toynet"] == []
+    assert "scipy.linalg" in seen["heatmap"]

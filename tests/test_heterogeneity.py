@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,25 @@ def test_js_resamples_mismatched_grids():
     p = gaussian_density(0.0, 0.4, np.linspace(-4, 4, 801))
     q = gaussian_density(0.0, 0.4, np.linspace(-6, 6, 1201))
     assert js_distance(p, q) <= 1e-4
+
+
+def test_js_warns_when_the_union_grid_is_capped():
+    # spacing 1e-3 across [-100, 100] needs ~200001 points, past MAX_UNION_POINTS
+    p = gaussian_density(0.0, 0.2, np.linspace(-1, 1, 2001))
+    q = gaussian_density(0.0, 20.0, np.linspace(-100, 100, 2001))
+    with pytest.warns(RuntimeWarning, match=r"\[-1\.0, 1\.0\] and \[-100\.0, 100\.0\] needs 2000\d\d points; capped at 65536"):
+        js_distance(p, q)
+
+
+def test_js_does_not_warn_below_the_cap():
+    shared = np.linspace(-5, 5, 1001)
+    p = gaussian_density(0.0, 0.4, shared)
+    q = gaussian_density(1.0, 0.4, shared)
+    r = gaussian_density(0.0, 0.4, np.linspace(-6, 6, 1201))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        js_distance(p, q)  # shared grid: no resampling
+        js_distance(p, r)  # union grid under the cap
 
 
 # ---------------------------------------------------------------------------

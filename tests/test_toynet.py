@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from blockspectra.operators import BlockPartition
+from blockspectra.rng import TAG_TRAIN, derive_rng
 from blockspectra.toynet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    SGD_MOMENTUM,
     Dataset,
     ScaledMLP,
     ToyNet,
@@ -311,6 +316,84 @@ def test_training_divergence_is_reported(rng):
     assert result.status == "diverged"
     assert np.all(np.isfinite(result.losses))
     assert result.losses.size < 51
+
+
+def _parent_train(model, dataset, optimizer, eta, steps, batch_size, seed):
+    """The training loop before it shared one forward pass per step.
+
+    Each step evaluated the full-dataset loss with ``loss_grad`` and the
+    accuracy with a second forward pass; the loss gradient was discarded.
+    """
+    rng = derive_rng(seed, TAG_TRAIN, steps)
+    theta = model.get_flat()
+    buf = np.zeros_like(theta)
+    vbuf = np.zeros_like(theta)
+    losses, accs = [], []
+    status = "completed"
+    n = len(dataset)
+    batch_size = min(batch_size, n)
+    for step in range(steps + 1):
+        try:
+            full_loss, _ = model.loss_grad(dataset.X, dataset.y)
+        except FloatingPointError:
+            status = "diverged"
+            break
+        if not np.isfinite(full_loss):
+            status = "diverged"
+            break
+        losses.append(full_loss)
+        accs.append(accuracy(model, dataset.X, dataset.y))
+        if step == steps:
+            break
+        idx = rng.integers(0, n, size=batch_size)
+        try:
+            _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
+        except FloatingPointError:
+            status = "diverged"
+            break
+        if not np.all(np.isfinite(g)):
+            status = "diverged"
+            break
+        if optimizer == "sgd":
+            buf = SGD_MOMENTUM * buf + g
+            theta = theta - eta * buf
+        else:
+            buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
+            vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
+            mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
+            vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
+            theta = theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        model.set_flat(theta)
+    return np.asarray(losses), np.asarray(accs), status
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("kind", ["toynet", "mlp"])
+@pytest.mark.parametrize("eta", [0.05, 1e307], ids=["converging", "diverging"])
+def test_train_matches_the_two_pass_loop_bit_for_bit(kind, optimizer, eta):
+    def make():
+        if kind == "toynet":
+            return random_toynet(6, 4, seed=1)
+        return scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=1)
+
+    data = make_xor_blobs(48, 4, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(make(), data, optimizer=optimizer, eta=eta, steps=40, batch_size=16, seed=2)
+        losses, accs, status = _parent_train(make(), data, optimizer, eta, 40, 16, 2)
+    assert result.status == status == ("diverged" if eta > 1 else "completed")
+    assert result.losses.shape == losses.shape and np.all(result.losses == losses)
+    assert result.accuracies.shape == accs.shape and np.all(result.accuracies == accs)
+
+
+def test_train_rejects_bad_counts_naming_them():
+    net = random_toynet(2, 2, seed=0)
+    data = make_blobs(8, 2, seed=0)
+    with pytest.raises(ValueError, match="steps"):
+        train(net, data, steps=-2)
+    with pytest.raises(ValueError, match="batch_size"):
+        train(net, data, steps=5, batch_size=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        train(net, data, steps=5, batch_size=-3)
 
 
 def test_train_rejects_unknown_optimizer():
