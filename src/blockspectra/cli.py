@@ -287,7 +287,7 @@ def _resolve_eta(spec, kind, problem, w0):
     return float(spec)
 
 
-def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
+def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, seed, run_index):
     max_iters = _int_at_least(cfg, "max_iters", 100_000, low=0)
     target = float(cfg.get("target", 1e-6))
     if not (0 <= target < np.inf):
@@ -333,11 +333,10 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, seed, run_index):
         record["violations"] = check.violations
 
     if kind == "adam_ema":
-        default_transient = max(len(trajectory.loss_ratios) // 2, 1)
-        transient = _int_at_least(cfg, "transient", default_transient, low=0)
-        if "window" in cfg:
-            window = _int_at_least(cfg, "window", 1)
-        else:
+        transient, window = cycle_span
+        if transient is None:
+            transient = max(len(trajectory.loss_ratios) // 2, 1)
+        if window is None:
             window = len(trajectory.loss_ratios) - transient
         if trajectory.loss_ratios.size >= transient + window and window > 0:
             cycle = quadlab.detect_limit_cycle(trajectory, transient, window)
@@ -362,10 +361,15 @@ def cmd_quadlab(manifest: Manifest) -> int:
             raise ConfigError(f"unknown optimizer {kind!r}")
     n_seeds = _int_at_least(cfg, "seeds", 1)
     eta_spec = cfg.get("eta")
+    # Checked before the first run; when unset, each run's length sets them.
+    cycle_span = (
+        _int_at_least(cfg, "transient", 0, low=0) if "transient" in cfg else None,
+        _int_at_least(cfg, "window", 1) if "window" in cfg else None,
+    )
 
     keys = [(kind, i) for kind in kinds for i in range(n_seeds)]
     results = [
-        _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, manifest.seed, i)
+        _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, manifest.seed, i)
         for kind, i in keys
     ]
 
@@ -468,7 +472,6 @@ def _cmd_toynet_train(manifest: Manifest) -> int:
     net = toynet.random_toynet(
         _int_at_least(cfg, "hidden", 8), dataset.X.shape[1], seed=manifest.seed
     )
-    stride = int(cfg.get("snapshot_stride", 0))
     result = toynet.train(
         net,
         dataset,
@@ -477,7 +480,7 @@ def _cmd_toynet_train(manifest: Manifest) -> int:
         steps=_int_at_least(cfg, "steps", 1500, low=0),
         batch_size=_int_at_least(cfg, "batch", 32),
         seed=manifest.seed,
-        snapshot_stride=stride,
+        snapshot_stride=_int_at_least(cfg, "snapshot_stride", 0, low=0),
     )
     steps_axis = np.arange(result.losses.size)
     idx = _stride_indices(result.losses.size)
@@ -511,20 +514,18 @@ def _cmd_toynet_train(manifest: Manifest) -> int:
     return 0
 
 
-def _scaled_cell(cfg, c, s):
-    widths = [int(w) for w in _listify(cfg.get("widths", [6, 8, 8, 8, 1]))]
-    dataset = _toynet_dataset(
-        {**cfg, "features": widths[0], "dataset": cfg.get("dataset", "xor")},
-        seed=s,
-    )
+def _scaled_cell(widths, dataset, c, s, gap):
+    """JS0 of one (scale, seed) cell.
+
+    With ``gap = (lr_grid, steps, batch)`` the cell also holds the best final
+    accuracy of SGD and of Adam over the learning rates.
+    """
     mlp = toynet.scaled_mlp(widths, c, seed=s)
     snap = toynet.hessian_fd(mlp, dataset.X, dataset.y)
     js0 = toynet.snapshot_js0(snap)
     cell = {"scale": c, "seed": s, "js0": js0}
-    if cfg.get("gap", False):
-        lr_grid = [float(v) for v in _listify(cfg.get("lr_grid", [0.001, 0.003, 0.01, 0.03, 0.1]))]
-        steps = _int_at_least(cfg, "gap_steps", 300, low=0)
-        batch = _int_at_least(cfg, "batch", 64)
+    if gap is not None:
+        lr_grid, steps, batch = gap
         best = {}
         for opt in ("sgd", "adam"):
             accs = []
@@ -545,8 +546,24 @@ def _cmd_toynet_scaled(manifest: Manifest) -> int:
     cfg = manifest.config
     c_values = [float(c) for c in _listify(cfg.get("c_values", [1, 2, 4, 8]))]
     n_seeds = _int_at_least(cfg, "seeds", 5)
+    widths = [int(w) for w in _listify(cfg.get("widths", [6, 8, 8, 8, 1]))]
+    gap = None
+    if cfg.get("gap", False):
+        lr_grid = [float(v) for v in _listify(cfg.get("lr_grid", [0.001, 0.003, 0.01, 0.03, 0.1]))]
+        bad = [lr for lr in lr_grid if not (0 <= lr < np.inf)]
+        if bad:
+            raise ConfigError(f"lr_grid must hold finite numbers >= 0, got {bad[0]}")
+        gap = (
+            lr_grid,
+            _int_at_least(cfg, "gap_steps", 300, low=0),
+            _int_at_least(cfg, "batch", 64),
+        )
+    data_cfg = {**cfg, "features": widths[0], "dataset": cfg.get("dataset", "xor")}
+    datasets = [_toynet_dataset(data_cfg, seed=s) for s in range(n_seeds)]
 
-    cells = [_scaled_cell(cfg, c, s) for c in c_values for s in range(n_seeds)]
+    cells = [
+        _scaled_cell(widths, datasets[s], c, s, gap) for c in c_values for s in range(n_seeds)
+    ]
 
     fileio.write_csv(
         os.path.join(manifest.out, "js0_vs_scale.csv"),

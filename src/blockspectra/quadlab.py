@@ -498,6 +498,8 @@ def grid_search(
         raise ValueError("eta grid is empty")
     if np.any(etas <= 0):
         raise ValueError("eta grid must be positive")
+    if kind == "adam_ema" and not (0.0 <= beta2 < 1.0):
+        raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
     w0 = np.asarray(w0, dtype=float)
     W0 = np.tile(w0, (etas.size, 1))
     b2 = beta2 if kind == "adam_ema" else 1.0

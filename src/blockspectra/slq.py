@@ -33,9 +33,10 @@ class LanczosFactorization:
 
     ``alphas`` is the diagonal, ``betas`` the (nonnegative) off-diagonal one
     entry shorter.  ``basis`` holds the orthonormal Lanczos vectors as its
-    ``steps`` columns; ``lanczos`` always sets it.  A beta falling below the
-    breakdown tolerance ends the recursion early, so ``steps`` may be smaller
-    than requested.
+    ``steps`` columns; ``lanczos`` always sets it, as a view of the first
+    ``steps`` columns of its preallocated (dim, m) array.  A beta falling
+    below the breakdown tolerance ends the recursion early, so ``steps`` may
+    be smaller than requested.
     """
 
     alphas: np.ndarray
@@ -136,9 +137,13 @@ def lanczos(op: SymmetricOperator, v0: np.ndarray, m: int) -> LanczosFactorizati
     if not (1 <= m <= op.dim):
         raise ValueError(f"steps m={m} must lie in [1, dim={op.dim}]")
 
-    vectors = [v0]
+    V = np.empty((op.dim, m))
+    V[:, 0] = v0
     alphas: list[float] = []
     betas: list[float] = []
+    # ``closed`` is the largest Gershgorin row sum |b_(i-1)| + |a_i| + |b_i|
+    # over the rows whose b_i is known; the newest row still lacks it.
+    closed = 0.0
     q = v0
     q_prev = None
     for j in range(m):
@@ -146,38 +151,29 @@ def lanczos(op: SymmetricOperator, v0: np.ndarray, m: int) -> LanczosFactorizati
         alpha = float(q @ w)
         alphas.append(alpha)
         w = w - alpha * q
+        row = abs(alpha)
         if q_prev is not None:
             w = w - betas[-1] * q_prev
+            row += abs(betas[-1])
         # Two passes keep the basis orthonormal to ~1e-14 even when the
-        # plain recursion has already lost orthogonality.
-        basis = np.column_stack(vectors)
+        # plain recursion has already lost orthogonality.  A C-contiguous
+        # copy, not a strided view of V, keeps BLAS's summation order and so
+        # every bit of the coefficients.
+        basis = np.ascontiguousarray(V[:, : j + 1])
         for _ in range(2):
             w = w - basis @ (basis.T @ w)
         beta = float(np.linalg.norm(w))
-        scale = _gershgorin_scale(alphas, betas)
-        if j == m - 1 or beta < BREAKDOWN_RTOL * scale:
+        if j == m - 1 or beta < BREAKDOWN_RTOL * max(closed, row, 1e-300):
             break
+        closed = max(closed, row + beta)
         betas.append(beta)
         q_prev = q
         q = w / beta
-        vectors.append(q)
+        V[:, j + 1] = q
 
     return LanczosFactorization(
-        alphas=np.asarray(alphas), betas=np.asarray(betas), basis=np.column_stack(vectors)
+        alphas=np.asarray(alphas), betas=np.asarray(betas), basis=V[:, : len(alphas)]
     )
-
-
-def _gershgorin_scale(alphas, betas) -> float:
-    scale = 0.0
-    k = len(alphas)
-    for i in range(k):
-        row = abs(alphas[i])
-        if i > 0:
-            row += abs(betas[i - 1])
-        if i < len(betas):
-            row += abs(betas[i])
-        scale = max(scale, row)
-    return max(scale, 1e-300)
 
 
 def ritz_quadrature(fact: LanczosFactorization) -> RitzQuadrature:
@@ -188,8 +184,6 @@ def ritz_quadrature(fact: LanczosFactorization) -> RitzQuadrature:
     """
     if fact.steps == 0:
         raise ValueError("degenerate factorization with zero steps")
-    if fact.steps == 1:
-        return RitzQuadrature(nodes=fact.alphas.copy(), weights=np.array([1.0]))
     # Imported here, its only use, so that runs without Lanczos never load scipy.
     from scipy.linalg import eigh_tridiagonal
 

@@ -237,6 +237,32 @@ def test_quadlab_unset_window_keeps_the_default(tmp_path):
         assert row[header.index("cycling")] == cycling
 
 
+def test_quadlab_bad_window_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    from blockspectra import quadlab
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran before the config was checked")
+
+    monkeypatch.setattr(quadlab, "adam_ema_run", no_run)
+    cfg = write_config(
+        tmp_path / "q.cfg", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = -5\n"
+    )
+    assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "window must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["false", "true"])
+def test_quadlab_adam_ema_rejects_beta2_outside_unit_interval(tmp_path, capsys, grid):
+    cfg = write_config(
+        tmp_path / "q.cfg",
+        f"case = 3\noptimizer = adam_ema\neta = 0.01\neta_grid = {grid}\nbeta2 = 1.5\nmax_iters = 200\n",
+    )
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
+    assert "beta2 must be in [0, 1)" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 def test_quadlab_hard_instance_verification(tmp_path):
     cfg = write_config(
         tmp_path / "q.cfg",
@@ -361,6 +387,10 @@ TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = 
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\nbatch = -3\n", "batch"),
         ("toynet", TOYNET_GAP + "gap_steps = -2\n", "gap_steps"),
         ("toynet", TOYNET_GAP + "gap_steps = 3\nbatch = 0\n", "batch"),
+        ("toynet", TOYNET_GAP + "gap_steps = 3\nlr_grid = 0.01,-0.1\n", "lr_grid"),
+        ("toynet", TOYNET_GAP + "gap_steps = 3\nlr_grid = 0.01,nan\n", "lr_grid"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\nsnapshot_stride = -5\n",
+         "snapshot_stride"),
         ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = -5\n", "window"),
         ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = 0\n", "window"),
     ],
@@ -368,6 +398,7 @@ TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = 
         "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
         "quadlab_transient_negative", "toynet_hidden_0", "toynet_steps_negative", "toynet_batch_0",
         "toynet_batch_negative", "toynet_gap_steps_negative", "toynet_gap_batch_0",
+        "toynet_lr_grid_negative", "toynet_lr_grid_nan", "toynet_snapshot_stride_negative",
         "quadlab_window_negative", "quadlab_window_0",
     ],
 )

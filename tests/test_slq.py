@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from blockspectra.operators import DenseSymmetric, DiagonalOperator, block_diagonal, exact_eigenvalues
+from blockspectra.operators import (
+    DenseSymmetric,
+    DiagonalOperator,
+    block_diagonal,
+    exact_eigenvalues,
+    principal_block,
+)
 from blockspectra.slq import (
     GridError,
     LanczosFactorization,
@@ -73,6 +79,65 @@ def test_lanczos_input_validation(rng):
         lanczos(op, v0, 6)  # m > dim
     with pytest.raises(ValueError):
         lanczos(op, v0, 0)
+
+
+def _column_stack_lanczos(op, v0, m):
+    # Reference recursion: the basis re-stacked from a list of vectors and the
+    # Gershgorin scale recomputed over every tridiagonal row at each step.
+    vectors, alphas, betas = [v0], [], []
+    q, q_prev = v0, None
+    for j in range(m):
+        w = op.apply(q)
+        alpha = float(q @ w)
+        alphas.append(alpha)
+        w = w - alpha * q
+        if q_prev is not None:
+            w = w - betas[-1] * q_prev
+        basis = np.column_stack(vectors)
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
+        beta = float(np.linalg.norm(w))
+        scale = 0.0
+        for i in range(len(alphas)):
+            row = abs(alphas[i])
+            if i > 0:
+                row += abs(betas[i - 1])
+            if i < len(betas):
+                row += abs(betas[i])
+            scale = max(scale, row)
+        if j == m - 1 or beta < 1e-12 * max(scale, 1e-300):
+            break
+        betas.append(beta)
+        q_prev, q = q, w / beta
+        vectors.append(q)
+    return np.asarray(alphas), np.asarray(betas), np.column_stack(vectors)
+
+
+def _lanczos_cases(case3):
+    rng = np.random.default_rng(7)
+    for dim in (5, 50, 300):
+        op = random_symmetric(dim, rng)
+        for m in sorted({dim, max(1, dim // 3), 1}):
+            yield f"dense{dim}_m{m}", op, m
+    yield "identity", DiagonalOperator(np.ones(5)), 5
+    yield "diag123", DiagonalOperator(np.array([1.0, 2.0, 3.0])), 3
+    yield "constant", DiagonalOperator(np.full(6, 2.5)), 6
+    yield "case3", case3.operator(), 9
+    yield "principal", principal_block(case3.operator(), 2, 7), 5
+
+
+def test_lanczos_matches_the_column_stack_recursion_bit_for_bit(case3):
+    rng = np.random.default_rng(11)
+    for name, op, m in _lanczos_cases(case3):
+        for v0 in (np.ones(op.dim), rng.standard_normal(op.dim)):
+            v0 = v0 / np.linalg.norm(v0)
+            alphas, betas, basis = _column_stack_lanczos(op, v0, m)
+            fact = lanczos(op, v0, m)
+            assert fact.alphas.shape == alphas.shape, name
+            assert np.all(fact.alphas == alphas), name
+            assert np.all(fact.betas == betas), name
+            assert fact.basis.shape == basis.shape, name
+            assert np.all(fact.basis == basis), name
 
 
 # ---------------------------------------------------------------------------
