@@ -2,19 +2,11 @@
 
 Every subcommand takes ``--config PATH --out DIR --seed N --jobs K
 [--cheap]``; ``--jobs`` is recorded in the manifest and otherwise ignored.
-Configs are flat ``key = value`` text files.  The keys each subcommand reads,
-with their defaults, are the ``cfg.get`` calls of its ``cmd_*`` function:
-
-- ``spectrum`` and ``heatmap`` (``_resolve_source``, ``_slq_params``):
-  source, case, spectrum_files, matrix, blocks, steps, probes, sigma, svg;
-  ``heatmap`` adds estimator, mode, log_axis.
-- ``quadlab`` (``_quadlab_problem``, ``_one_quadlab_run``): case, w0,
-  spectrum_files, optimizer, seeds, eta, eta_grid, grid_points, max_iters,
-  target, beta2, verify, transient, window, svg, strict.
-- ``toynet`` (``_toynet_dataset`` and the two experiments): experiment,
-  data_csv, dataset, samples, features, separation; ``train`` adds hidden,
-  optimizer, eta, steps, batch, snapshot_stride, svg, strict; ``scaled``
-  adds widths, c_values, seeds, gap, lr_grid, gap_steps, batch.
+Configs are flat ``key = value`` text files.  The keys a subcommand accepts,
+each with its kind, default and bound, are its table below: ``SPECTRUM``,
+``HEATMAP``, ``QUADLAB``, and for ``toynet`` ``TRAIN`` or ``SCALED`` as its
+``experiment`` key says.  The whole config is checked against that table
+before any work starts, and a key the table does not list is an error.
 
 A run is fully determined by its manifest (subcommand, config contents,
 seed, cheap flag): every random stream is keyed by the seed plus fixed
@@ -28,6 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,30 +41,11 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config and manifest
+# Config tables and manifest
 # ---------------------------------------------------------------------------
 
-def _coerce(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        return [_coerce(part) for part in raw.split(",") if part.strip()]
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
 def parse_config(path) -> dict:
+    """The ``key = value`` pairs of a config file, values as written."""
     cfg = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -81,35 +55,179 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip()] = _coerce(value)
+            cfg[key.strip()] = value.strip()
     return cfg
 
 
-@dataclass
-class Manifest:
-    subcommand: str
-    config_path: str
-    config: dict
-    out: str
-    seed: int
-    jobs: int
-    cheap: bool
+@dataclass(frozen=True)
+class Kind:
+    """What a config value may be.
+
+    ``parse`` turns the text into the value and raises ValueError or
+    KeyError when it cannot; ``ok`` is the bound the value must meet; and
+    ``text`` says both in the error message.
+    """
+
+    text: str
+    parse: Callable[[str], object]
+    ok: Callable[[object], bool] = lambda value: True
 
 
-def _write_manifest(manifest: Manifest):
+_FLAGS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+
+FLAG = Kind("true or false", lambda text: _FLAGS[text.lower()])
+PATH = Kind("a path", str)
+INTEGER = Kind("an integer", int)
+NUMBER = Kind("a number", float)
+NONNEGATIVE = Kind("a finite number >= 0", float, lambda v: 0 <= v < np.inf)
+POSITIVE = Kind("a finite number > 0", float, lambda v: 0 < v < np.inf)
+
+
+def at_least(low: int) -> Kind:
+    return Kind(f"an integer >= {low}", int, lambda v: v >= low)
+
+
+def one_of(*words: str) -> Kind:
+    return Kind("one of " + ", ".join(words), str, lambda v: v in words)
+
+
+def or_words(kind: Kind, *words: str) -> Kind:
+    """``kind``, or one of ``words`` kept as text."""
+    return Kind(
+        f"{kind.text} or one of {', '.join(words)}",
+        lambda text: text if text in words else kind.parse(text),
+        lambda v: v in words or kind.ok(v),
+    )
+
+
+def list_of(kind: Kind) -> Kind:
+    return Kind(
+        f"one or more values separated by commas, each {kind.text}",
+        lambda text: [kind.parse(part.strip()) for part in text.split(",") if part.strip()],
+        lambda values: len(values) > 0 and all(map(kind.ok, values)),
+    )
+
+
+# A key's (kind, default); a default of REQUIRED means the key must be set.
+REQUIRED = object()
+
+SPECTRUM = {
+    "source": (one_of("case", "matrix"), REQUIRED),
+    "case": (INTEGER, 3),
+    "spectrum_files": (list_of(PATH), None),
+    "matrix": (PATH, None),
+    "blocks": (list_of(at_least(1)), None),
+    # Unset, the Lanczos depth and probe count come from the --cheap preset.
+    "steps": (at_least(1), None),
+    "probes": (at_least(1), None),
+    "sigma": (POSITIVE, None),
+    "svg": (FLAG, False),
+}
+
+HEATMAP = {
+    **SPECTRUM,
+    "estimator": (one_of("slq", "exact"), "slq"),
+    "mode": (one_of(*heterogeneity.MODES), "none"),
+    "log_axis": (FLAG, False),
+}
+
+QUADLAB = {
+    "case": (or_words(INTEGER, "hard", "scalar"), 3),
+    "w0": (NUMBER, None),
+    "spectrum_files": (list_of(PATH), None),
+    "optimizer": (list_of(one_of(*quadlab.KINDS)), ("gd",)),
+    "seeds": (at_least(1), 1),
+    "eta": (or_words(NUMBER, "theory", "default"), None),
+    "eta_grid": (FLAG, False),
+    "grid_points": (at_least(1), 25),
+    "max_iters": (at_least(0), 100_000),
+    "target": (NONNEGATIVE, 1e-6),
+    "beta2": (NUMBER, 0.99),
+    "verify": (one_of("auto", "none", "gd_lower", "adam_upper"), "auto"),
+    # Unset, each adam_ema run's length sets them.
+    "transient": (at_least(0), None),
+    "window": (at_least(1), None),
+    "svg": (FLAG, False),
+    "strict": (FLAG, False),
+}
+
+DATASET = one_of("blobs", "xor")
+
+# Keys both toynet experiments accept.
+TOYNET_COMMON = {
+    "experiment": (one_of("train", "scaled"), "train"),
+    "data_csv": (PATH, None),
+    "samples": (at_least(1), 256),
+    "separation": (NUMBER, 3.0),
+}
+
+TRAIN = {
+    **TOYNET_COMMON,
+    "dataset": (DATASET, "blobs"),
+    "features": (at_least(1), 5),
+    "hidden": (at_least(1), 8),
+    "optimizer": (one_of("sgd", "adam"), "adam"),
+    "eta": (NONNEGATIVE, 0.02),
+    "steps": (at_least(0), 1500),
+    "batch": (at_least(1), 32),
+    "snapshot_stride": (at_least(0), 0),
+    "svg": (FLAG, False),
+    "strict": (FLAG, False),
+}
+
+SCALED = {
+    **TOYNET_COMMON,
+    "dataset": (DATASET, "xor"),
+    "widths": (list_of(at_least(1)), (6, 8, 8, 8, 1)),
+    "c_values": (
+        list_of(Kind("a finite number >= 1", float, lambda v: 1 <= v < np.inf)),
+        (1.0, 2.0, 4.0, 8.0),
+    ),
+    "seeds": (at_least(1), 5),
+    "gap": (FLAG, False),
+    "lr_grid": (list_of(NONNEGATIVE), (0.001, 0.003, 0.01, 0.03, 0.1)),
+    "gap_steps": (at_least(0), 300),
+    "batch": (at_least(1), 64),
+}
+
+
+def _value(raw: dict, key: str, kind: Kind, default):
+    """One key's value: its default when unset, else its checked text."""
+    if key not in raw:
+        if default is REQUIRED:
+            raise ConfigError(f"config needs a '{key}' key: {kind.text}")
+        return default
+    try:
+        value = kind.parse(raw[key])
+        if kind.ok(value):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be {kind.text}, got {raw[key]!r}")
+
+
+def resolve_config(raw: dict, table: dict) -> dict:
+    """Every key of ``table`` with its value, after checking the whole config."""
+    for key in raw:
+        if key not in table:
+            import difflib  # only on this error path, so start-up does not pay for it
+
+            close = difflib.get_close_matches(key, table, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else "known keys: " + ", ".join(table)
+            raise ConfigError(f"unknown key {key!r}; {hint}")
+    return {key: _value(raw, key, *spec) for key, spec in table.items()}
+
+
+def _write_manifest(args: argparse.Namespace, config: dict):
     lines = [
-        f"subcommand = {manifest.subcommand}",
-        f"config = {manifest.config_path}",
-        f"seed = {manifest.seed}",
-        f"jobs = {manifest.jobs}",
-        f"cheap = {str(manifest.cheap).lower()}",
+        f"subcommand = {args.subcommand}",
+        f"config = {args.config}",
+        f"seed = {args.seed}",
+        f"jobs = {args.jobs}",
+        f"cheap = {str(args.cheap).lower()}",
     ]
-    for key in sorted(manifest.config):
-        value = manifest.config[key]
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"config.{key} = {value}")
-    fileio.write_text(os.path.join(manifest.out, "manifest.txt"), "\n".join(lines) + "\n")
+    lines += [f"config.{key} = {config[key]}" for key in sorted(config)]
+    fileio.write_text(os.path.join(args.out, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
@@ -119,72 +237,46 @@ def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
     return idx
 
 
-def _listify(value):
-    if value is None:
-        return []
-    return value if isinstance(value, list) else [value]
-
-
-def _int_at_least(cfg, key, default, low=1) -> int:
-    """An integer config value that must be at least ``low``."""
-    value = int(cfg.get(key, default))
-    if value < low:
-        raise ConfigError(f"{key} must be at least {low}, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Operator sources shared by spectrum and heatmap
 # ---------------------------------------------------------------------------
 
 def _resolve_source(cfg, seed):
     """Returns (operator, partition or None, per-block eigenvalues or None)."""
-    source = cfg.get("source")
-    if source == "case":
-        case_id = int(cfg.get("case", 3))
-        files = [str(p) for p in _listify(cfg.get("spectrum_files"))] or None
-        problem = quadlab.make_case(case_id, seed=seed, spectrum_files=files)
+    if cfg["source"] == "case":
+        problem = quadlab.make_case(cfg["case"], seed=seed, spectrum_files=cfg["spectrum_files"])
         return problem.operator(), problem.partition, list(problem.block_eigenvalues)
-    if source == "matrix":
-        path = cfg.get("matrix")
-        if not path:
-            raise ConfigError("source = matrix requires a 'matrix = PATH' key")
-        op = DenseSymmetric(load_matrix_csv(path))
-        blocks = cfg.get("blocks")
-        if blocks is None:
-            return op, None, None
-        partition = BlockPartition([int(b) for b in _listify(blocks)])
-        if partition.dim != op.dim:
-            raise ConfigError(
-                f"blocks sum to {partition.dim} but the matrix has dim {op.dim}"
-            )
-        eigs = [
-            exact_eigenvalues(principal_block(op, a, z)) for a, z in partition.ranges()
-        ]
-        return op, partition, eigs
-    raise ConfigError("config needs 'source = case' or 'source = matrix'")
+    if not cfg["matrix"]:
+        raise ConfigError("source = matrix requires a 'matrix = PATH' key")
+    op = DenseSymmetric(load_matrix_csv(cfg["matrix"]))
+    if cfg["blocks"] is None:
+        return op, None, None
+    partition = BlockPartition(cfg["blocks"])
+    if partition.dim != op.dim:
+        raise ConfigError(
+            f"blocks sum to {partition.dim} but the matrix has dim {op.dim}"
+        )
+    eigs = [
+        exact_eigenvalues(principal_block(op, a, z)) for a, z in partition.ranges()
+    ]
+    return op, partition, eigs
 
 
 def _slq_params(cfg, seed, cheap) -> slq.SLQParams:
-    preset = slq.SLQParams.cheap() if cheap else slq.SLQParams()
-    sigma = cfg.get("sigma")
-    return slq.SLQParams(
-        steps=int(cfg.get("steps", preset.steps)),
-        probes=int(cfg.get("probes", preset.probes)),
-        sigma=float(sigma) if sigma is not None else None,
-        seed=seed,
-    )
+    given = {key: cfg[key] for key in ("steps", "probes", "sigma") if cfg[key] is not None}
+    if cheap:
+        return slq.SLQParams.cheap(**given, seed=seed)
+    return slq.SLQParams(**given, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(manifest: Manifest) -> int:
-    cfg = manifest.config
-    op, partition, _ = _resolve_source(cfg, manifest.seed)
-    params = _slq_params(cfg, manifest.seed, manifest.cheap)
-    out = manifest.out
+def cmd_spectrum(cfg: dict, args: argparse.Namespace) -> int:
+    op, partition, _ = _resolve_source(cfg, args.seed)
+    params = _slq_params(cfg, args.seed, args.cheap)
+    out = args.out
 
     if partition is None:
         density = slq.slq_density(
@@ -202,7 +294,7 @@ def cmd_spectrum(manifest: Manifest) -> int:
             path = os.path.join(out, f"density_{label}.csv")
             slq.save_density_csv(path, density)
             print(f"wrote {path}")
-    if cfg.get("svg", False):
+    if cfg["svg"]:
         path = os.path.join(out, "spectrum.svg")
         svgplot.density_overlay_svg(path, densities, labels)
         print(f"wrote {path}")
@@ -213,43 +305,35 @@ def cmd_spectrum(manifest: Manifest) -> int:
 # heatmap
 # ---------------------------------------------------------------------------
 
-def cmd_heatmap(manifest: Manifest) -> int:
-    cfg = manifest.config
-    op, partition, block_eigs = _resolve_source(cfg, manifest.seed)
+def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
+    mode = cfg["mode"]
+    if cfg["log_axis"] and mode != "none":
+        raise ConfigError("log_axis compares magnitudes directly; use mode = none")
+    op, partition, block_eigs = _resolve_source(cfg, args.seed)
     if partition is None or partition.num_blocks < 2:
         raise ConfigError("heatmap needs a source with at least 2 blocks")
-    estimator = cfg.get("estimator", "slq")
-    mode = cfg.get("mode", "none")
-    log_axis = bool(cfg.get("log_axis", False))
     labels = [f"block{i:02d}" for i in range(partition.num_blocks)]
 
-    if log_axis:
-        if mode != "none":
-            raise ConfigError("log_axis compares magnitudes directly; use mode = none")
-        if block_eigs is None:
-            raise ConfigError("log_axis needs exact block eigenvalues")
+    # Every source with a partition also yields its exact block eigenvalues.
+    if cfg["log_axis"]:
         densities = slq.smoothed_densities(heterogeneity.log_magnitude_spectra(block_eigs))
-    elif estimator == "exact":
-        if block_eigs is None:
-            raise ConfigError("estimator = exact needs block eigenvalues (case or matrix source)")
+    elif cfg["estimator"] == "exact":
         densities = slq.smoothed_densities(block_eigs)
-    elif estimator == "slq":
-        params = _slq_params(cfg, manifest.seed, manifest.cheap)
-        densities = slq.blockwise_densities(op, partition, params)
     else:
-        raise ConfigError(f"estimator must be 'slq' or 'exact', got {estimator!r}")
+        params = _slq_params(cfg, args.seed, args.cheap)
+        densities = slq.blockwise_densities(op, partition, params)
     report = heterogeneity.pairwise_heatmap(
         densities, mode=mode, eigenvalues=block_eigs, labels=labels
     )
 
-    path = os.path.join(manifest.out, "heatmap.csv")
+    path = os.path.join(args.out, "heatmap.csv")
     heterogeneity.save_heatmap_csv(path, report)
     print(f"wrote {path}")
-    spath = os.path.join(manifest.out, "summary.txt")
+    spath = os.path.join(args.out, "summary.txt")
     heterogeneity.save_js0_summary(spath, report)
     print(f"wrote {spath}  (js0 = {report.js0!r})")
-    if cfg.get("svg", False):
-        hpath = os.path.join(manifest.out, "heatmap.svg")
+    if cfg["svg"]:
+        hpath = os.path.join(args.out, "heatmap.svg")
         svgplot.heatmap_svg(hpath, report.pairwise, report.labels, title="pairwise distance")
         print(f"wrote {hpath}")
     return 0
@@ -259,20 +343,21 @@ def cmd_heatmap(manifest: Manifest) -> int:
 # quadlab
 # ---------------------------------------------------------------------------
 
+SUMMARY_FIELDS = (
+    "case", "optimizer", "seed", "eta", "beta2", "status", "iterations",
+    "final_ratio", "violations", "cycling", "tail_min_loss",
+)
+
+
 def _quadlab_problem(cfg, seed):
-    case = cfg.get("case", 3)
+    case = cfg["case"]
     if case == "hard":
         problem, w0 = quadlab.make_hard_instance()
         return problem, w0, "hard"
     if case == "scalar":
-        problem = quadlab.scalar_problem(1.0)
-        w0 = None
-        if "w0" in cfg:
-            w0 = np.full(1, float(cfg["w0"]))
-        return problem, w0, "scalar"
-    case_id = int(case)
-    files = [str(p) for p in _listify(cfg.get("spectrum_files"))] or None
-    return quadlab.make_case(case_id, seed=seed, spectrum_files=files), None, str(case_id)
+        w0 = None if cfg["w0"] is None else np.full(1, cfg["w0"])
+        return quadlab.scalar_problem(1.0), w0, "scalar"
+    return quadlab.make_case(case, seed=seed, spectrum_files=cfg["spectrum_files"]), None, str(case)
 
 
 def _resolve_eta(spec, kind, problem, w0):
@@ -284,15 +369,13 @@ def _resolve_eta(spec, kind, problem, w0):
         raise ConfigError("adam_ema needs an explicit numeric eta")
     if spec == "theory":
         return quadlab.theory_report(problem, w0).eta_theory
-    return float(spec)
+    return spec
 
 
-def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, seed, run_index):
-    max_iters = _int_at_least(cfg, "max_iters", 100_000, low=0)
-    target = float(cfg.get("target", 1e-6))
-    if not (0 <= target < np.inf):
-        raise ConfigError(f"target must be a finite number >= 0, got {target}")
-    beta2 = float(cfg.get("beta2", 0.99))
+def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
+    max_iters = cfg["max_iters"]
+    target = cfg["target"]
+    beta2 = cfg["beta2"]
     w0 = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, seed, index=run_index)
 
     record = {
@@ -303,15 +386,14 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, seed, r
         "cycling": "",
         "tail_min_loss": "",
     }
-    if cfg.get("eta_grid", False):
-        points = int(cfg.get("grid_points", 25))
+    if cfg["eta_grid"]:
         result = quadlab.grid_search(
-            problem, kind, quadlab.default_eta_grid(points), w0,
+            problem, kind, quadlab.default_eta_grid(cfg["grid_points"]), w0,
             budget=max_iters, target=target, beta2=beta2,
         )
         trajectory = result.best
     else:
-        eta = _resolve_eta(eta_spec, kind, problem, w0)
+        eta = _resolve_eta(cfg["eta"], kind, problem, w0)
         if kind == "gd":
             trajectory = quadlab.gd_run(problem, w0, eta=eta, max_iters=max_iters, target=target)
         elif kind == "adam_fixed":
@@ -319,21 +401,21 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, seed, r
         else:
             trajectory = quadlab.adam_ema_run(problem, w0, eta, beta2, max_iters=max_iters)
 
-    verify = cfg.get("verify", "auto")
+    verify = cfg["verify"]
     if verify == "auto":
         if kind == "gd" and quadlab.is_hard_instance(problem, trajectory.w0):
             verify = "gd_lower"
-        elif kind == "adam_fixed" and eta_spec in ("theory", None, "default"):
+        elif kind == "adam_fixed" and cfg["eta"] in ("theory", None, "default"):
             verify = "adam_upper"
         else:
             verify = "none"
-    if verify in ("gd_lower", "adam_upper"):
+    if verify != "none":
         report = quadlab.theory_report(problem, trajectory.w0)
         check = quadlab.verify_bounds(trajectory, report, verify)
         record["violations"] = check.violations
 
     if kind == "adam_ema":
-        transient, window = cycle_span
+        transient, window = cfg["transient"], cfg["window"]
         if transient is None:
             transient = max(len(trajectory.loss_ratios) // 2, 1)
         if window is None:
@@ -352,24 +434,11 @@ def _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, seed, r
     return record, trajectory
 
 
-def cmd_quadlab(manifest: Manifest) -> int:
-    cfg = manifest.config
-    problem, fixed_w0, case_label = _quadlab_problem(cfg, manifest.seed)
-    kinds = [str(k) for k in _listify(cfg.get("optimizer", "gd"))]
-    for kind in kinds:
-        if kind not in quadlab.KINDS:
-            raise ConfigError(f"unknown optimizer {kind!r}")
-    n_seeds = _int_at_least(cfg, "seeds", 1)
-    eta_spec = cfg.get("eta")
-    # Checked before the first run; when unset, each run's length sets them.
-    cycle_span = (
-        _int_at_least(cfg, "transient", 0, low=0) if "transient" in cfg else None,
-        _int_at_least(cfg, "window", 1) if "window" in cfg else None,
-    )
-
-    keys = [(kind, i) for kind in kinds for i in range(n_seeds)]
+def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
+    problem, fixed_w0, case_label = _quadlab_problem(cfg, args.seed)
+    keys = [(kind, i) for kind in cfg["optimizer"] for i in range(cfg["seeds"])]
     results = [
-        _one_quadlab_run(problem, fixed_w0, kind, eta_spec, cfg, cycle_span, manifest.seed, i)
+        _one_quadlab_run(problem, fixed_w0, kind, cfg, args.seed, i)
         for kind, i in keys
     ]
 
@@ -379,38 +448,17 @@ def cmd_quadlab(manifest: Manifest) -> int:
         name = f"run_{kind}_s{i:03d}.csv"
         idx = _stride_indices(trajectory.loss_ratios.size)
         fileio.write_csv(
-            os.path.join(manifest.out, name),
+            os.path.join(args.out, name),
             ["iter", "loss_ratio"],
             ([int(t), trajectory.loss_ratios[t]] for t in idx),
         )
-        rows.append(
-            [
-                case_label,
-                record["optimizer"],
-                record["seed"],
-                record["eta"],
-                record["beta2"],
-                record["status"],
-                record["iterations"],
-                record["final_ratio"],
-                record["violations"],
-                record["cycling"],
-                record["tail_min_loss"],
-            ]
-        )
+        rows.append([case_label] + [record[field] for field in SUMMARY_FIELDS[1:]])
         if record["status"] == "diverged" or (record["violations"] not in ("", 0)):
             failed = True
-    fileio.write_csv(
-        os.path.join(manifest.out, "summary.csv"),
-        [
-            "case", "optimizer", "seed", "eta", "beta2", "status", "iterations",
-            "final_ratio", "violations", "cycling", "tail_min_loss",
-        ],
-        rows,
-    )
-    print(f"wrote {os.path.join(manifest.out, 'summary.csv')} ({len(rows)} runs)")
+    fileio.write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS, rows)
+    print(f"wrote {os.path.join(args.out, 'summary.csv')} ({len(rows)} runs)")
 
-    w0_theory = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, manifest.seed, index=0)
+    w0_theory = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, args.seed, index=0)
     report = quadlab.theory_report(problem, w0_theory)
     lines = [
         f"kappa = {report.kappa!r}",
@@ -426,23 +474,23 @@ def cmd_quadlab(manifest: Manifest) -> int:
         lines.append(f"block{l}.c1 = {c1!r}")
         lines.append(f"block{l}.c2 = {c2!r}")
         lines.append(f"block{l}.kappa_precond = {ka!r}")
-    fileio.write_text(os.path.join(manifest.out, "theory.txt"), "\n".join(lines) + "\n")
-    print(f"wrote {os.path.join(manifest.out, 'theory.txt')}")
+    fileio.write_text(os.path.join(args.out, "theory.txt"), "\n".join(lines) + "\n")
+    print(f"wrote {os.path.join(args.out, 'theory.txt')}")
 
-    if cfg.get("svg", False):
+    if cfg["svg"]:
         series = []
         for (kind, i), (_, trajectory) in zip(keys, results):
             if i == 0:
                 idx = _stride_indices(trajectory.loss_ratios.size)
                 series.append((kind, idx, trajectory.loss_ratios[idx]))
-        path = os.path.join(manifest.out, "loss_ratio.svg")
+        path = os.path.join(args.out, "loss_ratio.svg")
         svgplot.line_plot_svg(
             path, series, title=f"case {case_label}", x_label="iteration",
             y_label="loss ratio", log_y=True,
         )
         print(f"wrote {path}")
 
-    if failed and cfg.get("strict", False):
+    if failed and cfg["strict"]:
         return 1
     return 0
 
@@ -451,173 +499,117 @@ def cmd_quadlab(manifest: Manifest) -> int:
 # toynet
 # ---------------------------------------------------------------------------
 
-def _toynet_dataset(cfg, seed):
-    data_csv = cfg.get("data_csv")
-    if data_csv:
-        return toynet.load_dataset_csv(str(data_csv))
-    kind = cfg.get("dataset", "blobs")
-    n = int(cfg.get("samples", 256))
-    d = int(cfg.get("features", 5))
-    sep = float(cfg.get("separation", 3.0))
-    if kind == "blobs":
-        return toynet.make_blobs(n, d, separation=sep, seed=seed)
-    if kind == "xor":
-        return toynet.make_xor_blobs(n, d, separation=sep, seed=seed)
-    raise ConfigError(f"dataset must be 'blobs' or 'xor', got {kind!r}")
+def _toynet_datasets(cfg, features, seeds):
+    """One dataset per seed; a ``data_csv`` file is read once and shared."""
+    if cfg["data_csv"]:
+        return [toynet.load_dataset_csv(cfg["data_csv"])] * len(seeds)
+    make = toynet.make_blobs if cfg["dataset"] == "blobs" else toynet.make_xor_blobs
+    return [make(cfg["samples"], features, separation=cfg["separation"], seed=s) for s in seeds]
 
 
-def _cmd_toynet_train(manifest: Manifest) -> int:
-    cfg = manifest.config
-    dataset = _toynet_dataset(cfg, manifest.seed)
-    net = toynet.random_toynet(
-        _int_at_least(cfg, "hidden", 8), dataset.X.shape[1], seed=manifest.seed
-    )
+def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
+    (dataset,) = _toynet_datasets(cfg, cfg["features"], [args.seed])
+    net = toynet.random_toynet(cfg["hidden"], dataset.X.shape[1], seed=args.seed)
     result = toynet.train(
         net,
         dataset,
-        optimizer=str(cfg.get("optimizer", "adam")),
-        eta=float(cfg.get("eta", 0.02)),
-        steps=_int_at_least(cfg, "steps", 1500, low=0),
-        batch_size=_int_at_least(cfg, "batch", 32),
-        seed=manifest.seed,
-        snapshot_stride=_int_at_least(cfg, "snapshot_stride", 0, low=0),
+        optimizer=cfg["optimizer"],
+        eta=cfg["eta"],
+        steps=cfg["steps"],
+        batch_size=cfg["batch"],
+        seed=args.seed,
+        snapshot_stride=cfg["snapshot_stride"],
     )
     steps_axis = np.arange(result.losses.size)
     idx = _stride_indices(result.losses.size)
     fileio.write_csv(
-        os.path.join(manifest.out, "curves.csv"),
+        os.path.join(args.out, "curves.csv"),
         ["step", "loss", "accuracy"],
         ([int(t), result.losses[t], result.accuracies[t]] for t in idx),
     )
-    print(f"wrote {os.path.join(manifest.out, 'curves.csv')} (status {result.status})")
+    print(f"wrote {os.path.join(args.out, 'curves.csv')} (status {result.status})")
 
     if result.snapshots:
         mass_rows, js0_rows = [], []
         for snap in result.snapshots:
             mass_rows.append([snap.step_index, toynet.offdiag_mass_ratio(snap)])
             js0_rows.append([snap.step_index, toynet.snapshot_js0(snap)])
-        fileio.write_csv(os.path.join(manifest.out, "mass_ratio.csv"), ["step", "ratio"], mass_rows)
-        fileio.write_csv(os.path.join(manifest.out, "js0_series.csv"), ["step", "js0"], js0_rows)
-        print(f"wrote {os.path.join(manifest.out, 'mass_ratio.csv')} ({len(mass_rows)} snapshots)")
-        print(f"wrote {os.path.join(manifest.out, 'js0_series.csv')}")
+        fileio.write_csv(os.path.join(args.out, "mass_ratio.csv"), ["step", "ratio"], mass_rows)
+        fileio.write_csv(os.path.join(args.out, "js0_series.csv"), ["step", "js0"], js0_rows)
+        print(f"wrote {os.path.join(args.out, 'mass_ratio.csv')} ({len(mass_rows)} snapshots)")
+        print(f"wrote {os.path.join(args.out, 'js0_series.csv')}")
 
-    if cfg.get("svg", False):
-        path = os.path.join(manifest.out, "training.svg")
+    if cfg["svg"]:
+        path = os.path.join(args.out, "training.svg")
         svgplot.line_plot_svg(
             path,
             [("loss", steps_axis[idx], np.maximum(result.losses[idx], 1e-300))],
             title="training loss", x_label="step", y_label="loss", log_y=True,
         )
         print(f"wrote {path}")
-    if result.status == "diverged" and cfg.get("strict", False):
+    if result.status == "diverged" and cfg["strict"]:
         return 1
     return 0
 
 
-def _scaled_cell(widths, dataset, c, s, gap):
+def _scaled_cell(cfg, dataset, c, s):
     """JS0 of one (scale, seed) cell.
 
-    With ``gap = (lr_grid, steps, batch)`` the cell also holds the best final
-    accuracy of SGD and of Adam over the learning rates.
+    With ``gap = true`` the cell also holds the best final accuracy of SGD
+    and of Adam over the learning rates of ``lr_grid``.
     """
-    mlp = toynet.scaled_mlp(widths, c, seed=s)
+    mlp = toynet.scaled_mlp(cfg["widths"], c, seed=s)
     snap = toynet.hessian_fd(mlp, dataset.X, dataset.y)
-    js0 = toynet.snapshot_js0(snap)
-    cell = {"scale": c, "seed": s, "js0": js0}
-    if gap is not None:
-        lr_grid, steps, batch = gap
-        best = {}
+    cell = {"scale": c, "seed": s, "js0": toynet.snapshot_js0(snap)}
+    if cfg["gap"]:
         for opt in ("sgd", "adam"):
             accs = []
-            for lr in lr_grid:
-                model = toynet.scaled_mlp(widths, c, seed=s)
+            for lr in cfg["lr_grid"]:
+                model = toynet.scaled_mlp(cfg["widths"], c, seed=s)
                 res = toynet.train(
-                    model, dataset, optimizer=opt, eta=lr, steps=steps,
-                    batch_size=batch, seed=s,
+                    model, dataset, optimizer=opt, eta=lr, steps=cfg["gap_steps"],
+                    batch_size=cfg["batch"], seed=s,
                 )
                 accs.append(res.accuracies[-1] if res.status == "completed" else 0.0)
-            best[opt] = max(accs)
-        cell["best_sgd"] = best["sgd"]
-        cell["best_adam"] = best["adam"]
+            cell[f"best_{opt}"] = max(accs)
+        cell["gap"] = cell["best_adam"] - cell["best_sgd"]
     return cell
 
 
-def _cmd_toynet_scaled(manifest: Manifest) -> int:
-    cfg = manifest.config
-    c_values = [float(c) for c in _listify(cfg.get("c_values", [1, 2, 4, 8]))]
-    n_seeds = _int_at_least(cfg, "seeds", 5)
-    widths = [int(w) for w in _listify(cfg.get("widths", [6, 8, 8, 8, 1]))]
-    gap = None
-    if cfg.get("gap", False):
-        lr_grid = [float(v) for v in _listify(cfg.get("lr_grid", [0.001, 0.003, 0.01, 0.03, 0.1]))]
-        bad = [lr for lr in lr_grid if not (0 <= lr < np.inf)]
-        if bad:
-            raise ConfigError(f"lr_grid must hold finite numbers >= 0, got {bad[0]}")
-        gap = (
-            lr_grid,
-            _int_at_least(cfg, "gap_steps", 300, low=0),
-            _int_at_least(cfg, "batch", 64),
-        )
-    data_cfg = {**cfg, "features": widths[0], "dataset": cfg.get("dataset", "xor")}
-    datasets = [_toynet_dataset(data_cfg, seed=s) for s in range(n_seeds)]
+def cmd_scaled(cfg: dict, args: argparse.Namespace) -> int:
+    seeds = range(cfg["seeds"])
+    datasets = _toynet_datasets(cfg, cfg["widths"][0], seeds)
+    cells = [_scaled_cell(cfg, datasets[s], c, s) for c in cfg["c_values"] for s in seeds]
 
-    cells = [
-        _scaled_cell(widths, datasets[s], c, s, gap) for c in c_values for s in range(n_seeds)
-    ]
-
-    fileio.write_csv(
-        os.path.join(manifest.out, "js0_vs_scale.csv"),
-        ["scale", "seed", "js0"],
-        ([cell["scale"], cell["seed"], cell["js0"]] for cell in cells),
-    )
-    med_rows = []
-    for c in c_values:
-        vals = [cell["js0"] for cell in cells if cell["scale"] == c]
-        med_rows.append([c, np.median(vals)])
-    fileio.write_csv(os.path.join(manifest.out, "js0_medians.csv"), ["scale", "median_js0"], med_rows)
-    print(f"wrote {os.path.join(manifest.out, 'js0_vs_scale.csv')} ({len(cells)} cells)")
-    print(f"wrote {os.path.join(manifest.out, 'js0_medians.csv')}")
-
-    if cfg.get("gap", False):
-        fileio.write_csv(
-            os.path.join(manifest.out, "gap.csv"),
-            ["scale", "seed", "best_sgd", "best_adam", "gap"],
-            (
-                [
-                    cell["scale"], cell["seed"], cell["best_sgd"],
-                    cell["best_adam"], cell["best_adam"] - cell["best_sgd"],
-                ]
-                for cell in cells
-            ),
-        )
-        gap_rows = []
-        for c in c_values:
-            gaps = [cell["best_adam"] - cell["best_sgd"] for cell in cells if cell["scale"] == c]
-            gap_rows.append([c, np.median(gaps)])
-        fileio.write_csv(os.path.join(manifest.out, "gap_medians.csv"), ["scale", "median_gap"], gap_rows)
-        print(f"wrote {os.path.join(manifest.out, 'gap.csv')}")
-        print(f"wrote {os.path.join(manifest.out, 'gap_medians.csv')}")
+    # Each table lists every cell, and the median of its last column per scale.
+    tables = [("js0_vs_scale.csv", ["scale", "seed", "js0"])]
+    if cfg["gap"]:
+        tables.append(("gap.csv", ["scale", "seed", "best_sgd", "best_adam", "gap"]))
+    for name, fields in tables:
+        value = fields[-1]
+        path = os.path.join(args.out, name)
+        fileio.write_csv(path, fields, ([cell[f] for f in fields] for cell in cells))
+        medians = [
+            [c, np.median([cell[value] for cell in cells if cell["scale"] == c])]
+            for c in cfg["c_values"]
+        ]
+        mpath = os.path.join(args.out, f"{value}_medians.csv")
+        fileio.write_csv(mpath, ["scale", f"median_{value}"], medians)
+        print(f"wrote {path} ({len(cells)} cells) and {mpath}")
     return 0
-
-
-def cmd_toynet(manifest: Manifest) -> int:
-    experiment = manifest.config.get("experiment", "train")
-    if experiment == "train":
-        return _cmd_toynet_train(manifest)
-    if experiment == "scaled":
-        return _cmd_toynet_scaled(manifest)
-    raise ConfigError(f"experiment must be 'train' or 'scaled', got {experiment!r}")
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
+# toynet runs one of two experiments, each with its own table.
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "heatmap": cmd_heatmap,
-    "quadlab": cmd_quadlab,
-    "toynet": cmd_toynet,
+    "spectrum": (cmd_spectrum, SPECTRUM),
+    "heatmap": (cmd_heatmap, HEATMAP),
+    "quadlab": (cmd_quadlab, QUADLAB),
+    "toynet train": (cmd_train, TRAIN),
+    "toynet scaled": (cmd_scaled, SCALED),
 }
 
 
@@ -650,22 +642,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    manifest = Manifest(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        config=config,
-        out=args.out,
-        seed=args.seed,
-        jobs=args.jobs,
-        cheap=args.cheap,
-    )
-    os.makedirs(manifest.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        _write_manifest(manifest)
-        return COMMANDS[args.subcommand](manifest)
+        _write_manifest(args, config)
+        name = args.subcommand
+        if name == "toynet":
+            name += " " + _value(config, "experiment", *TOYNET_COMMON["experiment"])
+        command, table = COMMANDS[name]
+        return command(resolve_config(config, table), args)
     except (ConfigError, ValueError, OSError, quadlab.AllDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

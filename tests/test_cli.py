@@ -43,13 +43,23 @@ def dir_csv_bytes(path):
 # ---------------------------------------------------------------------------
 
 def test_parse_config_coercions(tmp_path):
-    cfg = parse_config(
+    # parse_config keeps the text as written; the resolver converts it by kind.
+    from blockspectra.cli import FLAG, INTEGER, NUMBER, PATH, list_of, resolve_config
+
+    raw = parse_config(
         write_config(
             tmp_path / "c.cfg",
             "a = 3\nb = 0.5\nc = true\nd = hello\ne = 1,2,3\n# comment\nf = off  # trailing\n",
         )
     )
-    assert cfg == {"a": 3, "b": 0.5, "c": True, "d": "hello", "e": [1, 2, 3], "f": False}
+    assert raw == {"a": "3", "b": "0.5", "c": "true", "d": "hello", "e": "1,2,3", "f": "off"}
+    table = {
+        "a": (INTEGER, None), "b": (NUMBER, None), "c": (FLAG, None), "d": (PATH, None),
+        "e": (list_of(INTEGER), None), "f": (FLAG, None), "unset": (NUMBER, 7.5),
+    }
+    cfg = resolve_config(raw, table)
+    assert cfg == {"a": 3, "b": 0.5, "c": True, "d": "hello", "e": [1, 2, 3], "f": False, "unset": 7.5}
+    assert type(cfg["a"]) is int and type(cfg["b"]) is float
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -57,6 +67,27 @@ def test_parse_config_rejects_garbage(tmp_path):
 
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path / "bad.cfg", "not a key value line\n"))
+
+
+def test_unparsable_config_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.cfg", "case = 3\nnot a key value line\n")
+    assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+def test_unknown_key_exits_2_naming_the_closest_key(tmp_path, monkeypatch, capsys):
+    from blockspectra import quadlab
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran before the config was checked")
+
+    monkeypatch.setattr(quadlab, "gd_run", no_run)
+    cfg = write_config(tmp_path / "q.cfg", "case = 3\noptimizer = gd\nmax_iter = 50\n")
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key 'max_iter'") and "'max_iters'" in err
+    assert not (out / "summary.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +402,7 @@ def test_toynet_train_outputs(tmp_path):
 
 
 TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = true\nlr_grid = 0.01\n"
+QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
 
 
 @pytest.mark.parametrize(
@@ -393,13 +425,28 @@ TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = 
          "snapshot_stride"),
         ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = -5\n", "window"),
         ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = 0\n", "window"),
+        ("quadlab", QUADLAB_GRID + "grid_points = -5\n", "grid_points"),
+        ("quadlab", QUADLAB_GRID + "grid_points = 0\n", "grid_points"),
+        ("spectrum", "source = case\ncase = 3\nsigma = nan\n", "sigma"),
+        ("spectrum", "source = case\ncase = 3\nsigma = -1\n", "sigma"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = 0.1,0.2\n", "eta"),
+        ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 1,2\n", "max_iters"),
+        ("quadlab", "case = 3\noptimizer = gd,adam_fixed\nmax_iters = 50\nverify = adam_uper\n", "verify"),
+        ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nsvg = maybe\n", "svg"),
+        ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nstrict = maybe\n", "strict"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 2.5\n", "steps"),
+        ("toynet", "experiment = scaled\nc_values = 1,0.5\nseeds = 1\nsamples = 32\n", "c_values"),
+        ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = nan\n", "eta"),
     ],
     ids=[
         "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
         "quadlab_transient_negative", "toynet_hidden_0", "toynet_steps_negative", "toynet_batch_0",
         "toynet_batch_negative", "toynet_gap_steps_negative", "toynet_gap_batch_0",
         "toynet_lr_grid_negative", "toynet_lr_grid_nan", "toynet_snapshot_stride_negative",
-        "quadlab_window_negative", "quadlab_window_0",
+        "quadlab_window_negative", "quadlab_window_0", "quadlab_grid_points_negative",
+        "quadlab_grid_points_0", "spectrum_sigma_nan", "spectrum_sigma_negative", "toynet_eta_list",
+        "quadlab_max_iters_list", "quadlab_verify_typo", "quadlab_svg_maybe", "quadlab_strict_maybe",
+        "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_eta_nan",
     ],
 )
 def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, key):
@@ -421,6 +468,23 @@ def test_toynet_scaled_outputs(tmp_path):
     assert len(rows) == 5
     med = read_rows(out / "js0_medians.csv")
     assert len(med) == 3
+
+
+def test_toynet_scaled_reads_data_csv_once(tmp_path, monkeypatch):
+    from blockspectra import toynet
+
+    data = tmp_path / "data.csv"
+    toynet.save_dataset_csv(data, toynet.make_xor_blobs(24, 6, seed=0))
+    calls = []
+    load = toynet.load_dataset_csv
+    monkeypatch.setattr(toynet, "load_dataset_csv", lambda path: calls.append(path) or load(path))
+    cfg = write_config(
+        tmp_path / "t.cfg", f"experiment = scaled\nc_values = 1\nseeds = 3\ndata_csv = {data}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["toynet", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [str(data)]
+    assert len(read_rows(out / "js0_vs_scale.csv")) == 4
 
 
 def test_toynet_empty_data_csv_exits_2(tmp_path, capsys):
