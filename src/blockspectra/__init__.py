@@ -35,9 +35,7 @@ from blockspectra.slq import (
     blockwise_densities,
     lanczos,
     ritz_quadrature,
-    slq_density,
     smoothed_densities,
-    smoothed_density,
 )
 from blockspectra.toynet import (
     Dataset,
@@ -92,9 +90,7 @@ __all__ = [
     "blockwise_densities",
     "lanczos",
     "ritz_quadrature",
-    "slq_density",
     "smoothed_densities",
-    "smoothed_density",
     "Dataset",
     "HessianSnapshot",
     "ScaledMLP",

@@ -242,24 +242,21 @@ def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _resolve_source(cfg, seed):
-    """Returns (operator, partition or None, per-block eigenvalues or None)."""
+    """Returns (operator, partition or None)."""
     if cfg["source"] == "case":
         problem = quadlab.make_case(cfg["case"], seed=seed, spectrum_files=cfg["spectrum_files"])
-        return problem.operator(), problem.partition, list(problem.block_eigenvalues)
+        return problem.operator(), problem.partition
     if not cfg["matrix"]:
         raise ConfigError("source = matrix requires a 'matrix = PATH' key")
     op = DenseSymmetric(load_matrix_csv(cfg["matrix"]))
     if cfg["blocks"] is None:
-        return op, None, None
+        return op, None
     partition = BlockPartition(cfg["blocks"])
     if partition.dim != op.dim:
         raise ConfigError(
             f"blocks sum to {partition.dim} but the matrix has dim {op.dim}"
         )
-    eigs = [
-        exact_eigenvalues(principal_block(op, a, z)) for a, z in partition.ranges()
-    ]
-    return op, partition, eigs
+    return op, partition
 
 
 def _slq_params(cfg, seed, cheap) -> slq.SLQParams:
@@ -274,28 +271,15 @@ def _slq_params(cfg, seed, cheap) -> slq.SLQParams:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg: dict, args: argparse.Namespace) -> int:
-    op, partition, _ = _resolve_source(cfg, args.seed)
-    params = _slq_params(cfg, args.seed, args.cheap)
-    out = args.out
-
-    if partition is None:
-        density = slq.slq_density(
-            op, steps=params.steps, probes=params.probes, sigma=params.sigma,
-            seed=params.seed,
-        )
-        densities, labels = [density], ["full"]
-        path = os.path.join(out, "density_full.csv")
+    op, partition = _resolve_source(cfg, args.seed)
+    densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap))
+    labels = ["full"] if partition is None else [f"block{i:02d}" for i in range(partition.num_blocks)]
+    for label, density in zip(labels, densities):
+        path = os.path.join(args.out, f"density_{label}.csv")
         slq.save_density_csv(path, density)
         print(f"wrote {path}")
-    else:
-        densities = slq.blockwise_densities(op, partition, params)
-        labels = [f"block{i:02d}" for i in range(partition.num_blocks)]
-        for label, density in zip(labels, densities):
-            path = os.path.join(out, f"density_{label}.csv")
-            slq.save_density_csv(path, density)
-            print(f"wrote {path}")
     if cfg["svg"]:
-        path = os.path.join(out, "spectrum.svg")
+        path = os.path.join(args.out, "spectrum.svg")
         svgplot.density_overlay_svg(path, densities, labels)
         print(f"wrote {path}")
     return 0
@@ -309,19 +293,21 @@ def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
     mode = cfg["mode"]
     if cfg["log_axis"] and mode != "none":
         raise ConfigError("log_axis compares magnitudes directly; use mode = none")
-    op, partition, block_eigs = _resolve_source(cfg, args.seed)
+    op, partition = _resolve_source(cfg, args.seed)
     if partition is None or partition.num_blocks < 2:
         raise ConfigError("heatmap needs a source with at least 2 blocks")
     labels = [f"block{i:02d}" for i in range(partition.num_blocks)]
 
-    # Every source with a partition also yields its exact block eigenvalues.
+    # Exact block eigenvalues are needed unless SLQ densities go unnormalized.
+    block_eigs = None
+    if cfg["log_axis"] or cfg["estimator"] == "exact" or mode != "none":
+        block_eigs = [exact_eigenvalues(principal_block(op, a, z)) for a, z in partition.ranges()]
     if cfg["log_axis"]:
         densities = slq.smoothed_densities(heterogeneity.log_magnitude_spectra(block_eigs))
     elif cfg["estimator"] == "exact":
         densities = slq.smoothed_densities(block_eigs)
     else:
-        params = _slq_params(cfg, args.seed, args.cheap)
-        densities = slq.blockwise_densities(op, partition, params)
+        densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap))
     report = heterogeneity.pairwise_heatmap(
         densities, mode=mode, eigenvalues=block_eigs, labels=labels
     )
@@ -360,14 +346,41 @@ def _quadlab_problem(cfg, seed):
     return quadlab.make_case(case, seed=seed, spectrum_files=cfg["spectrum_files"]), None, str(case)
 
 
-def _resolve_eta(spec, kind, problem, w0):
-    if spec in (None, "default"):
-        if kind == "gd":
-            return quadlab.default_gd_eta(problem)
-        if kind == "adam_fixed":
-            return quadlab.theory_report(problem, w0).eta_theory
+def _check_quadlab(cfg):
+    """Reject key combinations that would otherwise fail only after earlier runs."""
+    kinds = set(cfg["optimizer"])
+    if cfg["verify"] == "adam_upper" and kinds != {"adam_fixed"}:
+        raise ConfigError("verify = adam_upper needs optimizer = adam_fixed")
+    if cfg["verify"] == "gd_lower" and (kinds != {"gd"} or cfg["case"] != "hard"):
+        raise ConfigError("verify = gd_lower needs optimizer = gd and case = hard")
+    if "adam_ema" not in kinds:
+        return
+    if not cfg["eta_grid"] and cfg["eta"] in (None, "default"):
         raise ConfigError("adam_ema needs an explicit numeric eta")
-    if spec == "theory":
+    if not (0.0 <= cfg["beta2"] < 1.0):
+        raise ConfigError(f"beta2 must be in [0, 1), got {cfg['beta2']}")
+    # No run is longer than max_iters + 1 points, and a window that does not
+    # fit there fits in no shorter run either.
+    length = cfg["max_iters"] + 1
+    transient, window = _cycle_window(cfg, length)
+    if window <= 0 or transient + window > length:
+        raise ConfigError(
+            f"transient + window must fit in max_iters + 1 = {length} points, got {transient} + {window}"
+        )
+
+
+def _cycle_window(cfg, length):
+    """(transient, window) of the cycle check on a run of ``length`` points."""
+    transient = max(length // 2, 1) if cfg["transient"] is None else cfg["transient"]
+    window = length - transient if cfg["window"] is None else cfg["window"]
+    return transient, window
+
+
+def _resolve_eta(spec, kind, problem, w0):
+    if spec in (None, "default") and kind == "gd":
+        return quadlab.default_gd_eta(problem)
+    # adam_ema without a numeric eta was rejected by _check_quadlab.
+    if spec in (None, "default", "theory"):
         return quadlab.theory_report(problem, w0).eta_theory
     return spec
 
@@ -415,11 +428,7 @@ def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
         record["violations"] = check.violations
 
     if kind == "adam_ema":
-        transient, window = cfg["transient"], cfg["window"]
-        if transient is None:
-            transient = max(len(trajectory.loss_ratios) // 2, 1)
-        if window is None:
-            window = len(trajectory.loss_ratios) - transient
+        transient, window = _cycle_window(cfg, trajectory.loss_ratios.size)
         if trajectory.loss_ratios.size >= transient + window and window > 0:
             cycle = quadlab.detect_limit_cycle(trajectory, transient, window)
             record["cycling"] = str(cycle.cycling).lower()
@@ -435,6 +444,7 @@ def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
 
 
 def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
+    _check_quadlab(cfg)
     problem, fixed_w0, case_label = _quadlab_problem(cfg, args.seed)
     keys = [(kind, i) for kind in cfg["optimizer"] for i in range(cfg["seeds"])]
     results = [

@@ -25,9 +25,9 @@ MAX_UNION_POINTS = 65536
 
 @dataclass(frozen=True)
 class NormalizedSpectrum:
-    """A spectrum (eigenvalues or density) after dividing by a positive scale."""
+    """A density after dividing its eigenvalue axis by a positive scale."""
 
-    value: object
+    value: SpectralDensity
     scale: float
     warning: str | None = None
 
@@ -60,29 +60,6 @@ class HeterogeneityReport:
         object.__setattr__(self, "pairwise", m)
 
 
-def _eig_scale(eigs: np.ndarray, mode: str) -> tuple[float, str | None]:
-    warning = None
-    if mode == "tenth_largest":
-        if eigs.size >= 10:
-            scale = float(np.sort(eigs)[::-1][9])
-        else:
-            warning = (
-                f"only {eigs.size} eigenvalues available; "
-                "fell back from tenth_largest to max_abs"
-            )
-            scale = float(np.abs(eigs).max())
-    elif mode == "max_abs":
-        scale = float(np.abs(eigs).max())
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    return scale, warning
-
-
-def _density_support_scale(density: SpectralDensity) -> float:
-    mask = density.values > 1e-12 * density.values.max()
-    return float(np.abs(density.grid[mask]).max())
-
-
 def rescale_density(density: SpectralDensity, scale: float) -> SpectralDensity:
     """Divide the eigenvalue axis by a positive scale, keeping unit mass."""
     if scale <= 0:
@@ -93,40 +70,32 @@ def rescale_density(density: SpectralDensity, scale: float) -> SpectralDensity:
     return SpectralDensity(grid=grid, values=values / mass, sigma=density.sigma / scale)
 
 
-def normalize_spectrum(spectrum, mode: str = "tenth_largest", eigenvalues=None) -> NormalizedSpectrum:
-    """Normalize an eigenvalue list or a density by a positive spectral scale.
+def normalize_spectrum(
+    density: SpectralDensity, mode: str = "tenth_largest", eigenvalues=None
+) -> NormalizedSpectrum:
+    """Divide a block's density by a positive scale taken from its eigenvalues.
 
-    Modes: ``tenth_largest`` divides by the 10th largest eigenvalue (falling
-    back to ``max_abs`` with a warning when fewer than 10 eigenvalues are
-    known), ``max_abs`` by the largest magnitude, ``none`` leaves the input
-    untouched.  For a density the scale is taken from ``eigenvalues`` when
-    given, otherwise from the density's own support.
+    Modes: ``tenth_largest`` divides by the block's 10th largest eigenvalue
+    (falling back to ``max_abs`` with a warning when it has fewer than 10),
+    ``max_abs`` by its largest magnitude, ``none`` leaves the density
+    untouched.  ``eigenvalues`` are required unless the mode is ``none``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "none":
-        return NormalizedSpectrum(value=spectrum, scale=1.0)
-
-    if isinstance(spectrum, SpectralDensity):
-        warning = None
-        if eigenvalues is not None:
-            scale, warning = _eig_scale(np.asarray(eigenvalues, dtype=float), mode)
-        elif mode == "tenth_largest":
-            warning = "no eigenvalues available for a density; fell back to max_abs on its support"
-            scale = _density_support_scale(spectrum)
-        else:
-            scale = _density_support_scale(spectrum)
-        if scale <= 0:
-            raise ValueError(f"normalization scale must be positive, got {scale}")
-        return NormalizedSpectrum(value=rescale_density(spectrum, scale), scale=scale, warning=warning)
-
-    eigs = np.asarray(spectrum, dtype=float)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ValueError("expected a nonempty 1-d eigenvalue array")
-    scale, warning = _eig_scale(eigs, mode)
-    if scale <= 0:
-        raise ValueError(f"normalization scale must be positive, got {scale}")
-    return NormalizedSpectrum(value=eigs / scale, scale=scale, warning=warning)
+        return NormalizedSpectrum(value=density, scale=1.0)
+    if eigenvalues is None:
+        raise ValueError(f"mode {mode!r} needs the block's eigenvalues")
+    eigs = np.asarray(eigenvalues, dtype=float)
+    warning = None
+    if mode == "tenth_largest" and eigs.size >= 10:
+        scale = float(np.sort(eigs)[::-1][9])
+    else:
+        if mode == "tenth_largest":
+            warning = f"only {eigs.size} eigenvalues available; fell back from tenth_largest to max_abs"
+        scale = float(np.abs(eigs).max())
+    # rescale_density rejects a scale that is not positive.
+    return NormalizedSpectrum(value=rescale_density(density, scale), scale=scale, warning=warning)
 
 
 def log_magnitude_spectra(eigenvalue_lists, floor_rel: float = 1e-8) -> list[np.ndarray]:
@@ -221,8 +190,8 @@ def pairwise_heatmap(
 ) -> HeterogeneityReport:
     """All-pairs Jensen-Shannon distances plus their strict-upper-triangle mean.
 
-    ``eigenvalues`` may supply one eigenvalue list per density to drive the
-    normalization scale; without it, density-based fallbacks apply.
+    ``eigenvalues`` supplies one eigenvalue list per density for the
+    normalization scale; every mode but ``none`` needs it.
     """
     densities = list(densities)
     n = len(densities)

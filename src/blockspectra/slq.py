@@ -102,10 +102,10 @@ class SLQParams:
 
     The defaults favor fidelity; ``cheap()`` is the fast preset of the CLI's
     ``--cheap`` flag, which cuts both the Lanczos depth and the probe count.
-    The grid is always derived from the observed Ritz support: the support is
-    padded by 5%, ``sigma`` defaults to 1% of the padded width when None, and
-    the ``GRID_POINTS``-point grid spans the padded support plus a 3-sigma
-    margin.
+    The observed Ritz support is padded by 5%, and ``sigma`` defaults to 1%
+    of the padded width when None.  Unless ``blockwise_densities`` is given a
+    grid, the ``GRID_POINTS``-point grid spans the padded support plus a
+    3-sigma margin.
     """
 
     steps: int = 80
@@ -212,16 +212,8 @@ def _probe_quadratures(op, steps, probes, key_prefix) -> list[RitzQuadrature]:
     return quads
 
 
-def _support_from_quads(quads) -> tuple[float, float]:
-    lo = min(float(q.nodes.min()) for q in quads)
-    hi = max(float(q.nodes.max()) for q in quads)
-    return lo, hi
-
-
 def _resolve_grid(lo, hi, sigma, grid):
-    pad = 0.05 * max(hi - lo, 1e-8 * max(1.0, abs(lo), abs(hi)), 0.0)
-    if pad == 0.0:
-        pad = 0.05 * max(1.0, abs(lo))
+    pad = 0.05 * max(hi - lo, 1e-8 * max(1.0, abs(lo), abs(hi)))
     lo_p, hi_p = lo - pad, hi + pad
     if sigma is None:
         sigma = 0.01 * (hi_p - lo_p)
@@ -271,57 +263,39 @@ def _averaged_densities(quad_lists, lo, hi, sigma, grid) -> list[SpectralDensity
     return out
 
 
-def smoothed_density(eigenvalues, sigma=None, grid=None) -> SpectralDensity:
-    """Gaussian-smoothed density of an explicit eigenvalue list.
-
-    Serves as the exact reference that the stochastic estimator is compared
-    against: identical kernel, identical grid conventions, no sampling.
-    """
-    return smoothed_densities([eigenvalues], sigma=sigma, grid=grid)[0]
-
-
-def slq_density(
-    op: SymmetricOperator,
-    steps: int = 80,
-    probes: int = 10,
-    sigma: float | None = None,
-    grid: np.ndarray | None = None,
-    seed: int = 0,
-) -> SpectralDensity:
-    """Probe-averaged SLQ estimate of the operator's eigenvalue density.
-
-    Deterministic for fixed (seed, parameters): probe p draws from the stream
-    keyed (seed, TAG_PROBE, p) and the probe average is taken in index order,
-    so the result does not depend on any parallel schedule.
-    """
-    quads = _probe_quadratures(op, steps, probes, (seed, TAG_PROBE))
-    lo, hi = _support_from_quads(quads)
-    return _averaged_densities([quads], lo, hi, sigma, grid)[0]
-
-
 def blockwise_densities(
     op: SymmetricOperator,
-    partition: BlockPartition,
+    partition: BlockPartition | None = None,
     params: SLQParams = SLQParams(),
+    grid: np.ndarray | None = None,
 ) -> list[SpectralDensity]:
     """SLQ density of every principal block, all on one shared grid.
 
-    Probes for block b come from streams keyed (seed, TAG_BLOCK_PROBE, b, p),
-    i.e. they act on the block coordinates only.  The shared grid spans the
-    union of all block supports so the densities are directly comparable.
+    ``partition = None`` makes the whole operator the one block, whose probes
+    come from the streams keyed (seed, TAG_PROBE, p).  Otherwise the probes
+    for block b come from the streams keyed (seed, TAG_BLOCK_PROBE, b, p) and
+    act on the block coordinates only.  Probe averages are taken in index
+    order, so the result does not depend on any parallel schedule.  Unless
+    ``grid`` is given, the shared grid spans the union of all block supports
+    so the densities are directly comparable.
     """
-    if partition.dim != op.dim:
+    if partition is None:
+        blocks = [(op, (params.seed, TAG_PROBE))]
+    elif partition.dim != op.dim:
         raise ValueError(f"partition dim {partition.dim} != operator dim {op.dim}")
-    per_block = []
-    for b, (a, z) in enumerate(partition.ranges()):
-        sub = principal_block(op, a, z)
-        quads = _probe_quadratures(
-            sub, params.steps, params.probes, (params.seed, TAG_BLOCK_PROBE, b)
+    else:
+        # A generator, so only one block's copy is alive at a time.
+        blocks = (
+            (principal_block(op, a, z), (params.seed, TAG_BLOCK_PROBE, b))
+            for b, (a, z) in enumerate(partition.ranges())
         )
-        per_block.append(quads)
-    lo = min(_support_from_quads(q)[0] for q in per_block)
-    hi = max(_support_from_quads(q)[1] for q in per_block)
-    return _averaged_densities(per_block, lo, hi, params.sigma, None)
+    per_block = [
+        _probe_quadratures(sub, params.steps, params.probes, key) for sub, key in blocks
+    ]
+    nodes = [q.nodes for quads in per_block for q in quads]
+    lo = min(float(n.min()) for n in nodes)
+    hi = max(float(n.max()) for n in nodes)
+    return _averaged_densities(per_block, lo, hi, params.sigma, grid)
 
 
 def smoothed_densities(eigenvalue_lists, sigma=None, grid=None) -> list[SpectralDensity]:

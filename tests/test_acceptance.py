@@ -26,8 +26,7 @@ from blockspectra import (
     pairwise_heatmap,
     random_toynet,
     scaled_mlp,
-    slq_density,
-    smoothed_density,
+    smoothed_densities,
     theory_report,
     train,
     verify_bounds,
@@ -65,9 +64,9 @@ def test_c01_slq_fidelity():
     u = rng.random((200, 200))
     op = DenseSymmetric(0.5 * (u + u.T))
     t0 = time.perf_counter()
-    dens = slq_density(op, steps=80, probes=10, seed=1)
+    (dens,) = blockwise_densities(op, params=SLQParams(steps=80, probes=10, seed=1))
     elapsed = time.perf_counter() - t0
-    oracle = smoothed_density(exact_eigenvalues(op), sigma=dens.sigma, grid=dens.grid)
+    (oracle,) = smoothed_densities([exact_eigenvalues(op)], sigma=dens.sigma, grid=dens.grid)
     err = l1_distance(dens, oracle)
     assert err <= 0.05, f"L1 error {err}"
     assert elapsed <= 5.0, f"took {elapsed:.2f}s"
@@ -230,9 +229,9 @@ def test_c09_scale_invariance():
 
 def test_c10_js_suite():
     grid = np.linspace(-20, 20, 4001)
-    p = smoothed_density([-10.0], sigma=0.3, grid=grid)
-    q = smoothed_density([10.0], sigma=0.3, grid=grid)
-    r = smoothed_density([-9.0], sigma=0.8, grid=grid)
+    (p,) = smoothed_densities([[-10.0]], sigma=0.3, grid=grid)
+    (q,) = smoothed_densities([[10.0]], sigma=0.3, grid=grid)
+    (r,) = smoothed_densities([[-9.0]], sigma=0.8, grid=grid)
     assert js_distance(p, p) == 0.0
     assert js_distance(p, q) == pytest.approx(1.0, abs=1e-6)
     assert js_distance(p, r) == js_distance(r, p)

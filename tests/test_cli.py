@@ -124,16 +124,16 @@ def test_spectrum_cheap_mode_degrades_gracefully(tmp_path, rng):
     cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {mpath}\n")
 
     from blockspectra.operators import DenseSymmetric, exact_eigenvalues
-    from blockspectra.slq import l1_distance, slq_density, smoothed_density
+    from blockspectra.slq import SLQParams, blockwise_densities, l1_distance, smoothed_densities
 
     op = DenseSymmetric(m)
     eigs = exact_eigenvalues(op)
     ratios = []
     for seed in range(10):
-        full = slq_density(op, steps=80, probes=10, seed=seed)
-        cheap = slq_density(op, steps=10, probes=1, seed=seed)
-        e_full = l1_distance(full, smoothed_density(eigs, sigma=full.sigma, grid=full.grid))
-        e_cheap = l1_distance(cheap, smoothed_density(eigs, sigma=cheap.sigma, grid=cheap.grid))
+        (full,) = blockwise_densities(op, params=SLQParams(steps=80, probes=10, seed=seed))
+        (cheap,) = blockwise_densities(op, params=SLQParams(steps=10, probes=1, seed=seed))
+        e_full = l1_distance(full, smoothed_densities([eigs], sigma=full.sigma, grid=full.grid)[0])
+        e_cheap = l1_distance(cheap, smoothed_densities([eigs], sigma=cheap.sigma, grid=cheap.grid)[0])
         ratios.append(e_cheap / e_full)
     assert np.median(ratios) <= 4.0
 
@@ -257,15 +257,16 @@ def test_quadlab_sign_descent_exact_cycle(tmp_path):
 
 
 def test_quadlab_unset_window_keeps_the_default(tmp_path):
-    # Unset, the window is the rest of the run after the transient, which is
-    # empty (no cycle check) when the transient covers the whole run.
+    # Unset, the transient is half the run and the window is the rest of it.
+    # A transient that covers the whole run is rejected before any run (see
+    # test_quadlab_config_faults_exit_2_before_any_run).
     base = "case = scalar\noptimizer = adam_ema\neta = 0.1\nbeta2 = 0.0\nw0 = 0.05\nmax_iters = 3000\n"
-    for name, extra, cycling in (("half", "", "true"), ("all", "transient = 3001\n", "")):
+    for name, extra in (("half", ""), ("window", "window = 1500\n")):
         cfg = write_config(tmp_path / f"{name}.cfg", base + extra)
         out = tmp_path / name
         assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 0
         header, row = read_rows(out / "summary.csv")
-        assert row[header.index("cycling")] == cycling
+        assert row[header.index("cycling")] == "true"
 
 
 def test_quadlab_bad_window_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
@@ -280,6 +281,44 @@ def test_quadlab_bad_window_exits_2_before_any_run(tmp_path, monkeypatch, capsys
     )
     assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "window must" in capsys.readouterr().err
+
+
+LONG_RUNS = "case = 3\nmax_iters = 200000\ntarget = 0\n"
+EMA = "optimizer = adam_ema\neta = 0.01\nmax_iters = 100\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LONG_RUNS + "optimizer = gd,adam_fixed\nverify = adam_upper\n", "verify = adam_upper needs"),
+        (LONG_RUNS + "optimizer = gd\nverify = gd_lower\n", "verify = gd_lower needs"),
+        ("case = hard\noptimizer = adam_fixed,gd\nverify = gd_lower\n", "verify = gd_lower needs"),
+        (LONG_RUNS + "optimizer = gd,adam_ema\n", "adam_ema needs an explicit numeric eta"),
+        (LONG_RUNS + "optimizer = gd,adam_ema\neta = default\n", "adam_ema needs an explicit numeric eta"),
+        (LONG_RUNS + "optimizer = gd,adam_ema\neta = 0.0001\nbeta2 = 1.5\n", "beta2 must be in [0, 1)"),
+        ("case = 3\n" + EMA + "transient = 500\nwindow = 1000\n", "transient + window must"),
+        ("case = 3\n" + EMA + "transient = 101\n", "transient + window must"),
+        ("case = 3\n" + EMA + "window = 60\n", "transient + window must"),
+        ("case = 3\noptimizer = adam_ema\neta_grid = true\nmax_iters = 100\ntransient = 101\n", "transient + window must"),
+    ],
+    ids=[
+        "adam_upper_after_gd", "gd_lower_off_hard", "gd_lower_after_adam_fixed", "ema_eta_unset",
+        "ema_eta_default", "ema_beta2_after_gd", "transient_and_window_too_long", "transient_too_long",
+        "window_too_long", "grid_transient_too_long",
+    ],
+)
+def test_quadlab_config_faults_exit_2_before_any_run(tmp_path, monkeypatch, capsys, text, message):
+    # Each fault joins two keys; it is found before the first optimizer runs.
+    from blockspectra import quadlab
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran before the config was checked")
+
+    for name in ("gd_run", "adam_fixed_run", "adam_ema_run", "grid_search"):
+        monkeypatch.setattr(quadlab, name, no_run)
+    cfg = write_config(tmp_path / "q.cfg", text)
+    assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["false", "true"])

@@ -14,11 +14,23 @@ from blockspectra.heterogeneity import (
     save_heatmap_csv,
     save_js0_summary,
 )
-from blockspectra.slq import SLQParams, blockwise_densities, smoothed_densities, smoothed_density
+from blockspectra.slq import SLQParams, blockwise_densities, smoothed_densities
 
 
 def gaussian_density(center, sigma, grid):
-    return smoothed_density([center], sigma=sigma, grid=grid)
+    return smoothed_densities([[center]], sigma=sigma, grid=grid)[0]
+
+
+def normalize_eigenvalues(eigs, mode):
+    """Normalize the exactly smoothed density of ``eigs`` by its own eigenvalues."""
+    (dens,) = smoothed_densities([eigs])
+    return dens, normalize_spectrum(dens, mode=mode, eigenvalues=eigs)
+
+
+def local_maxima(density):
+    v = density.values
+    inner = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    return density.grid[inner]
 
 
 # ---------------------------------------------------------------------------
@@ -27,42 +39,50 @@ def gaussian_density(center, sigma, grid):
 
 def test_normalize_tenth_largest_exact_ten():
     eigs = np.arange(10.0, 0.0, -1.0)  # 10, 9, ..., 1
-    ns = normalize_spectrum(eigs, mode="tenth_largest")
+    dens, ns = normalize_eigenvalues(eigs, "tenth_largest")
     assert ns.scale == 1.0
-    assert np.array_equal(ns.value, eigs)
+    assert np.array_equal(ns.value.grid, dens.grid)
     assert ns.warning is None
 
 
 def test_normalize_max_abs_constant():
-    ns = normalize_spectrum(np.full(5, 4.0), mode="max_abs")
-    assert np.array_equal(ns.value, np.ones(5))
+    dens, ns = normalize_eigenvalues(np.full(5, 4.0), "max_abs")
     assert ns.scale == 4.0
+    assert np.array_equal(ns.value.grid, dens.grid / 4.0)
+    assert local_maxima(ns.value) == pytest.approx([1.0], abs=1e-9)
 
 
 def test_normalize_case3_top_block():
-    ns = normalize_spectrum(np.array([4998.0, 4999.0, 5000.0]), mode="max_abs")
-    assert np.allclose(ns.value, [0.99960, 0.99980, 1.0], atol=5e-6)
+    _, ns = normalize_eigenvalues(np.array([4998.0, 4999.0, 5000.0]), "max_abs")
+    assert np.allclose(local_maxima(ns.value), [0.99960, 0.99980, 1.0], atol=5e-6)
 
 
 def test_normalize_fallback_warns():
-    ns = normalize_spectrum(np.array([3.0, 2.0]), mode="tenth_largest")
+    _, ns = normalize_eigenvalues(np.array([3.0, 2.0]), "tenth_largest")
     assert ns.warning is not None
     assert ns.scale == 3.0
 
 
 def test_normalize_rejects_zero_scale():
-    with pytest.raises(ValueError):
-        normalize_spectrum(np.zeros(4), mode="max_abs")
+    with pytest.raises(ValueError, match="scale must be positive"):
+        normalize_eigenvalues(np.zeros(4), "max_abs")
 
 
 def test_normalize_none_is_identity():
-    eigs = np.array([5.0, 1.0])
-    ns = normalize_spectrum(eigs, mode="none")
-    assert ns.value is eigs and ns.scale == 1.0
+    (dens,) = smoothed_densities([[5.0, 1.0]])
+    ns = normalize_spectrum(dens, mode="none")
+    assert ns.value is dens and ns.scale == 1.0
+
+
+@pytest.mark.parametrize("mode", ["tenth_largest", "max_abs"])
+def test_normalize_needs_eigenvalues_unless_mode_none(mode):
+    (dens,) = smoothed_densities([[2.0, 4.0]])
+    with pytest.raises(ValueError, match="eigenvalues"):
+        normalize_spectrum(dens, mode=mode)
 
 
 def test_normalize_density_rescales_axis():
-    dens = smoothed_density([2.0, 4.0], sigma=0.1)
+    (dens,) = smoothed_densities([[2.0, 4.0]], sigma=0.1)
     ns = normalize_spectrum(dens, mode="max_abs", eigenvalues=[2.0, 4.0])
     assert ns.scale == 4.0
     assert ns.value.mass() == pytest.approx(1.0, abs=1e-3)
@@ -71,7 +91,7 @@ def test_normalize_density_rescales_axis():
 
 
 def test_rescale_density_preserves_mass():
-    dens = smoothed_density([1.0, 3.0], sigma=0.2)
+    (dens,) = smoothed_densities([[1.0, 3.0]], sigma=0.2)
     scaled = rescale_density(dens, 3.0)
     assert scaled.mass() == pytest.approx(1.0, abs=1e-6)
 
@@ -244,7 +264,8 @@ def test_heatmap_density_normalization_collapses_scaled_copies():
     a = np.array([1.0, 2.0, 3.0])
     densities = smoothed_densities([a, 10 * a])
     raw = pairwise_heatmap(densities, mode="none").js0
-    normed_lists = [normalize_spectrum(e, mode="max_abs").value for e in (a, 10 * a)]
-    normed = pairwise_heatmap(smoothed_densities(normed_lists), mode="none").js0
+    # Each spectrum smoothed on its own grid, so the two differ only in scale.
+    own = [smoothed_densities([e])[0] for e in (a, 10 * a)]
+    normed = pairwise_heatmap(own, mode="max_abs", eigenvalues=[a, 10 * a]).js0
     assert normed <= 1e-6
     assert raw > 0.5

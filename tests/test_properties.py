@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockspectra.heterogeneity import js_distance
-from blockspectra.operators import DenseSymmetric, block_diagonal, exact_eigenvalues
-from blockspectra.quadlab import KINDS, _run_batch, gaussian_init
+from blockspectra.operators import DenseSymmetric, block_diagonal, exact_eigenvalues, principal_block
+from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case
 from blockspectra.slq import smoothed_densities
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -49,6 +49,17 @@ def test_block_diagonal_spectrum_is_union_of_block_spectra(blocks):
     union = np.sort(np.concatenate([exact_eigenvalues(m) for m in blocks]))[::-1]
     scale = max(1.0, max(float(np.abs(m).max()) for m in blocks))
     np.testing.assert_allclose(exact_eigenvalues(op), union, rtol=0, atol=1e-12 * op.dim * scale)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(case=st.sampled_from((3, 4)), seed=st.integers(0, 2**32 - 1))
+def test_case_block_eigenvalues_are_those_of_the_operator_blocks(case, seed):
+    # The heatmap takes a case's block eigenvalues from its operator, as for
+    # any matrix source; they must be the very numbers the case caches.
+    problem = make_case(case, seed=seed)
+    op = problem.operator()
+    for b, (a, z) in enumerate(problem.partition.ranges()):
+        assert np.array_equal(problem.block_eigenvalues[b], exact_eigenvalues(principal_block(op, a, z)))
 
 
 @settings(PROPERTY, max_examples=25)

@@ -18,9 +18,7 @@ from blockspectra.slq import (
     load_density_csv,
     ritz_quadrature,
     save_density_csv,
-    slq_density,
     smoothed_densities,
-    smoothed_density,
 )
 
 
@@ -207,7 +205,7 @@ def test_ritz_nodes_inside_spectrum(rng):
 
 def test_density_scalar_operator_single_bump():
     op = DiagonalOperator(np.full(6, 2.5))
-    dens = slq_density(op, steps=3, probes=2, seed=0)
+    (dens,) = blockwise_densities(op, params=SLQParams(steps=3, probes=2, seed=0))
     assert dens.mass() == pytest.approx(1.0, abs=1e-3)
     peak = dens.grid[np.argmax(dens.values)]
     assert peak == pytest.approx(2.5, abs=2 * dens.sigma)
@@ -216,8 +214,8 @@ def test_density_scalar_operator_single_bump():
 def test_density_matches_smoothed_oracle(rng):
     u = rng.random((200, 200))
     op = DenseSymmetric(0.5 * (u + u.T))
-    dens = slq_density(op, steps=80, probes=10, seed=0)
-    oracle = smoothed_density(exact_eigenvalues(op), sigma=dens.sigma, grid=dens.grid)
+    (dens,) = blockwise_densities(op, params=SLQParams(steps=80, probes=10, seed=0))
+    (oracle,) = smoothed_densities([exact_eigenvalues(op)], sigma=dens.sigma, grid=dens.grid)
     assert l1_distance(dens, oracle) <= 0.05
 
 
@@ -227,19 +225,23 @@ def test_density_block_average_property(rng):
     b1 = DenseSymmetric(0.5 * (u1 + u1.T))
     b2 = DenseSymmetric(0.5 * (u2 + u2.T))
     comp = block_diagonal([b1, b2])
-    dens = slq_density(comp, steps=60, probes=60, seed=0)
-    d1 = slq_density(b1, steps=60, probes=60, seed=1, grid=dens.grid, sigma=dens.sigma)
-    d2 = slq_density(b2, steps=60, probes=60, seed=2, grid=dens.grid, sigma=dens.sigma)
+    (dens,) = blockwise_densities(comp, params=SLQParams(steps=60, probes=60, seed=0))
+    (d1,) = blockwise_densities(
+        b1, params=SLQParams(steps=60, probes=60, sigma=dens.sigma, seed=1), grid=dens.grid
+    )
+    (d2,) = blockwise_densities(
+        b2, params=SLQParams(steps=60, probes=60, sigma=dens.sigma, seed=2), grid=dens.grid
+    )
     avg = 0.5 * (d1.values + d2.values)
     assert np.trapezoid(np.abs(dens.values - avg), dens.grid) <= 0.05
 
 
 def test_density_deterministic_given_seed(rng):
     op = random_symmetric(30, rng)
-    a = slq_density(op, steps=10, probes=3, seed=7)
-    b = slq_density(op, steps=10, probes=3, seed=7)
+    (a,) = blockwise_densities(op, params=SLQParams(steps=10, probes=3, seed=7))
+    (b,) = blockwise_densities(op, params=SLQParams(steps=10, probes=3, seed=7))
     assert np.array_equal(a.values, b.values) and np.array_equal(a.grid, b.grid)
-    c = slq_density(op, steps=10, probes=3, seed=8)
+    (c,) = blockwise_densities(op, params=SLQParams(steps=10, probes=3, seed=8))
     assert not np.array_equal(a.values, c.values)
 
 
@@ -249,16 +251,16 @@ def test_probe_count_reduces_error(rng):
     eigs = exact_eigenvalues(op)
     lo_err, hi_err = [], []
     for seed in range(20):
-        d2 = slq_density(op, steps=40, probes=2, seed=seed)
-        d8 = slq_density(op, steps=40, probes=8, seed=seed)
-        lo_err.append(l1_distance(d2, smoothed_density(eigs, sigma=d2.sigma, grid=d2.grid)))
-        hi_err.append(l1_distance(d8, smoothed_density(eigs, sigma=d8.sigma, grid=d8.grid)))
+        (d2,) = blockwise_densities(op, params=SLQParams(steps=40, probes=2, seed=seed))
+        (d8,) = blockwise_densities(op, params=SLQParams(steps=40, probes=8, seed=seed))
+        lo_err.append(l1_distance(d2, smoothed_densities([eigs], sigma=d2.sigma, grid=d2.grid)[0]))
+        hi_err.append(l1_distance(d8, smoothed_densities([eigs], sigma=d8.sigma, grid=d8.grid)[0]))
     assert np.median(hi_err) <= np.median(lo_err)
 
 
 def test_density_grid_too_narrow():
     with pytest.raises(GridError):
-        smoothed_density([0.0, 10.0], sigma=0.1, grid=np.linspace(-1, 5, 512))
+        smoothed_densities([[0.0, 10.0]], sigma=0.1, grid=np.linspace(-1, 5, 512))
 
 
 def test_mass_leak_diagnostic():
@@ -274,13 +276,15 @@ def test_mass_leak_diagnostic():
 def test_density_explicit_grid_must_cover_support():
     op = DiagonalOperator(np.array([0.0, 10.0]))
     with pytest.raises(GridError):
-        slq_density(op, steps=2, probes=1, sigma=0.1, grid=np.linspace(-1, 5, 128), seed=0)
+        blockwise_densities(
+            op, params=SLQParams(steps=2, probes=1, sigma=0.1, seed=0), grid=np.linspace(-1, 5, 128)
+        )
 
 
 def test_density_rejects_bad_probe_counts(rng):
     op = random_symmetric(5, rng)
     with pytest.raises(ValueError):
-        slq_density(op, steps=3, probes=0)
+        blockwise_densities(op, params=SLQParams(steps=3, probes=0))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +344,7 @@ def test_smoothed_densities_share_grid():
 # ---------------------------------------------------------------------------
 
 def test_density_csv_roundtrip(tmp_path):
-    dens = smoothed_density([1.0, 3.0], sigma=0.2)
+    (dens,) = smoothed_densities([[1.0, 3.0]], sigma=0.2)
     path = tmp_path / "d.csv"
     save_density_csv(path, dens)
     back = load_density_csv(path, sigma=dens.sigma)
@@ -352,7 +356,7 @@ def test_density_csv_roundtrip(tmp_path):
 def test_density_csv_infers_the_derived_sigma(tmp_path, eigs):
     # A derived grid is 106 sigma wide: the padded support (100 sigma) plus a
     # 3-sigma margin on each side.
-    dens = smoothed_density(eigs)
+    (dens,) = smoothed_densities([eigs])
     path = tmp_path / "d.csv"
     save_density_csv(path, dens)
     assert load_density_csv(path).sigma == pytest.approx(dens.sigma, rel=1e-12)
