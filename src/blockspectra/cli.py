@@ -589,6 +589,9 @@ def _scaled_cell(cfg, dataset, c, s):
 def cmd_scaled(cfg: dict, args: argparse.Namespace) -> int:
     seeds = range(cfg["seeds"])
     datasets = _toynet_datasets(cfg, cfg["widths"][0], seeds)
+    features = datasets[0].X.shape[1]
+    if features != cfg["widths"][0]:
+        raise ConfigError(f"widths starts with {cfg['widths'][0]}, but {cfg['data_csv']} has {features} feature columns")
     cells = [_scaled_cell(cfg, datasets[s], c, s) for c in cfg["c_values"] for s in seeds]
 
     # Each table lists every cell, and the median of its last column per scale.

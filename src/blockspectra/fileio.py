@@ -12,10 +12,11 @@ Conventions:
   minimal quoting, every row ended by ``"\\r\\n"``.  The first row is a
   header.  Floats, Python or numpy, are written with ``repr`` so every double
   round-trips; all other cells are written as the ``csv`` module writes them.
-- Readers stream rows one at a time and skip blank rows.  A file whose
-  header is required but missing (it has no rows at all) is rejected with
-  ``ValueError``.  Files whose header is optional (matrices, spectra and
-  datasets) tell it from data with ``is_numeric``.
+- Every numeric CSV is read by ``read_table`` in one ``np.loadtxt`` pass.
+  Blank rows are skipped.  A header is taken when required, or else only
+  when the first row does not parse as numbers.  A file with no data row, a
+  row or header of another width, or a cell numpy does not parse as a float
+  is rejected with a ``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -62,38 +63,48 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def read_csv(path):
-    """Yield the non-blank rows of a CSV file, header included, as lists of strings."""
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                yield row
+# The CSV dialect every reader parses: comma separated, ``"``-quoted cells.
+_NUMERIC_CSV = dict(delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
 
 
-def read_csv_with_header(path):
-    """The header of a CSV file and an iterator over its remaining rows.
-
-    Raises ValueError naming ``path`` when the file has no rows at all.
-    """
-    rows = read_csv(path)
-    header = next(rows, None)
-    if header is None:
-        raise ValueError(f"{path} is empty, expected a header row")
-    return header, rows
+def _next_row(fh):
+    """The offset and text of the next non-blank line of ``fh``; the text is empty at the end."""
+    while True:
+        start, line = fh.tell(), fh.readline()
+        if line != "\n":
+            return start, line
 
 
-def read_data_rows(path):
-    """Yield the rows of a CSV file whose header is optional, without the header."""
-    for i, row in enumerate(read_csv(path)):
-        if i > 0 or is_numeric(row):
-            yield row
-
-
-def is_numeric(row) -> bool:
-    """True when every cell of ``row`` parses as a float."""
+def _parses_as_numbers(line: str) -> bool:
     try:
-        for cell in row:
-            float(cell)
+        np.loadtxt([line], **_NUMERIC_CSV)
     except ValueError:
         return False
     return True
+
+
+def read_table(path, header_required=False, skip_columns=0):
+    """The header of a numeric CSV file, or None, and its data rows as a 2-D float array.
+
+    The first ``skip_columns`` cells of each data row (row labels, say) are
+    dropped unparsed.  Raises ValueError naming ``path`` when the file has no
+    data rows, a row or header with another number of cells, or a cell that
+    is not a number.
+    """
+    with open(path) as fh:
+        try:
+            start, line = _next_row(fh)
+            header = None
+            if line and (header_required or not _parses_as_numbers(line)):
+                header = next(csv.reader([line]))
+                start, line = _next_row(fh)
+            if not line:
+                raise ValueError("no data rows")
+            fh.seek(start)
+            skipped = dict.fromkeys(range(skip_columns), lambda cell: 0.0)
+            table = np.loadtxt(fh, converters=skipped, **_NUMERIC_CSV)
+            if header is not None and len(header) != table.shape[1]:
+                raise ValueError(f"the header has {len(header)} cells, the data rows {table.shape[1]}")
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{path}: {exc}") from None
+    return header, table[:, skip_columns:]

@@ -244,9 +244,8 @@ def save_heatmap_csv(path, report: HeterogeneityReport) -> None:
 
 
 def load_heatmap_csv(path) -> tuple[tuple, np.ndarray]:
-    header, rows = fileio.read_csv_with_header(path)
-    labels = tuple(header[1:])
-    return labels, np.asarray([[float(x) for x in row[1:]] for row in rows])
+    header, table = fileio.read_table(path, header_required=True, skip_columns=1)
+    return tuple(header[1:]), table
 
 
 def save_js0_summary(path, report: HeterogeneityReport) -> None:

@@ -273,10 +273,7 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = [list(map(float, row)) for row in fileio.read_data_rows(path)]
-    if not rows:
-        raise ValueError(f"no numeric rows in {path}")
-    return np.asarray(rows)
+    return fileio.read_table(path)[1]
 
 
 def save_spectrum_csv(path, eigenvalues) -> None:
@@ -285,7 +282,4 @@ def save_spectrum_csv(path, eigenvalues) -> None:
 
 
 def load_spectrum_csv(path) -> np.ndarray:
-    values = [float(row[0]) for row in fileio.read_data_rows(path)]
-    if not values:
-        raise ValueError(f"no numeric rows in {path}")
-    return np.asarray(values)
+    return fileio.read_table(path)[1][:, 0]

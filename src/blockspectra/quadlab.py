@@ -111,11 +111,6 @@ class QuadraticProblem:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(w, dtype=float) - self.h
 
-    def gap(self, w: np.ndarray) -> float:
-        """L(w) - L*, evaluated without cancellation via the minimizer."""
-        diff = np.asarray(w, dtype=float) - self.minimizer
-        return float(0.5 * diff @ (self.matrix @ diff))
-
     def operator(self) -> SymmetricOperator:
         return block_diagonal([DenseSymmetric(m) for m in self.blocks])
 

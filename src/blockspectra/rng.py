@@ -18,7 +18,6 @@ TAG_INIT = 17
 TAG_CASE = 19
 TAG_DATA = 23
 TAG_TRAIN = 29
-TAG_RUN = 31
 
 
 def derive_rng(*keys: int) -> np.random.Generator:

@@ -329,18 +329,14 @@ def save_density_csv(path, density: SpectralDensity) -> None:
 
 
 def load_density_csv(path, sigma: float | None = None) -> SpectralDensity:
-    header, rows = fileio.read_csv_with_header(path)
+    header, table = fileio.read_table(path, header_required=True)
     if header[:2] != ["t", "density"]:
         raise ValueError(f"unexpected density header {header} in {path}")
-    grid, values = [], []
-    for row in rows:
-        grid.append(float(row[0]))
-        values.append(float(row[1]))
-    grid_arr = np.asarray(grid)
+    grid, values = np.ascontiguousarray(table[:, :2].T)
     if sigma is None:
         # The kernel width is not stored in the CSV.  A derived grid spans the
         # padded support (100 sigma wide) plus a 3-sigma margin on each side,
         # so it is 106 sigma wide; a caller-chosen sigma must be passed in.
-        sigma = (grid_arr[-1] - grid_arr[0]) / 106
-    return SpectralDensity(grid=grid_arr, values=np.asarray(values), sigma=sigma)
+        sigma = (grid[-1] - grid[0]) / 106
+    return SpectralDensity(grid=grid, values=values, sigma=sigma)
 

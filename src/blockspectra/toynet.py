@@ -394,10 +394,10 @@ def save_dataset_csv(path, dataset: Dataset) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     """Samples as feature columns then a label column; the header row is optional."""
-    arr = np.asarray([[float(v) for v in row] for row in fileio.read_data_rows(path)])
-    if arr.size == 0:
-        raise ValueError(f"no samples in {path}")
-    return Dataset(X=arr[:, :-1], y=arr[:, -1])
+    table = fileio.read_table(path)[1]
+    if table.shape[1] < 2:
+        raise ValueError(f"{path} has no feature column, expected features then a label column")
+    return Dataset(X=table[:, :-1], y=table[:, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,30 @@ def test_toynet_empty_data_csv_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "data.csv" in err
 
 
+def test_toynet_scaled_data_width_mismatch_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    from blockspectra import toynet
+
+    data = tmp_path / "data.csv"
+    toynet.save_dataset_csv(data, toynet.make_xor_blobs(24, 4, seed=0))
+    monkeypatch.setattr(toynet, "hessian_fd", lambda *a, **k: pytest.fail("hessian_fd ran"))
+    cfg = write_config(tmp_path / "t.cfg", f"experiment = scaled\nc_values = 1\nseeds = 1\ndata_csv = {data}\n")
+    assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: widths ") and str(data) in err
+
+
+def test_toynet_label_only_data_csv_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    from blockspectra import toynet
+
+    data = tmp_path / "data.csv"
+    data.write_text("label\n1\n-1\n1\n")
+    monkeypatch.setattr(toynet, "train", lambda *a, **k: pytest.fail("train ran"))
+    cfg = write_config(tmp_path / "t.cfg", f"experiment = train\ndata_csv = {data}\nsteps = 5\n")
+    assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data) in err and "feature column" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism and round-trips
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import inspect
 import os
 
 import numpy as np
@@ -118,18 +117,55 @@ def test_failed_text_write_keeps_previous_file_and_no_tmp(tmp_path):
 # Reading
 # ---------------------------------------------------------------------------
 
-def test_read_csv_streams_and_skips_blank_rows(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_bytes(b"a,b\r\n\r\n1,2\n\n3,4\r\n")
-    rows = fileio.read_csv(path)
-    assert inspect.isgenerator(rows)
-    assert list(rows) == [["a", "b"], ["1", "2"], ["3", "4"]]
+# Values from 1e-300 to 1e300, both signs, each written as its shortest repr.
+WIDE = (np.geomspace(1e-300, 1e300, 600) * np.where(np.arange(600) % 2, -1.0, 1.0)).reshape(-1, 3)
+WIDE_ROWS = "".join(",".join(map(repr, row)) + "\n" for row in WIDE.tolist()).encode()
+
+# name: (file bytes, read_table keywords, header, data rows)
+TABLES = {
+    "crlf_and_blank_rows": (b"a,b\r\n\r\n1,2\n\n3,4\r\n\r\n", {}, ["a", "b"], [[1, 2], [3, 4]]),
+    "no_header": (b"1,2\n3,4", {}, None, [[1, 2], [3, 4]]),
+    "padded_cells": (b" x , y \n 1 ,-2.5e3\n", {}, [" x ", " y "], [[1, -2500]]),
+    "nan_and_inf": (b"nan,inf\n-inf,Infinity\n", {}, None, [[np.nan, np.inf], [-np.inf, np.inf]]),
+    "quoted_cells": (b'"a","b,c"\n"1",2\n', {}, ["a", "b,c"], [[1, 2]]),
+    "python_only_literal_is_a_header": (b"1_0,2\n3,4\n", {}, ["1_0", "2"], [[3, 4]]),
+    "required_header": (b"1,2\n3,4\n", {"header_required": True}, ["1", "2"], [[3, 4]]),
+    "row_labels": (
+        b'block,a,"b,c"\na,0.0,0.5\n"b,c",0.5,0.0\n',
+        {"header_required": True, "skip_columns": 1},
+        ["block", "a", "b,c"],
+        [[0, 0.5], [0.5, 0]],
+    ),
+    "wide_range_round_trip": (WIDE_ROWS, {}, None, WIDE),
+}
 
 
-def test_is_numeric():
-    assert fileio.is_numeric(["1", "-2.5e3", "nan", " 4 "])
-    assert not fileio.is_numeric(["1", "c1"])
-    assert fileio.is_numeric([])
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_read_table(tmp_path, name):
+    content, kwargs, header, rows = TABLES[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    got_header, table = fileio.read_table(path, **kwargs)
+    expected = np.asarray(rows, dtype=float)
+    assert got_header == header
+    assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"1,2\n3\n", b"c0,c1,c2\n1,2\n", b"1,2\n3,x\n", b"c0,c1\n\n", b"\xff\xfe1,2\n"],
+    ids=["ragged_row", "ragged_header", "non_numeric_cell", "header_only", "undecodable"],
+)
+def test_bad_table_is_rejected_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="bad.csv"):
+        fileio.read_table(path)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"source = matrix\nmatrix = {path}\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"), "--cheap"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 def test_matrix_header_is_optional(tmp_path):
