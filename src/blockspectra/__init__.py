@@ -65,7 +65,6 @@ from blockspectra.quadlab import (
     detect_limit_cycle,
     gd_run,
     grid_search,
-    is_hard_instance,
     make_case,
     make_hard_instance,
     theory_report,
@@ -114,7 +113,6 @@ __all__ = [
     "detect_limit_cycle",
     "gd_run",
     "grid_search",
-    "is_hard_instance",
     "make_case",
     "make_hard_instance",
     "theory_report",

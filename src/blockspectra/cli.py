@@ -6,7 +6,8 @@ Configs are flat ``key = value`` text files.  The keys a subcommand accepts,
 each with its kind, default and bound, are its table below: ``SPECTRUM``,
 ``HEATMAP``, ``QUADLAB``, and for ``toynet`` ``TRAIN`` or ``SCALED`` as its
 ``experiment`` key says.  The whole config is checked against that table
-before any work starts, and a key the table does not list is an error.
+before any work starts.  A key the table does not list is an error, and so
+is a key that the chosen ``case`` or ``source`` ignores.
 
 A run is fully determined by its manifest (subcommand, config contents,
 seed, cheap flag): every random stream is keyed by the seed plus fixed
@@ -143,7 +144,6 @@ QUADLAB = {
     "max_iters": (at_least(0), 100_000),
     "target": (NONNEGATIVE, 1e-6),
     "beta2": (NUMBER, 0.99),
-    "verify": (one_of("auto", "none", "gd_lower", "adam_upper"), "auto"),
     # Unset, each adam_ema run's length sets them.
     "transient": (at_least(0), None),
     "window": (at_least(1), None),
@@ -241,11 +241,22 @@ def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
 # Operator sources shared by spectrum and heatmap
 # ---------------------------------------------------------------------------
 
+def _reject_ignored(cfg, keys, setting):
+    """Reject any of ``keys`` that is set, since ``setting`` ignores it."""
+    for key in keys:
+        if cfg[key] is not None:
+            raise ConfigError(f"{key} must be unset: {setting} ignores it")
+
+
 def _resolve_source(cfg, seed):
     """Returns (operator, partition or None)."""
     if cfg["source"] == "case":
+        _reject_ignored(cfg, ["matrix", "blocks"], "source = case")
+        if cfg["case"] not in (1, 2):
+            _reject_ignored(cfg, ["spectrum_files"], f"case = {cfg['case']}")
         problem = quadlab.make_case(cfg["case"], seed=seed, spectrum_files=cfg["spectrum_files"])
         return problem.operator(), problem.partition
+    _reject_ignored(cfg, ["spectrum_files"], "source = matrix")
     if not cfg["matrix"]:
         raise ConfigError("source = matrix requires a 'matrix = PATH' key")
     op = DenseSymmetric(load_matrix_csv(cfg["matrix"]))
@@ -347,13 +358,12 @@ def _quadlab_problem(cfg, seed):
 
 
 def _check_quadlab(cfg):
-    """Reject key combinations that would otherwise fail only after earlier runs."""
-    kinds = set(cfg["optimizer"])
-    if cfg["verify"] == "adam_upper" and kinds != {"adam_fixed"}:
-        raise ConfigError("verify = adam_upper needs optimizer = adam_fixed")
-    if cfg["verify"] == "gd_lower" and (kinds != {"gd"} or cfg["case"] != "hard"):
-        raise ConfigError("verify = gd_lower needs optimizer = gd and case = hard")
-    if "adam_ema" not in kinds:
+    """Reject ignored keys, and key combinations that would otherwise fail only after earlier runs."""
+    if cfg["case"] != "scalar":
+        _reject_ignored(cfg, ["w0"], f"case = {cfg['case']}")
+    if cfg["case"] not in (1, 2):
+        _reject_ignored(cfg, ["spectrum_files"], f"case = {cfg['case']}")
+    if "adam_ema" not in cfg["optimizer"]:
         return
     if not cfg["eta_grid"] and cfg["eta"] in (None, "default"):
         raise ConfigError("adam_ema needs an explicit numeric eta")
@@ -414,17 +424,8 @@ def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
         else:
             trajectory = quadlab.adam_ema_run(problem, w0, eta, beta2, max_iters=max_iters)
 
-    verify = cfg["verify"]
-    if verify == "auto":
-        if kind == "gd" and quadlab.is_hard_instance(problem, trajectory.w0):
-            verify = "gd_lower"
-        elif kind == "adam_fixed" and cfg["eta"] in ("theory", None, "default"):
-            verify = "adam_upper"
-        else:
-            verify = "none"
-    if verify != "none":
-        report = quadlab.theory_report(problem, trajectory.w0)
-        check = quadlab.verify_bounds(trajectory, report, verify)
+    check = quadlab.verify_bounds(trajectory)
+    if check is not None:
         record["violations"] = check.violations
 
     if kind == "adam_ema":

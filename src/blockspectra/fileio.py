@@ -13,10 +13,12 @@ Conventions:
   header.  Floats, Python or numpy, are written with ``repr`` so every double
   round-trips; all other cells are written as the ``csv`` module writes them.
 - Every numeric CSV is read by ``read_table`` in one ``np.loadtxt`` pass.
+  Files are decoded as UTF-8, and a leading byte-order mark is dropped.
   Blank rows are skipped.  A header is taken when required, or else only
   when the first row does not parse as numbers.  A file with no data row, a
   row or header of another width, or a cell numpy does not parse as a float
-  is rejected with a ``ValueError`` that names the file.
+  is rejected with a ``ValueError`` that names the file; a row of another
+  width is named by its line in the file.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def read_table(path, header_required=False, skip_columns=0):
     data rows, a row or header with another number of cells, or a cell that
     is not a number.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             start, line = _next_row(fh)
             header = None
@@ -102,7 +104,18 @@ def read_table(path, header_required=False, skip_columns=0):
                 raise ValueError("no data rows")
             fh.seek(start)
             skipped = dict.fromkeys(range(skip_columns), lambda cell: 0.0)
-            table = np.loadtxt(fh, converters=skipped, **_NUMERIC_CSV)
+            try:
+                table = np.loadtxt(fh, converters=skipped, **_NUMERIC_CSV)
+            except ValueError:
+                # Name the first row of another width by its file line, as numpy does not.
+                fh.seek(0)
+                reader = csv.reader(fh)
+                widths = [(reader.line_num, len(cells)) for cells in reader if cells][header is not None :]
+                ragged = [(line, width) for line, width in widths if width != widths[0][1]]
+                if not ragged:
+                    raise
+                line, width = ragged[0]
+                raise ValueError(f"the row on line {line} has width {width}, the first data row width {widths[0][1]}") from None
             if header is not None and len(header) != table.shape[1]:
                 raise ValueError(f"the header has {len(header)} cells, the data rows {table.shape[1]}")
         except ValueError as exc:  # UnicodeDecodeError included

@@ -12,8 +12,11 @@ definite.  Three iterations are provided:
 
 Alongside the runs, ``theory_report`` computes the blockwise contraction
 constants that predict when the preconditioned iteration beats plain
-gradient descent, and ``verify_bounds`` checks the predicted per-step
-contractions against measured trajectories.
+gradient descent.  ``verify_bounds`` alone decides which of the two theory
+bounds a run meets the hypothesis of, and checks the run against it:
+``gd_lower`` covers a ``gd`` run on the hard instance at any step size, and
+``adam_upper`` an ``adam_fixed`` run at exactly ``eta_theory``.  Every other
+run is checked against neither.
 """
 
 from __future__ import annotations
@@ -131,22 +134,21 @@ class Trajectory:
 
     ``status`` is ``"converged"`` (reached the target), ``"diverged"`` (the
     ratio blew past DIVERGENCE_RATIO or stopped being finite), ``"max_iters"``
-    (ran the whole budget) or ``"pruned"`` (a grid search stopped the run when
-    another run of its grid converged first).  ``iterations`` is the index
+    (ran the whole budget) or ``"pruned"`` (its batch stopped when another run
+    of the batch converged first).  ``iterations`` is the index
     of the last entry of ``loss_ratios``.
     """
 
     kind: str
     eta: float
-    beta2: float
     loss_ratios: np.ndarray
     status: str
     iterations: int
     initial_gap: float
     w0: np.ndarray
+    problem: QuadraticProblem = field(repr=False)
     snapshots: list = field(default_factory=list)
     diagnostics: tuple = ()
-    problem: QuadraticProblem | None = field(default=None, repr=False)
 
     def final_ratio(self) -> float:
         return float(self.loss_ratios[-1])
@@ -285,14 +287,12 @@ def _run_batch(
     beta2: float,
     max_iters: int,
     target: float | None,
-    stop_at_first_converged: bool = False,
 ):
     """Run len(etas) independent iterations of one kind on a shared problem.
 
-    With ``stop_at_first_converged`` the batch ends at the first iteration
-    t* at which any row reaches the target; rows still live then are marked
-    ``"pruned"`` with ``iterations = t*``, since they could only converge
-    later.
+    The batch ends at the first iteration t* at which any row reaches the
+    target; rows still live then are marked ``"pruned"`` with
+    ``iterations = t*``, since they could only converge later.
     """
     H = problem.matrix
     h = problem.h
@@ -361,7 +361,7 @@ def _run_batch(
                 iters[blown] = t
                 W[blown] = wstar
                 live = status == _LIVE
-                if stop_at_first_converged and t < max_iters and (status == _CONVERGED).any():
+                if t < max_iters and (status == _CONVERGED).any():
                     status[live] = _PRUNED
                     iters[live] = t
                     break
@@ -404,7 +404,6 @@ def _run_batch(
             Trajectory(
                 kind=kind,
                 eta=float(etas[i]),
-                beta2=float(beta2),
                 loss_ratios=series,
                 status=_STATUS_NAMES[status[i]],
                 iterations=int(iters[i]),
@@ -457,8 +456,6 @@ def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None) -> Tra
 
 @dataclass
 class GridSearchResult:
-    kind: str
-    etas: np.ndarray
     trajectories: list
     best_index: int
 
@@ -497,10 +494,7 @@ def grid_search(
         raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
     w0 = np.asarray(w0, dtype=float)
     W0 = np.tile(w0, (etas.size, 1))
-    b2 = beta2 if kind == "adam_ema" else 1.0
-    trajectories = _run_batch(
-        problem, W0, etas, kind, b2, int(budget), target, stop_at_first_converged=True
-    )
+    trajectories = _run_batch(problem, W0, etas, kind, beta2, int(budget), target)
 
     converged = [
         (tr.iterations, tr.eta, i)
@@ -520,7 +514,7 @@ def grid_search(
                 f"all {etas.size} runs diverged for kind={kind!r}"
             )
         best_index = min(finished)[2]
-    return GridSearchResult(kind=kind, etas=etas, trajectories=trajectories, best_index=best_index)
+    return GridSearchResult(trajectories=trajectories, best_index=best_index)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +574,14 @@ def theory_report(problem: QuadraticProblem, w0) -> TheoryReport:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Outcome of checking a predicted per-step contraction against a run."""
+    """Outcome of checking a run against the theory bound that covers it."""
 
     which: str
-    bound: float
     violations: int
-    max_violation: float
     steps_checked: int
-    per_step_ratios: np.ndarray
 
 
-def is_hard_instance(problem: QuadraticProblem, w0: np.ndarray) -> bool:
+def _is_hard_instance(problem: QuadraticProblem, w0: np.ndarray) -> bool:
     """Whether (problem, w0) is the ``make_hard_instance`` pair, up to rotation.
 
     That is H with eigenvalues {1, 5000}, h = 0, and a w0 with equal initial
@@ -606,59 +597,45 @@ def is_hard_instance(problem: QuadraticProblem, w0: np.ndarray) -> bool:
     return bool(abs(energy[0] - energy[1]) <= 1e-9 * energy.sum())
 
 
-def verify_bounds(trajectory: Trajectory, report: TheoryReport, which: str) -> BoundCheck:
-    """Check a trajectory against the predicted contraction factor.
+def verify_bounds(trajectory: Trajectory) -> BoundCheck | None:
+    """Check a run against the one theory bound whose hypothesis it meets.
 
-    ``adam_upper`` requires an adam_fixed trajectory and verifies that every
-    recorded step contracts the loss gap by at least ``report.adam_factor``
-    (up to ``BOUND_SLACK`` relative).  ``gd_lower`` requires a gd trajectory on the
-    shipped hard instance and verifies that the largest per-eigendirection
-    error contraction factor max_i |1 - eta lambda_i| never falls below
-    ``report.gd_factor``, i.e. no step size escapes the floor.
+    ``gd_lower`` covers a gd run on the shipped hard instance, at any step
+    size: the largest per-eigendirection error contraction factor
+    max_i |1 - eta lambda_i| must not fall below ``gd_factor``, i.e. no step
+    size escapes the floor.  ``adam_upper`` covers an adam_fixed run whose
+    step size is exactly ``eta_theory``: every recorded step must contract
+    the loss gap by at least ``adam_factor`` (up to ``BOUND_SLACK``
+    relative).  Both constants come from ``theory_report`` on the run's own
+    problem and initial point.  Any other run meets neither hypothesis, and
+    the result is None.
     """
-    if which not in ("gd_lower", "adam_upper"):
-        raise ValueError(f"which must be 'gd_lower' or 'adam_upper', got {which!r}")
+    problem, w0 = trajectory.problem, trajectory.w0
+    if trajectory.kind == "gd" and _is_hard_instance(problem, w0):
+        report = theory_report(problem, w0)
+    elif trajectory.kind == "adam_fixed":
+        report = theory_report(problem, w0)
+        if trajectory.eta != report.eta_theory:
+            return None
+    else:
+        return None
     ratios = trajectory.loss_ratios
     if ratios.size < 2:
         raise ValueError("trajectory is shorter than 2 steps")
     prev = ratios[:-1]
     nxt = ratios[1:]
     ok = prev > RATIO_FLOOR
-    per_step = np.full(nxt.shape, np.nan)
-    per_step[ok] = nxt[ok] / prev[ok]
-
-    if which == "adam_upper":
-        if trajectory.kind != "adam_fixed":
-            raise ValueError(
-                f"adam_upper applies to adam_fixed trajectories, got {trajectory.kind!r}"
-            )
-        bound = report.adam_factor
-        excess = nxt[ok] - bound * prev[ok]
-        rel = excess / prev[ok]
-        violations = int(np.sum(rel > BOUND_SLACK))
-        max_violation = float(rel.max()) if rel.size else 0.0
-        return BoundCheck(which, bound, violations, max(max_violation, 0.0), int(ok.sum()), per_step)
-
-    if trajectory.kind != "gd":
-        raise ValueError(f"gd_lower applies to gd trajectories, got {trajectory.kind!r}")
-    problem = trajectory.problem
-    if problem is None or not is_hard_instance(problem, trajectory.w0):
-        raise ValueError(
-            "gd_lower requires the shipped hard instance "
-            "(H = diag(1, 5000), h = 0, equal-energy initial point)"
-        )
-    bound = report.gd_factor
-    factor = float(np.max(np.abs(1.0 - trajectory.eta * problem.eigenvalues)))
-    shortfall = bound - factor
-    violations = int(shortfall > BOUND_SLACK)
-    return BoundCheck(which, bound, violations, max(float(shortfall), 0.0), int(ok.sum()), per_step)
+    if trajectory.kind == "gd":
+        factor = float(np.max(np.abs(1.0 - trajectory.eta * problem.eigenvalues)))
+        return BoundCheck("gd_lower", int(report.gd_factor - factor > BOUND_SLACK), int(ok.sum()))
+    rel = (nxt[ok] - report.adam_factor * prev[ok]) / prev[ok]
+    return BoundCheck("adam_upper", int(np.sum(rel > BOUND_SLACK)), int(ok.sum()))
 
 
 @dataclass(frozen=True)
 class LimitCycleReport:
     cycling: bool
     tail_min_loss: float
-    threshold: float
 
 
 def detect_limit_cycle(trajectory: Trajectory, transient: int, window: int, threshold: float | None = None) -> LimitCycleReport:
@@ -679,4 +656,4 @@ def detect_limit_cycle(trajectory: Trajectory, transient: int, window: int, thre
         threshold = 1e-4 * trajectory.eta**2
     tail = trajectory.loss_ratios[transient : transient + window] * trajectory.initial_gap
     tail_min = float(tail.min())
-    return LimitCycleReport(cycling=bool(tail_min > threshold), tail_min_loss=tail_min, threshold=float(threshold))
+    return LimitCycleReport(cycling=bool(tail_min > threshold), tail_min_loss=tail_min)

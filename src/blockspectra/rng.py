@@ -4,7 +4,7 @@ Every random draw in the package comes from a generator keyed by a tuple of
 nonnegative integers: a user-facing root seed followed by a stream tag and
 counters (probe index, block index, run index, ...).  Identical keys give
 bit-identical streams on every platform, and streams with different keys are
-independent, so parallel schedules cannot change results.
+independent, so the order in which streams are drawn cannot change results.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ def blockwise_densities(
     come from the streams keyed (seed, TAG_PROBE, p).  Otherwise the probes
     for block b come from the streams keyed (seed, TAG_BLOCK_PROBE, b, p) and
     act on the block coordinates only.  Probe averages are taken in index
-    order, so the result does not depend on any parallel schedule.  Unless
+    order.  Unless
     ``grid`` is given, the shared grid spans the union of all block supports
     so the densities are directly comparable.
     """

@@ -116,7 +116,7 @@ def test_c04_gd_lower_bound():
     violations = 0
     for eta in etas:
         traj = gd_run(prob, w0, eta=float(eta), max_iters=10, target=None)
-        check = verify_bounds(traj, rep, "gd_lower")
+        check = verify_bounds(traj)
         violations += check.violations
     assert violations == 0
     report(4, f"no contraction-floor violations over {etas.size} step sizes")
@@ -134,7 +134,7 @@ def test_c05_adam_upper_bound():
         w0 = gaussian_init(9, seed=10, index=i)
         rep = theory_report(prob, w0)
         traj = adam_fixed_run(prob, w0, rep.eta_theory, max_iters=10_000, target=None)
-        check = verify_bounds(traj, rep, "adam_upper")
+        check = verify_bounds(traj)
         total_violations += check.violations
     elapsed = time.perf_counter() - t0
     assert total_violations == 0

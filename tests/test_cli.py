@@ -290,9 +290,9 @@ EMA = "optimizer = adam_ema\neta = 0.01\nmax_iters = 100\n"
 @pytest.mark.parametrize(
     "text, message",
     [
-        (LONG_RUNS + "optimizer = gd,adam_fixed\nverify = adam_upper\n", "verify = adam_upper needs"),
-        (LONG_RUNS + "optimizer = gd\nverify = gd_lower\n", "verify = gd_lower needs"),
-        ("case = hard\noptimizer = adam_fixed,gd\nverify = gd_lower\n", "verify = gd_lower needs"),
+        (LONG_RUNS + "optimizer = gd\nw0 = 5\n", "w0 must be unset: case = 3 ignores it"),
+        (LONG_RUNS + "optimizer = gd\nspectrum_files = /nonexistent.csv\n",
+         "spectrum_files must be unset: case = 3 ignores it"),
         (LONG_RUNS + "optimizer = gd,adam_ema\n", "adam_ema needs an explicit numeric eta"),
         (LONG_RUNS + "optimizer = gd,adam_ema\neta = default\n", "adam_ema needs an explicit numeric eta"),
         (LONG_RUNS + "optimizer = gd,adam_ema\neta = 0.0001\nbeta2 = 1.5\n", "beta2 must be in [0, 1)"),
@@ -302,7 +302,7 @@ EMA = "optimizer = adam_ema\neta = 0.01\nmax_iters = 100\n"
         ("case = 3\noptimizer = adam_ema\neta_grid = true\nmax_iters = 100\ntransient = 101\n", "transient + window must"),
     ],
     ids=[
-        "adam_upper_after_gd", "gd_lower_off_hard", "gd_lower_after_adam_fixed", "ema_eta_unset",
+        "w0_off_scalar", "spectrum_files_on_case_3", "ema_eta_unset",
         "ema_eta_default", "ema_beta2_after_gd", "transient_and_window_too_long", "transient_too_long",
         "window_too_long", "grid_transient_too_long",
     ],
@@ -342,6 +342,20 @@ def test_quadlab_hard_instance_verification(tmp_path):
     assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "summary.csv")
     assert rows[1][rows[0].index("violations")] == "0"
+
+
+def test_quadlab_grid_best_is_not_checked_against_adam_upper(tmp_path):
+    # adam_upper holds only at eta_theory, so the best grid step (1e-6 here)
+    # is checked against no bound; test_quadlab_theory_record covers the
+    # eta = theory run, which is.
+    cfg = write_config(
+        tmp_path / "q.cfg",
+        "case = 3\noptimizer = adam_fixed\neta_grid = true\ngrid_points = 2\nmax_iters = 3000\nstrict = true\n",
+    )
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 0
+    header, row = read_rows(out / "summary.csv")
+    assert (row[header.index("eta")], row[header.index("violations")]) == ("1e-06", "")
 
 
 def test_quadlab_strict_exit_code_on_divergence(tmp_path):
@@ -470,12 +484,16 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         ("spectrum", "source = case\ncase = 3\nsigma = -1\n", "sigma"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = 0.1,0.2\n", "eta"),
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 1,2\n", "max_iters"),
-        ("quadlab", "case = 3\noptimizer = gd,adam_fixed\nmax_iters = 50\nverify = adam_uper\n", "verify"),
+        ("quadlab", "case = 3\noptimizer = gd,adam_fxed\nmax_iters = 50\n", "optimizer"),
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nsvg = maybe\n", "svg"),
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nstrict = maybe\n", "strict"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 2.5\n", "steps"),
         ("toynet", "experiment = scaled\nc_values = 1,0.5\nseeds = 1\nsamples = 32\n", "c_values"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = nan\n", "eta"),
+        ("spectrum", "source = case\ncase = 3\nmatrix = /nonexistent.csv\n", "matrix"),
+        ("spectrum", "source = case\ncase = 3\nblocks = 1,2\n", "blocks"),
+        ("spectrum", "source = matrix\nmatrix = /nonexistent.csv\nspectrum_files = /nonexistent.csv\n",
+         "spectrum_files"),
     ],
     ids=[
         "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
@@ -484,8 +502,9 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         "toynet_lr_grid_negative", "toynet_lr_grid_nan", "toynet_snapshot_stride_negative",
         "quadlab_window_negative", "quadlab_window_0", "quadlab_grid_points_negative",
         "quadlab_grid_points_0", "spectrum_sigma_nan", "spectrum_sigma_negative", "toynet_eta_list",
-        "quadlab_max_iters_list", "quadlab_verify_typo", "quadlab_svg_maybe", "quadlab_strict_maybe",
-        "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_eta_nan",
+        "quadlab_max_iters_list", "quadlab_optimizer_typo", "quadlab_svg_maybe", "quadlab_strict_maybe",
+        "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_eta_nan", "spectrum_matrix_under_case",
+        "spectrum_blocks_under_case", "spectrum_files_under_matrix",
     ],
 )
 def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, key):

@@ -137,6 +137,8 @@ TABLES = {
         [[0, 0.5], [0.5, 0]],
     ),
     "wide_range_round_trip": (WIDE_ROWS, {}, None, WIDE),
+    "byte_order_mark_no_header": (b"\xef\xbb\xbf1,0\n0,2\n", {}, None, [[1, 0], [0, 2]]),
+    "byte_order_mark_header": (b"\xef\xbb\xbfc0,c1\n1,0\n0,2\n", {}, ["c0", "c1"], [[1, 0], [0, 2]]),
 }
 
 
@@ -152,15 +154,24 @@ def test_read_table(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"1,2\n3\n", b"c0,c1,c2\n1,2\n", b"1,2\n3,x\n", b"c0,c1\n\n", b"\xff\xfe1,2\n"],
-    ids=["ragged_row", "ragged_header", "non_numeric_cell", "header_only", "undecodable"],
+    "content, message",
+    [
+        (b"1,2\n3\n", "the row on line 2 has width 1, the first data row width 2"),
+        (b"c0,c1\r\n\r\n1,2\r\n3,4\r\n\r\n5,6,7\r\n", "the row on line 6 has width 3, the first data row width 2"),
+        (b"c0,c1,c2\n1,2\n", "the header has 3 cells"),
+        (b"1,2\n3,x\n", "could not convert"),
+        (b"c0,c1\n\n", "no data rows"),
+        (b"\xff\xfe1,2\n", "decode"),
+    ],
+    ids=["ragged_row", "ragged_row_after_header_and_blank_rows", "ragged_header", "non_numeric_cell", "header_only",
+         "undecodable"],
 )
-def test_bad_table_is_rejected_naming_the_file(tmp_path, capsys, content):
+def test_bad_table_is_rejected_naming_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
-    with pytest.raises(ValueError, match="bad.csv"):
+    with pytest.raises(ValueError, match="bad.csv") as info:
         fileio.read_table(path)
+    assert message in str(info.value) and "usecols" not in str(info.value)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(f"source = matrix\nmatrix = {path}\n")
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"), "--cheap"]) == 2

@@ -70,13 +70,15 @@ def test_case_block_eigenvalues_are_those_of_the_operator_blocks(case, seed):
 )
 def test_run_batch_rows_agree_across_batches_of_two_or_more(case3, log_etas, kind, data):
     # Batches of two or more rows all go through the matrix-matrix product,
-    # so a row's bits do not depend on which other rows share its batch.
+    # so a row's bits do not depend on which other rows share its batch.  No
+    # target is set: a batch stops when any row converges, which does depend
+    # on the other rows.
     etas = 10.0 ** np.array(log_etas)
     W0 = np.array([gaussian_init(9, seed=0, index=k) for k in range(etas.size)])
     beta2 = 0.99 if kind == "adam_ema" else 1.0
-    full = _run_batch(case3, W0, etas, kind, beta2, 200, 1e-6)
+    full = _run_batch(case3, W0, etas, kind, beta2, 200, None)
     rows = data.draw(st.lists(st.sampled_from(range(etas.size)), min_size=2, unique=True))
-    sub = _run_batch(case3, W0[rows], etas[rows], kind, beta2, 200, 1e-6)
+    sub = _run_batch(case3, W0[rows], etas[rows], kind, beta2, 200, None)
     for i, tr in zip(rows, sub):
         assert (tr.status, tr.iterations) == (full[i].status, full[i].iterations)
         assert np.array_equal(tr.loss_ratios, full[i].loss_ratios)
