@@ -7,7 +7,8 @@ each with its kind, default and bound, are its table below: ``SPECTRUM``,
 ``HEATMAP``, ``QUADLAB``, and for ``toynet`` ``TRAIN`` or ``SCALED`` as its
 ``experiment`` key says.  The whole config is checked against that table
 before any work starts.  A key the table does not list is an error, and so
-is a key that the chosen ``case`` or ``source`` ignores.
+is a key that a test in its table entry says the run would ignore.  The
+commands check only what needs arithmetic across keys or a file read.
 
 A run is fully determined by its manifest (subcommand, config contents,
 seed, cheap flag): every random stream is keyed by the seed plus fixed
@@ -109,15 +110,21 @@ def list_of(kind: Kind) -> Kind:
     )
 
 
-# A key's (kind, default); a default of REQUIRED means the key must be set.
+# A key's (kind, default) or (kind, default, reads); a default of REQUIRED
+# means the key must be set.  ``reads`` maps each key that decides whether a
+# run reads this one to a test on its value; where a test fails, it is unset.
 REQUIRED = object()
+ADAM_EMA = {"optimizer": lambda kinds: "adam_ema" in kinds}
+GAP = {"gap": lambda gap: gap}
+GENERATED = {"data_csv": lambda path: path is None}
+LINEAR_AXIS = {"log_axis": lambda log_axis: not log_axis}
 
 SPECTRUM = {
     "source": (one_of("case", "matrix"), REQUIRED),
-    "case": (INTEGER, 3),
-    "spectrum_files": (list_of(PATH), None),
-    "matrix": (PATH, None),
-    "blocks": (list_of(at_least(1)), None),
+    "case": (INTEGER, 3, {"source": lambda s: s == "case"}),
+    "spectrum_files": (list_of(PATH), None, {"source": lambda s: s == "case", "case": lambda c: c in (1, 2)}),
+    "matrix": (PATH, None, {"source": lambda s: s == "matrix"}),
+    "blocks": (list_of(at_least(1)), None, {"source": lambda s: s == "matrix"}),
     # Unset, the Lanczos depth and probe count come from the --cheap preset.
     "steps": (at_least(1), None),
     "probes": (at_least(1), None),
@@ -127,26 +134,28 @@ SPECTRUM = {
 
 HEATMAP = {
     **SPECTRUM,
-    "estimator": (one_of("slq", "exact"), "slq"),
-    "mode": (one_of(*heterogeneity.MODES), "none"),
+    # Only the SLQ estimator reads its settings.
+    **{key: (*SPECTRUM[key], {**LINEAR_AXIS, "estimator": lambda e: e == "slq"}) for key in ("steps", "probes", "sigma")},
+    "estimator": (one_of("slq", "exact"), "slq", LINEAR_AXIS),
+    "mode": (one_of(*heterogeneity.MODES), "none", LINEAR_AXIS),
     "log_axis": (FLAG, False),
 }
 
 QUADLAB = {
     "case": (or_words(INTEGER, "hard", "scalar"), 3),
-    "w0": (NUMBER, None),
-    "spectrum_files": (list_of(PATH), None),
+    "w0": (NUMBER, None, {"case": lambda case: case == "scalar"}),
+    "spectrum_files": (list_of(PATH), None, {"case": lambda case: case in (1, 2)}),
     "optimizer": (list_of(one_of(*quadlab.KINDS)), ("gd",)),
     "seeds": (at_least(1), 1),
-    "eta": (or_words(NUMBER, "theory", "default"), None),
+    "eta": (or_words(NUMBER, "theory", "default"), None, {"eta_grid": lambda grid: not grid}),
     "eta_grid": (FLAG, False),
-    "grid_points": (at_least(1), 25),
+    "grid_points": (at_least(1), 25, {"eta_grid": lambda grid: grid}),
     "max_iters": (at_least(0), 100_000),
     "target": (NONNEGATIVE, 1e-6),
-    "beta2": (NUMBER, 0.99),
+    "beta2": (Kind("in [0, 1)", float, lambda v: 0 <= v < 1), 0.99, ADAM_EMA),
     # Unset, each adam_ema run's length sets them.
-    "transient": (at_least(0), None),
-    "window": (at_least(1), None),
+    "transient": (at_least(0), None, ADAM_EMA),
+    "window": (at_least(1), None, ADAM_EMA),
     "svg": (FLAG, False),
     "strict": (FLAG, False),
 }
@@ -157,14 +166,14 @@ DATASET = one_of("blobs", "xor")
 TOYNET_COMMON = {
     "experiment": (one_of("train", "scaled"), "train"),
     "data_csv": (PATH, None),
-    "samples": (at_least(1), 256),
-    "separation": (NUMBER, 3.0),
+    "samples": (at_least(1), 256, GENERATED),
+    "separation": (NUMBER, 3.0, GENERATED),
 }
 
 TRAIN = {
     **TOYNET_COMMON,
-    "dataset": (DATASET, "blobs"),
-    "features": (at_least(1), 5),
+    "dataset": (DATASET, "blobs", GENERATED),
+    "features": (at_least(1), 5, GENERATED),
     "hidden": (at_least(1), 8),
     "optimizer": (one_of("sgd", "adam"), "adam"),
     "eta": (NONNEGATIVE, 0.02),
@@ -177,7 +186,7 @@ TRAIN = {
 
 SCALED = {
     **TOYNET_COMMON,
-    "dataset": (DATASET, "xor"),
+    "dataset": (DATASET, "xor", GENERATED),
     "widths": (list_of(at_least(1)), (6, 8, 8, 8, 1)),
     "c_values": (
         list_of(Kind("a finite number >= 1", float, lambda v: 1 <= v < np.inf)),
@@ -185,9 +194,9 @@ SCALED = {
     ),
     "seeds": (at_least(1), 5),
     "gap": (FLAG, False),
-    "lr_grid": (list_of(NONNEGATIVE), (0.001, 0.003, 0.01, 0.03, 0.1)),
-    "gap_steps": (at_least(0), 300),
-    "batch": (at_least(1), 64),
+    "lr_grid": (list_of(NONNEGATIVE), (0.001, 0.003, 0.01, 0.03, 0.1), GAP),
+    "gap_steps": (at_least(0), 300, GAP),
+    "batch": (at_least(1), 64, GAP),
 }
 
 
@@ -206,6 +215,11 @@ def _value(raw: dict, key: str, kind: Kind, default):
     raise ConfigError(f"{key} must be {kind.text}, got {raw[key]!r}")
 
 
+def _spelled(default) -> str:
+    """A default as a config file would write it; every default is lower case."""
+    return ",".join(map(str, default)) if isinstance(default, tuple) else str(default).lower()
+
+
 def resolve_config(raw: dict, table: dict) -> dict:
     """Every key of ``table`` with its value, after checking the whole config."""
     for key in raw:
@@ -215,7 +229,13 @@ def resolve_config(raw: dict, table: dict) -> dict:
             close = difflib.get_close_matches(key, table, n=1)
             hint = f"did you mean {close[0]!r}?" if close else "known keys: " + ", ".join(table)
             raise ConfigError(f"unknown key {key!r}; {hint}")
-    return {key: _value(raw, key, *spec) for key, spec in table.items()}
+    cfg = {key: _value(raw, key, *spec[:2]) for key, spec in table.items()}
+    for key in raw:
+        for other, reads in (table[key][2] if len(table[key]) > 2 else {}).items():
+            if not reads(cfg[other]):
+                shown = raw[other] if other in raw else _spelled(table[other][1])
+                raise ConfigError(f"{key} must be unset: {other} = {shown} ignores it")
+    return cfg
 
 
 def _write_manifest(args: argparse.Namespace, config: dict):
@@ -241,22 +261,11 @@ def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
 # Operator sources shared by spectrum and heatmap
 # ---------------------------------------------------------------------------
 
-def _reject_ignored(cfg, keys, setting):
-    """Reject any of ``keys`` that is set, since ``setting`` ignores it."""
-    for key in keys:
-        if cfg[key] is not None:
-            raise ConfigError(f"{key} must be unset: {setting} ignores it")
-
-
 def _resolve_source(cfg, seed):
     """Returns (operator, partition or None)."""
     if cfg["source"] == "case":
-        _reject_ignored(cfg, ["matrix", "blocks"], "source = case")
-        if cfg["case"] not in (1, 2):
-            _reject_ignored(cfg, ["spectrum_files"], f"case = {cfg['case']}")
         problem = quadlab.make_case(cfg["case"], seed=seed, spectrum_files=cfg["spectrum_files"])
         return problem.operator(), problem.partition
-    _reject_ignored(cfg, ["spectrum_files"], "source = matrix")
     if not cfg["matrix"]:
         raise ConfigError("source = matrix requires a 'matrix = PATH' key")
     op = DenseSymmetric(load_matrix_csv(cfg["matrix"]))
@@ -301,9 +310,6 @@ def cmd_spectrum(cfg: dict, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
-    mode = cfg["mode"]
-    if cfg["log_axis"] and mode != "none":
-        raise ConfigError("log_axis compares magnitudes directly; use mode = none")
     op, partition = _resolve_source(cfg, args.seed)
     if partition is None or partition.num_blocks < 2:
         raise ConfigError("heatmap needs a source with at least 2 blocks")
@@ -311,7 +317,7 @@ def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
 
     # Exact block eigenvalues are needed unless SLQ densities go unnormalized.
     block_eigs = None
-    if cfg["log_axis"] or cfg["estimator"] == "exact" or mode != "none":
+    if cfg["log_axis"] or cfg["estimator"] == "exact" or cfg["mode"] != "none":
         block_eigs = [exact_eigenvalues(principal_block(op, a, z)) for a, z in partition.ranges()]
     if cfg["log_axis"]:
         densities = slq.smoothed_densities(heterogeneity.log_magnitude_spectra(block_eigs))
@@ -320,7 +326,7 @@ def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
     else:
         densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap))
     report = heterogeneity.pairwise_heatmap(
-        densities, mode=mode, eigenvalues=block_eigs, labels=labels
+        densities, mode=cfg["mode"], eigenvalues=block_eigs, labels=labels
     )
 
     path = os.path.join(args.out, "heatmap.csv")
@@ -358,17 +364,11 @@ def _quadlab_problem(cfg, seed):
 
 
 def _check_quadlab(cfg):
-    """Reject ignored keys, and key combinations that would otherwise fail only after earlier runs."""
-    if cfg["case"] != "scalar":
-        _reject_ignored(cfg, ["w0"], f"case = {cfg['case']}")
-    if cfg["case"] not in (1, 2):
-        _reject_ignored(cfg, ["spectrum_files"], f"case = {cfg['case']}")
+    """Reject key combinations that would otherwise fail only after earlier runs."""
     if "adam_ema" not in cfg["optimizer"]:
         return
     if not cfg["eta_grid"] and cfg["eta"] in (None, "default"):
         raise ConfigError("adam_ema needs an explicit numeric eta")
-    if not (0.0 <= cfg["beta2"] < 1.0):
-        raise ConfigError(f"beta2 must be in [0, 1), got {cfg['beta2']}")
     # No run is longer than max_iters + 1 points, and a window that does not
     # fit there fits in no shorter run either.
     length = cfg["max_iters"] + 1

@@ -18,7 +18,8 @@ Conventions:
   when the first row does not parse as numbers.  A file with no data row, a
   row or header of another width, or a cell numpy does not parse as a float
   is rejected with a ``ValueError`` that names the file; a row of another
-  width is named by its line in the file.
+  width is named by its 1-based line in the file, and a cell that is not a
+  number by its line and column.
 """
 
 from __future__ import annotations
@@ -107,15 +108,22 @@ def read_table(path, header_required=False, skip_columns=0):
             try:
                 table = np.loadtxt(fh, converters=skipped, **_NUMERIC_CSV)
             except ValueError:
-                # Name the first row of another width by its file line, as numpy does not.
+                # Name the first row of another width, or cell that is not a
+                # number, by its file line, as numpy does not.
                 fh.seek(0)
                 reader = csv.reader(fh)
-                widths = [(reader.line_num, len(cells)) for cells in reader if cells][header is not None :]
-                ragged = [(line, width) for line, width in widths if width != widths[0][1]]
-                if not ragged:
-                    raise
-                line, width = ragged[0]
-                raise ValueError(f"the row on line {line} has width {width}, the first data row width {widths[0][1]}") from None
+                rows = [(reader.line_num, cells) for cells in reader if cells][header is not None :]
+                width = len(rows[0][1])
+                for line, cells in rows:
+                    if len(cells) != width:
+                        raise ValueError(f"the row on line {line} has width {len(cells)}, the first data row width {width}") from None
+                    for column, cell in enumerate(cells[skip_columns:], skip_columns + 1):
+                        # Quoted again, so that numpy reads the cell as one field.
+                        if not _parses_as_numbers('"' + cell.replace('"', '""') + '"'):
+                            raise ValueError(
+                                f"the cell on line {line}, column {column} is {cell!r}: could not convert it to a number"
+                            ) from None
+                raise
             if header is not None and len(header) != table.shape[1]:
                 raise ValueError(f"the header has {len(header)} cells, the data rows {table.shape[1]}")
         except ValueError as exc:  # UnicodeDecodeError included

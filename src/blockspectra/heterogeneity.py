@@ -22,6 +22,9 @@ MODES = ("tenth_largest", "max_abs", "none")
 # Resampling onto a union grid is capped to keep pairwise work bounded.
 MAX_UNION_POINTS = 65536
 
+# log_magnitude_spectra floors magnitudes at this fraction of the largest one.
+LOG_FLOOR_REL = 1e-8
+
 
 @dataclass(frozen=True)
 class NormalizedSpectrum:
@@ -98,8 +101,8 @@ def normalize_spectrum(
     return NormalizedSpectrum(value=rescale_density(density, scale), scale=scale, warning=warning)
 
 
-def log_magnitude_spectra(eigenvalue_lists, floor_rel: float = 1e-8) -> list[np.ndarray]:
-    """log10 of eigenvalue magnitudes, floored relative to the global maximum.
+def log_magnitude_spectra(eigenvalue_lists) -> list[np.ndarray]:
+    """log10 of eigenvalue magnitudes, floored at ``LOG_FLOOR_REL`` times the global maximum.
 
     Multiplicative separation between spectra becomes translation on this
     axis, which a shared-width smoothing kernel can resolve no matter how
@@ -111,7 +114,7 @@ def log_magnitude_spectra(eigenvalue_lists, floor_rel: float = 1e-8) -> list[np.
     gmax = max(float(np.abs(e).max()) for e in lists)
     if gmax <= 0:
         raise ValueError("all eigenvalues are zero")
-    floor = gmax * floor_rel
+    floor = gmax * LOG_FLOOR_REL
     return [np.log10(np.maximum(np.abs(e), floor)) for e in lists]
 
 

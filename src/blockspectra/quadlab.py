@@ -638,12 +638,13 @@ class LimitCycleReport:
     tail_min_loss: float
 
 
-def detect_limit_cycle(trajectory: Trajectory, transient: int, window: int, threshold: float | None = None) -> LimitCycleReport:
+def detect_limit_cycle(trajectory: Trajectory, transient: int, window: int) -> LimitCycleReport:
     """Decide whether a run has settled into a non-vanishing loss cycle.
 
     Looks at absolute loss gaps over ``window`` iterations after ``transient``
-    and flags cycling when their minimum stays above a threshold that scales
-    with the squared step size (cycle amplitude is proportional to eta).
+    and flags cycling when their minimum stays above ``1e-4 * eta**2``: the
+    threshold scales with the squared step size, since the cycle amplitude is
+    proportional to eta.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -652,8 +653,6 @@ def detect_limit_cycle(trajectory: Trajectory, transient: int, window: int, thre
             f"trajectory has {trajectory.loss_ratios.size} recorded iterations, "
             f"need at least transient + window = {transient + window}"
         )
-    if threshold is None:
-        threshold = 1e-4 * trajectory.eta**2
     tail = trajectory.loss_ratios[transient : transient + window] * trajectory.initial_gap
     tail_min = float(tail.min())
-    return LimitCycleReport(cycling=bool(tail_min > threshold), tail_min_loss=tail_min)
+    return LimitCycleReport(cycling=bool(tail_min > 1e-4 * trajectory.eta**2), tail_min_loss=tail_min)

@@ -192,7 +192,7 @@ def test_c08_limit_cycle():
         tail_mins[beta2] = cyc.tail_min_loss
     assert tail_mins[0.0] >= eta**2 / 8 - 1e-12
     small = adam_ema_run(prob, np.array([1.0]), eta / 10, beta2=0.99, max_iters=20_000)
-    cyc_small = detect_limit_cycle(small, transient=10_000, window=10_000, threshold=0.0)
+    cyc_small = detect_limit_cycle(small, transient=10_000, window=10_000)
     assert 0 < cyc_small.tail_min_loss < tail_mins[0.99]
     report(8, f"tail minima {tail_mins[0.0]:.2e} (sign cycle), {tail_mins[0.99]:.2e}; eta/10 shrinks but stays positive")
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,9 +291,6 @@ EMA = "optimizer = adam_ema\neta = 0.01\nmax_iters = 100\n"
 @pytest.mark.parametrize(
     "text, message",
     [
-        (LONG_RUNS + "optimizer = gd\nw0 = 5\n", "w0 must be unset: case = 3 ignores it"),
-        (LONG_RUNS + "optimizer = gd\nspectrum_files = /nonexistent.csv\n",
-         "spectrum_files must be unset: case = 3 ignores it"),
         (LONG_RUNS + "optimizer = gd,adam_ema\n", "adam_ema needs an explicit numeric eta"),
         (LONG_RUNS + "optimizer = gd,adam_ema\neta = default\n", "adam_ema needs an explicit numeric eta"),
         (LONG_RUNS + "optimizer = gd,adam_ema\neta = 0.0001\nbeta2 = 1.5\n", "beta2 must be in [0, 1)"),
@@ -302,9 +300,8 @@ EMA = "optimizer = adam_ema\neta = 0.01\nmax_iters = 100\n"
         ("case = 3\noptimizer = adam_ema\neta_grid = true\nmax_iters = 100\ntransient = 101\n", "transient + window must"),
     ],
     ids=[
-        "w0_off_scalar", "spectrum_files_on_case_3", "ema_eta_unset",
-        "ema_eta_default", "ema_beta2_after_gd", "transient_and_window_too_long", "transient_too_long",
-        "window_too_long", "grid_transient_too_long",
+        "ema_eta_unset", "ema_eta_default", "ema_beta2_after_gd", "transient_and_window_too_long",
+        "transient_too_long", "window_too_long", "grid_transient_too_long",
     ],
 )
 def test_quadlab_config_faults_exit_2_before_any_run(tmp_path, monkeypatch, capsys, text, message):
@@ -399,8 +396,10 @@ def test_quadlab_theory_record(tmp_path):
 
 @pytest.mark.parametrize("grid", ["false", "true"])
 def test_quadlab_rejects_nonfinite_w0(tmp_path, capsys, grid):
+    # eta_grid = true ignores eta, so only the single run sets it.
+    eta = "eta = 0.1\n" if grid == "false" else ""
     cfg = write_config(
-        tmp_path / "q.cfg", f"case = scalar\nw0 = nan\neta = 0.1\neta_grid = {grid}\nmax_iters = 50\n"
+        tmp_path / "q.cfg", f"case = scalar\nw0 = nan\n{eta}eta_grid = {grid}\nmax_iters = 50\n"
     )
     out = tmp_path / "out"
     assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
@@ -492,8 +491,6 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = nan\n", "eta"),
         ("spectrum", "source = case\ncase = 3\nmatrix = /nonexistent.csv\n", "matrix"),
         ("spectrum", "source = case\ncase = 3\nblocks = 1,2\n", "blocks"),
-        ("spectrum", "source = matrix\nmatrix = /nonexistent.csv\nspectrum_files = /nonexistent.csv\n",
-         "spectrum_files"),
     ],
     ids=[
         "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
@@ -504,7 +501,7 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         "quadlab_grid_points_0", "spectrum_sigma_nan", "spectrum_sigma_negative", "toynet_eta_list",
         "quadlab_max_iters_list", "quadlab_optimizer_typo", "quadlab_svg_maybe", "quadlab_strict_maybe",
         "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_eta_nan", "spectrum_matrix_under_case",
-        "spectrum_blocks_under_case", "spectrum_files_under_matrix",
+        "spectrum_blocks_under_case",
     ],
 )
 def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, key):
@@ -512,6 +509,84 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, ke
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{key} must" in err
+
+
+# Every key a table reads only under some setting: (table, the key as written,
+# a config that ignores it, a config that reads it, the setting the error names).
+SOURCE_KEYS = [
+    ("case = 1", "source = matrix\nmatrix = m.csv\n", "source = case\n", "source = matrix"),
+    ("spectrum_files = f.csv", "source = matrix\nmatrix = m.csv\n", "source = case\ncase = 1\n", "source = matrix"),
+    ("spectrum_files = f.csv", "source = case\n", "source = case\ncase = 2\n", "case = 3"),
+    ("matrix = m.csv", "source = case\n", "source = matrix\n", "source = case"),
+    ("blocks = 1,1", "source = case\ncase = 4\n", "source = matrix\nmatrix = m.csv\n", "source = case"),
+]
+IGNORED_KEYS = [(table, *case) for table in ("SPECTRUM", "HEATMAP") for case in SOURCE_KEYS] + [
+    ("HEATMAP", "steps = 7", "source = case\nestimator = exact\n", "source = case\n", "estimator = exact"),
+    ("HEATMAP", "probes = 2", "source = case\nestimator = exact\n", "source = case\nestimator = slq\n",
+     "estimator = exact"),
+    ("HEATMAP", "sigma = 5", "source = case\nlog_axis = true\n", "source = case\n", "log_axis = true"),
+    ("HEATMAP", "estimator = exact", "source = case\nlog_axis = true\n", "source = case\n", "log_axis = true"),
+    ("HEATMAP", "mode = max_abs", "source = case\nlog_axis = true\n", "source = case\nlog_axis = false\n",
+     "log_axis = true"),
+    ("QUADLAB", "w0 = 5", "", "case = scalar\n", "case = 3"),
+    ("QUADLAB", "spectrum_files = f.csv", "case = 3\n", "case = 1\n", "case = 3"),
+    ("QUADLAB", "eta = 0.1", "eta_grid = true\n", "", "eta_grid = true"),
+    ("QUADLAB", "grid_points = 3", "", "eta_grid = true\n", "eta_grid = false"),
+    ("QUADLAB", "beta2 = 0.5", "", "optimizer = adam_ema\neta = 0.01\n", "optimizer = gd"),
+    ("QUADLAB", "transient = 5", "optimizer = gd,adam_fixed\n", "optimizer = gd,adam_ema\neta = 0.01\n",
+     "optimizer = gd,adam_fixed"),
+    ("QUADLAB", "window = 5", "optimizer = adam_fixed\n", "optimizer = adam_ema\neta = 0.01\n",
+     "optimizer = adam_fixed"),
+    *[
+        (table, key, f"experiment = {experiment}\ndata_csv = d.csv\n", f"experiment = {experiment}\n",
+         "data_csv = d.csv")
+        for table, experiment in (("TRAIN", "train"), ("SCALED", "scaled"))
+        for key in ("samples = 32", "separation = 2", "dataset = xor")
+    ],
+    ("TRAIN", "features = 3", "experiment = train\ndata_csv = d.csv\n", "experiment = train\n", "data_csv = d.csv"),
+    ("SCALED", "lr_grid = 0.01", "experiment = scaled\n", "experiment = scaled\ngap = true\n", "gap = false"),
+    ("SCALED", "gap_steps = 3", "experiment = scaled\ngap = false\n", "experiment = scaled\ngap = true\n",
+     "gap = false"),
+    ("SCALED", "batch = 8", "experiment = scaled\ngap = no\n", "experiment = scaled\ngap = yes\n", "gap = no"),
+]
+
+
+@pytest.mark.parametrize(
+    "table, line, outside, inside, setting",
+    IGNORED_KEYS,
+    ids=[
+        f"{table.lower()}_{line.split()[0]}_under_{'_'.join(re.findall(r'[a-z0-9_]+', setting))}"
+        for table, line, _, _, setting in IGNORED_KEYS
+    ],
+)
+def test_ignored_key_exits_2_before_any_work(tmp_path, monkeypatch, capsys, table, line, outside, inside, setting):
+    # A key the run would ignore is an error whatever its value, found before
+    # any optimizer, SLQ, eigensolver or training runs; where the run reads
+    # the key, the same line resolves.
+    from blockspectra import cli, quadlab, slq, toynet
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("work ran before the config was checked")
+
+    for module, names in (
+        (quadlab, ["gd_run", "adam_fixed_run", "adam_ema_run", "grid_search"]),
+        (slq, ["blockwise_densities"]),
+        (toynet, ["train", "hessian_fd"]),
+        (cli, ["exact_eigenvalues"]),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, no_run)
+    key, value = (part.strip() for part in line.split("="))
+    subcommand = "toynet" if table in ("TRAIN", "SCALED") else table.lower()
+    cfg = write_config(tmp_path / "outside.cfg", outside + line + "\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be unset: {setting} ignores it\n"
+    assert os.listdir(out) == ["manifest.txt"]
+
+    spec = getattr(cli, table)
+    resolved = cli.resolve_config(parse_config(write_config(tmp_path / "inside.cfg", inside + line + "\n")), spec)
+    assert resolved[key] == spec[key][0].parse(value)
 
 
 def test_toynet_scaled_outputs(tmp_path):

@@ -159,12 +159,13 @@ def test_read_table(tmp_path, name):
         (b"1,2\n3\n", "the row on line 2 has width 1, the first data row width 2"),
         (b"c0,c1\r\n\r\n1,2\r\n3,4\r\n\r\n5,6,7\r\n", "the row on line 6 has width 3, the first data row width 2"),
         (b"c0,c1,c2\n1,2\n", "the header has 3 cells"),
-        (b"1,2\n3,x\n", "could not convert"),
+        (b"1,2\n3,x\n", "the cell on line 2, column 2 is 'x': could not convert it to a number"),
+        (b"c0,c1\r\n1,2\r\n\r\n3,x\r\n", "the cell on line 4, column 2 is 'x'"),
         (b"c0,c1\n\n", "no data rows"),
         (b"\xff\xfe1,2\n", "decode"),
     ],
-    ids=["ragged_row", "ragged_row_after_header_and_blank_rows", "ragged_header", "non_numeric_cell", "header_only",
-         "undecodable"],
+    ids=["ragged_row", "ragged_row_after_header_and_blank_rows", "ragged_header", "non_numeric_cell",
+         "non_numeric_cell_after_header_and_blank_rows", "header_only", "undecodable"],
 )
 def test_bad_table_is_rejected_naming_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
