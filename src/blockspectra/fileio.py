@@ -14,12 +14,12 @@ Conventions:
   round-trips; all other cells are written as the ``csv`` module writes them.
 - Every numeric CSV is read by ``read_table`` in one ``np.loadtxt`` pass.
   Files are decoded as UTF-8, and a leading byte-order mark is dropped.
-  Blank rows are skipped.  A header is taken when required, or else only
-  when the first row does not parse as numbers.  A file with no data row, a
-  row or header of another width, or a cell numpy does not parse as a float
-  is rejected with a ``ValueError`` that names the file; a row of another
-  width is named by its 1-based line in the file, and a cell that is not a
-  number by its line and column.
+  Blank rows, and rows of only whitespace, are skipped.  A header is taken
+  when required, or else only when the first row does not parse as numbers.
+  A file with no data row, a row or header of another width, or a cell
+  numpy does not parse as a float is rejected with a ``ValueError`` that
+  names the file; a row of another width is named by its 1-based line in
+  the file, and a cell that is not a number by its line and column.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -70,12 +71,9 @@ def write_csv(path, header, rows) -> None:
 _NUMERIC_CSV = dict(delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
 
 
-def _next_row(fh):
-    """The offset and text of the next non-blank line of ``fh``; the text is empty at the end."""
-    while True:
-        start, line = fh.tell(), fh.readline()
-        if line != "\n":
-            return start, line
+def _rows(fh):
+    """The 1-based line number and text of each line of ``fh`` that holds more than whitespace."""
+    return ((number, line) for number, line in enumerate(fh, 1) if not line.isspace())
 
 
 def _parses_as_numbers(line: str) -> bool:
@@ -96,23 +94,22 @@ def read_table(path, header_required=False, skip_columns=0):
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            start, line = _next_row(fh)
+            lines = (text for _, text in _rows(fh))
+            first = next(lines, None)
             header = None
-            if line and (header_required or not _parses_as_numbers(line)):
-                header = next(csv.reader([line]))
-                start, line = _next_row(fh)
-            if not line:
+            if first and (header_required or not _parses_as_numbers(first)):
+                header = next(csv.reader([first]))
+                first = next(lines, None)
+            if first is None:
                 raise ValueError("no data rows")
-            fh.seek(start)
             skipped = dict.fromkeys(range(skip_columns), lambda cell: 0.0)
             try:
-                table = np.loadtxt(fh, converters=skipped, **_NUMERIC_CSV)
+                table = np.loadtxt(chain([first], lines), converters=skipped, **_NUMERIC_CSV)
             except ValueError:
                 # Name the first row of another width, or cell that is not a
                 # number, by its file line, as numpy does not.
                 fh.seek(0)
-                reader = csv.reader(fh)
-                rows = [(reader.line_num, cells) for cells in reader if cells][header is not None :]
+                rows = [(line, next(csv.reader([text]))) for line, text in _rows(fh)][header is not None :]
                 width = len(rows[0][1])
                 for line, cells in rows:
                     if len(cells) != width:

@@ -1,13 +1,14 @@
 """Block-diagonal quadratic benchmarks for single- vs coordinate-wise step sizes.
 
 The lab minimizes L(w) = 0.5 w'Hw - h'w with H block diagonal and positive
-definite.  Three iterations are provided:
+definite.  Every iteration is w <- w - eta P g, with g = Hw - h the gradient
+and P a diagonal preconditioner:
 
-- ``gd``: plain gradient descent, one global step size.
-- ``adam_fixed``: gradient descent preconditioned by the fixed diagonal
-  D = diag(|grad L(w0)|), i.e. momentum-free Adam whose second-moment
-  accumulator never moves (beta2 = 1, epsilon = 0).
-- ``adam_ema``: the same update with an exponentially averaged second moment
+- ``gd``: P = I, one step size for every coordinate (gradient descent).
+- ``adam_fixed``: P = diag(1 / |g(w0)|), fixed at the start, one step size
+  per coordinate: momentum-free Adam whose second moment never moves
+  (beta2 = 1, epsilon = 0).
+- ``adam_ema``: P = diag(1 / sqrt(v_t)), v_t an exponential average of g * g
   (beta2 < 1), which cycles instead of converging at constant step size.
 
 Alongside the runs, ``theory_report`` computes the blockwise contraction
@@ -290,16 +291,34 @@ def _run_batch(
 ):
     """Run len(etas) independent iterations of one kind on a shared problem.
 
-    The batch ends at the first iteration t* at which any row reaches the
-    target; rows still live then are marked ``"pruned"`` with
+    Row i runs from W0[i] at step size etas[i]; every run argument is checked
+    here.  The batch ends at the first iteration t* at which any row reaches
+    the target; rows still live then are marked ``"pruned"`` with
     ``iterations = t*``, since they could only converge later.
     """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 1 or etas.size == 0:
+        raise ValueError(f"eta grid must be a nonempty 1-D array, got shape {etas.shape}")
+    bad = etas[~((etas > 0) & np.isfinite(etas))]
+    if bad.size:
+        raise ValueError(f"eta must be positive and finite, got {bad[0]}")
+    n = etas.size
+    W0 = np.asarray(W0, dtype=float)
+    if W0.shape != (n, problem.dim):
+        raise ValueError(f"w0 must be one point per step size: got shape {W0.shape}, expected ({n}, {problem.dim})")
+    max_iters = int(max_iters)
+    if max_iters < 0:
+        raise ValueError(f"max_iters (the iteration budget) must be >= 0, got {max_iters}")
+    if kind == "adam_ema" and not (0.0 <= beta2 < 1.0):
+        raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
+
     H = problem.matrix
     h = problem.h
     wstar = problem.minimizer
     resid = H @ wstar - h  # ~0; kept so gaps stay exact for h != 0
-    n, d = W0.shape
-    W = W0.astype(float).copy()
+    W = W0.copy()
 
     gap0 = 0.5 * np.einsum("nd,nd->n", W - wstar, (W - wstar) @ H)
     if not np.all(np.isfinite(gap0)):
@@ -309,7 +328,8 @@ def _run_batch(
         bad = int(np.argmin(gap0))
         raise ValueError(f"initial point {bad} already sits at the minimizer")
 
-    dinv = None
+    # Each row's fixed P: ones for gd (G * 1.0 is G bit for bit), 1 / |g(w0)| for adam_fixed.
+    pinv = np.ones_like(W)
     if kind == "adam_fixed":
         G0 = W @ H - h
         if np.any(G0 == 0):
@@ -318,7 +338,7 @@ def _run_batch(
                 f"initial gradient coordinate {int(col)} is zero (run {int(row)}); "
                 "the fixed preconditioner would divide by zero"
             )
-        dinv = 1.0 / np.abs(G0)
+        pinv = 1.0 / np.abs(G0)
 
     V = None  # second-moment accumulator for adam_ema
     status = np.full(n, _LIVE, dtype=int)
@@ -345,7 +365,7 @@ def _run_batch(
             if recorder is not None and live[0]:
                 recorder.record(t, W[0])
             quiet = (ratio > lower) & (ratio <= DIVERGENCE_RATIO)
-            if not np.all(quiet, where=live):
+            if not quiet[live].all():
                 nonfinite = live & ~np.isfinite(ratio)
                 status[nonfinite] = _DIVERGED
                 iters[nonfinite] = t - 1
@@ -372,10 +392,8 @@ def _run_batch(
                 iters[live] = t
                 break
 
-            if kind == "gd":
-                step = G
-            elif kind == "adam_fixed":
-                step = G * dinv
+            if kind != "adam_ema":
+                step = G * pinv
             else:
                 if V is None:
                     V = G * G
@@ -418,15 +436,7 @@ def _run_batch(
 
 
 def _single_run(problem, w0, eta, kind, beta2, max_iters, target) -> Trajectory:
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (problem.dim,):
-        raise ValueError(f"w0 has shape {w0.shape}, expected ({problem.dim},)")
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
-    return _run_batch(
-        problem, w0[None, :], np.array([float(eta)]), kind, beta2,
-        int(max_iters), target,
-    )[0]
+    return _run_batch(problem, np.asarray(w0, dtype=float)[None], [eta], kind, beta2, max_iters, target)[0]
 
 
 def gd_run(problem, w0, eta=None, max_iters=100_000, target=1e-8) -> Trajectory:
@@ -449,8 +459,6 @@ def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None) -> Tra
     constant step the iterates settle into a cycle around the minimizer, so
     there is no convergence target by default.
     """
-    if not (0.0 <= beta2 < 1.0):
-        raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
     return _single_run(problem, w0, eta, "adam_ema", beta2, max_iters, target)
 
 
@@ -483,18 +491,9 @@ def grid_search(
     non-diverged one with the lowest final loss ratio; if everything
     diverges, AllDivergedError is raised.  All runs are retained.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     etas = np.asarray(list(etas), dtype=float)
-    if etas.size == 0:
-        raise ValueError("eta grid is empty")
-    if np.any(etas <= 0):
-        raise ValueError("eta grid must be positive")
-    if kind == "adam_ema" and not (0.0 <= beta2 < 1.0):
-        raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
-    w0 = np.asarray(w0, dtype=float)
-    W0 = np.tile(w0, (etas.size, 1))
-    trajectories = _run_batch(problem, W0, etas, kind, beta2, int(budget), target)
+    W0 = np.repeat(np.asarray(w0, dtype=float)[None], etas.size, axis=0)
+    trajectories = _run_batch(problem, W0, etas, kind, beta2, budget, target)
 
     converged = [
         (tr.iterations, tr.eta, i)

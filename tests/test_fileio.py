@@ -124,6 +124,8 @@ WIDE_ROWS = "".join(",".join(map(repr, row)) + "\n" for row in WIDE.tolist()).en
 # name: (file bytes, read_table keywords, header, data rows)
 TABLES = {
     "crlf_and_blank_rows": (b"a,b\r\n\r\n1,2\n\n3,4\r\n\r\n", {}, ["a", "b"], [[1, 2], [3, 4]]),
+    "spaces_row_first": (b"  \n1,2\n3,4\n", {}, None, [[1, 2], [3, 4]]),
+    "spaces_row_between_data": (b"1,2\n  \n3,4\n", {}, None, [[1, 2], [3, 4]]),
     "no_header": (b"1,2\n3,4", {}, None, [[1, 2], [3, 4]]),
     "padded_cells": (b" x , y \n 1 ,-2.5e3\n", {}, [" x ", " y "], [[1, -2500]]),
     "nan_and_inf": (b"nan,inf\n-inf,Infinity\n", {}, None, [[np.nan, np.inf], [-np.inf, np.inf]]),
@@ -161,11 +163,13 @@ def test_read_table(tmp_path, name):
         (b"c0,c1,c2\n1,2\n", "the header has 3 cells"),
         (b"1,2\n3,x\n", "the cell on line 2, column 2 is 'x': could not convert it to a number"),
         (b"c0,c1\r\n1,2\r\n\r\n3,x\r\n", "the cell on line 4, column 2 is 'x'"),
+        (b"1,2\n \t \n3\n", "the row on line 3 has width 1, the first data row width 2"),
         (b"c0,c1\n\n", "no data rows"),
         (b"\xff\xfe1,2\n", "decode"),
     ],
     ids=["ragged_row", "ragged_row_after_header_and_blank_rows", "ragged_header", "non_numeric_cell",
-         "non_numeric_cell_after_header_and_blank_rows", "header_only", "undecodable"],
+         "non_numeric_cell_after_header_and_blank_rows", "ragged_row_after_spaces_row", "header_only",
+         "undecodable"],
 )
 def test_bad_table_is_rejected_naming_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"

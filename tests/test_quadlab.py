@@ -107,6 +107,22 @@ def test_grid_search_rejects_unknown_kind(case3):
         grid_search(case3, "sgd", [0.1], np.ones(9), budget=5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, w: gd_run(p, w, max_iters=-1), "max_iters"),
+        (lambda p, w: grid_search(p, "gd", [0.1, 0.01], w, budget=-1), "budget"),
+        (lambda p, w: grid_search(p, "gd", [1e-3, np.nan], w, budget=10), "eta must be positive and finite, got nan"),
+        (lambda p, w: grid_search(p, "gd", [0.1, 0.01], w[:5], budget=10), "w0 must be one point per step size"),
+        (lambda p, w: grid_search(p, "gd", [0.1, 0.01], w[None], budget=10), "w0 must be one point per step size"),
+    ],
+    ids=["gd_run_negative_max_iters", "grid_negative_budget", "grid_nan_eta", "grid_short_w0", "grid_2d_w0"],
+)
+def test_bad_run_arguments_are_rejected_by_name(case3, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(case3, np.ones(9))
+
+
 # ---------------------------------------------------------------------------
 # gradient descent
 # ---------------------------------------------------------------------------
@@ -157,6 +173,48 @@ def test_gd_asymptotic_rate(case3):
     tail = traj.loss_ratios[-60:]
     factors = tail[1:] / tail[:-1]
     assert np.median(factors) == pytest.approx((4999.0 / 5001.0) ** 2, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the linear kinds against their closed form
+# ---------------------------------------------------------------------------
+
+def _closed_form_ratios(problem, w0, eta, pinv, ts):
+    """Loss ratios at iterations ``ts`` of w <- w - eta P g, with P = diag(pinv) fixed.
+
+    With M = P^1/2 H P^1/2 = Q diag(lam) Q' and z = Q' P^-1/2 (w0 - w*), the
+    ratio at step t is sum(lam z^2 (1 - eta lam)^2t) / sum(lam z^2).
+    """
+    root = np.sqrt(pinv)
+    lam, q = np.linalg.eigh(root[:, None] * problem.matrix * root[None, :])
+    z = q.T @ ((w0 - problem.minimizer) / root)
+    energy = lam * z**2
+    return (energy * (1.0 - eta * lam) ** (2 * np.asarray(ts)[:, None])).sum(axis=1) / energy.sum()
+
+
+@pytest.mark.parametrize("kind", ["gd", "adam_fixed"])
+@pytest.mark.parametrize("case_id", [3, 4])
+def test_linear_kinds_match_closed_form(case_id, kind):
+    problem = make_case(case_id, seed=0)
+    steps = 3000
+    ts = np.arange(steps + 1)
+    run = {"gd": gd_run, "adam_fixed": adam_fixed_run}[kind]
+    for seed in range(3):
+        w0 = gaussian_init(9, seed=seed)
+        pinv = np.ones(9) if kind == "gd" else 1.0 / np.abs(problem.gradient(w0))
+        root = np.sqrt(pinv)
+        lam_max = np.linalg.eigvalsh(root[:, None] * problem.matrix * root[None, :])[-1]
+        etas = np.array([1.0, 1.8]) / lam_max
+        batch = _run_batch(problem, np.tile(w0, (2, 1)), etas, kind, 1.0, steps, None)
+        singles = [run(problem, w0, eta=eta, max_iters=steps, target=None) for eta in etas]
+        for eta, *runs in zip(etas, batch, singles):
+            oracle = _closed_form_ratios(problem, w0, eta, pinv, ts)
+            kept = oracle > 1e-200
+            assert kept.sum() > 100
+            for tr in runs:
+                assert (tr.status, tr.iterations) == ("max_iters", steps)
+                err = np.abs(tr.loss_ratios[kept] - oracle[kept]) / oracle[kept]
+                assert err.max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
