@@ -22,7 +22,7 @@ run is checked against neither.
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +131,9 @@ class Trajectory:
 
     ``loss_ratios[t]`` is (L(w_t) - L*) / (L(w_0) - L*); entry 0 is exactly 1.
     ``snapshots`` holds (t, w_t) pairs for the first 50 iterations, every
-    100th iteration, and the last 50 recorded iterations.
+    100th iteration, and the last 50 iterations up to the one at which the
+    run stopped (one past ``iterations`` when its ratio turned non-finite).
+    Only a one-row batch (a single run) keeps snapshots.
 
     ``status`` is ``"converged"`` (reached the target), ``"diverged"`` (the
     ratio blew past DIVERGENCE_RATIO or stopped being finite), ``"max_iters"``
@@ -252,7 +254,20 @@ def default_eta_grid(points: int = 25) -> np.ndarray:
 # A one-row batch goes through the BLAS matrix-vector product instead, whose
 # summation order can differ in the last bit (seen with OpenBLAS 0.3.31), so a
 # single run need not match the same row of a grid exactly.
+#
+# The engine runs CHUNK columns (one iteration of every row) at a time.
+# Inside a chunk it runs only the recurrence, writing iterates and gradients
+# into preallocated buffers.  After the chunk, one vectorized pass computes
+# every column's loss ratios and tests them against the quiet band, and the
+# stop rule is replayed, in column order, only at the columns where some live
+# row left the band.  Every output keeps its bits: each row goes through the
+# same operations as one iteration at a time, rows are independent, and the
+# columns a row runs past its own stop are never read.  A row that stopped
+# early is reset to the minimizer at the end of its chunk, so its later
+# columns stay finite.
 # ---------------------------------------------------------------------------
+
+CHUNK = 128  # at least SNAPSHOT_EDGE, so the last snapshots span two chunks at most
 
 _LIVE, _CONVERGED, _MAXITERS, _DIVERGED, _PRUNED = 0, 1, 2, 3, 4
 _STATUS_NAMES = {
@@ -261,23 +276,6 @@ _STATUS_NAMES = {
     _DIVERGED: "diverged",
     _PRUNED: "pruned",
 }
-
-
-class _SnapshotRecorder:
-    def __init__(self):
-        self.head: list = []
-        self.tail: deque = deque(maxlen=SNAPSHOT_EDGE)
-
-    def record(self, t: int, w: np.ndarray):
-        if t < SNAPSHOT_EDGE or t % SNAPSHOT_STRIDE == 0:
-            self.head.append((t, w.copy()))
-        self.tail.append((t, w.copy()))
-
-    def merge(self) -> list:
-        seen = {t: w for t, w in self.head}
-        for t, w in self.tail:
-            seen.setdefault(t, w)
-        return [(t, seen[t]) for t in sorted(seen)]
 
 
 def _run_batch(
@@ -305,12 +303,18 @@ def _run_batch(
     if bad.size:
         raise ValueError(f"eta must be positive and finite, got {bad[0]}")
     n = etas.size
+    d = problem.dim
     W0 = np.asarray(W0, dtype=float)
-    if W0.shape != (n, problem.dim):
-        raise ValueError(f"w0 must be one point per step size: got shape {W0.shape}, expected ({n}, {problem.dim})")
-    max_iters = int(max_iters)
+    if W0.shape != (n, d):
+        raise ValueError(f"w0 must be one point per step size: got shape {W0.shape}, expected ({n}, {d})")
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters (the iteration budget) must be an integer, got {max_iters!r}") from None
     if max_iters < 0:
         raise ValueError(f"max_iters (the iteration budget) must be >= 0, got {max_iters}")
+    if target is not None and not target >= 0:
+        raise ValueError(f"target must be a number >= 0 or None, got {target}")
     if kind == "adam_ema" and not (0.0 <= beta2 < 1.0):
         raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
 
@@ -318,9 +322,8 @@ def _run_batch(
     h = problem.h
     wstar = problem.minimizer
     resid = H @ wstar - h  # ~0; kept so gaps stay exact for h != 0
-    W = W0.copy()
 
-    gap0 = 0.5 * np.einsum("nd,nd->n", W - wstar, (W - wstar) @ H)
+    gap0 = 0.5 * np.einsum("nd,nd->n", W0 - wstar, (W0 - wstar) @ H)
     if not np.all(np.isfinite(gap0)):
         bad = int(np.flatnonzero(~np.isfinite(gap0))[0])
         raise ValueError(f"initial point {bad} is not finite or its loss overflows")
@@ -329,9 +332,9 @@ def _run_batch(
         raise ValueError(f"initial point {bad} already sits at the minimizer")
 
     # Each row's fixed P: ones for gd (G * 1.0 is G bit for bit), 1 / |g(w0)| for adam_fixed.
-    pinv = np.ones_like(W)
+    pinv = np.ones_like(W0)
     if kind == "adam_fixed":
-        G0 = W @ H - h
+        G0 = W0 @ H - h
         if np.any(G0 == 0):
             row, col = np.argwhere(G0 == 0)[0]
             raise ValueError(
@@ -340,36 +343,64 @@ def _run_batch(
             )
         pinv = 1.0 / np.abs(G0)
 
+    ema = kind == "adam_ema"
     V = None  # second-moment accumulator for adam_ema
     status = np.full(n, _LIVE, dtype=int)
     live = np.ones(n, dtype=bool)
-    # Every row's ratio is stored at every iteration run, and each row is cut
-    # at its own last iteration, so columns never written are never read.
-    ratios = np.empty((n, max_iters + 1))
+    # ratios[t] holds every row's ratio at iteration t, and each row is cut at
+    # its own last iteration, so entries never written are never read.
+    ratios = np.empty((max_iters + 1, n))
     iters = np.zeros(n, dtype=int)
+    ends = np.full(n, max_iters)  # the column at which each row stopped
     diag_counts = np.zeros(n, dtype=int)
-    recorder = _SnapshotRecorder() if n == 1 else None
-    step_sizes = etas[:, None]
+    # A one-row batch alternates between two iterate buffers, so it can slice
+    # its last SNAPSHOT_EDGE iterates from the final chunk and the one before.
+    Wc = np.empty((CHUNK + 1, n, d))
+    prev = np.empty_like(Wc) if n == 1 else Wc
+    Gc = np.empty((CHUNK, n, d))
+    zero_counts = np.zeros((CHUNK, n), dtype=int)
+    step = np.empty((n, d))
+    snapshots = {}
+    # Full-shape copies: same-shape ufuncs skip numpy's slower broadcasting loop.
+    step_sizes = np.repeat(etas[:, None], d, axis=1)
+    h_rows = np.tile(h, (n, 1))
     # A live row's status can change only when its ratio leaves
     # (lower, DIVERGENCE_RATIO]: non-finite, at or below target, or blown up.
     lower = -np.inf if target is None else target
 
+    Wc[0] = W0
+    t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(max_iters + 1):
-            G = W @ H - h
-            diff = W - wstar
-            gap = 0.5 * np.einsum("nd,nd->n", diff, G - resid)
-            ratio = gap / gap0
-            ratios[:, t] = ratio
+        while True:
+            # Columns t0 .. t0 + m - 1; the step from the final column is never read.
+            m = min(CHUNK, max_iters + 1 - t0)
+            for k in range(m):
+                G = Gc[k]
+                np.matmul(Wc[k], H, out=G)
+                np.subtract(G, h_rows, out=G)
+                if ema:
+                    V = G * G if V is None else beta2 * V + (1.0 - beta2) * (G * G)
+                    D = np.sqrt(V)
+                    zero = D == 0
+                    zero_counts[k] = zero.sum(axis=1)
+                    precond = np.where(zero, 0.0, G / np.where(zero, 1.0, D))
+                else:
+                    precond = np.multiply(G, pinv, out=step)
+                np.multiply(step_sizes, precond, out=step)
+                np.subtract(Wc[k], step, out=Wc[k + 1])
 
-            if recorder is not None and live[0]:
-                recorder.record(t, W[0])
-            quiet = (ratio > lower) & (ratio <= DIVERGENCE_RATIO)
-            if not quiet[live].all():
+            np.subtract(Gc[:m], resid, out=Gc[:m])
+            chunk_ratios = 0.5 * np.einsum("knd,knd->kn", Wc[:m] - wstar, Gc[:m]) / gap0
+            ratios[t0 : t0 + m] = chunk_ratios
+            quiet = (chunk_ratios > lower) & (chunk_ratios <= DIVERGENCE_RATIO)
+            last = t0 + m - 1
+            for k in np.flatnonzero(~quiet[:, live].all(axis=1)):
+                t = t0 + int(k)
+                ratio = chunk_ratios[k]
+                was_live = live
                 nonfinite = live & ~np.isfinite(ratio)
                 status[nonfinite] = _DIVERGED
                 iters[nonfinite] = t - 1
-                W[nonfinite] = wstar  # freeze so later batched updates stay finite
                 live = status == _LIVE
                 if target is not None:
                     converged = live & (ratio <= target)
@@ -379,40 +410,47 @@ def _run_batch(
                 blown = live & (ratio > DIVERGENCE_RATIO)
                 status[blown] = _DIVERGED
                 iters[blown] = t
-                W[blown] = wstar
                 live = status == _LIVE
                 if t < max_iters and (status == _CONVERGED).any():
                     status[live] = _PRUNED
                     iters[live] = t
-                    break
+                    live = status == _LIVE
+                ends[was_live & ~live] = t
                 if not live.any():
+                    last = t
                     break
-            if t == max_iters:
+            if last == max_iters:
                 status[live] = _MAXITERS
-                iters[live] = t
-                break
+                iters[live] = max_iters
+                live = status == _LIVE
 
-            if kind != "adam_ema":
-                step = G * pinv
-            else:
-                if V is None:
-                    V = G * G
-                else:
-                    V = beta2 * V + (1.0 - beta2) * (G * G)
-                D = np.sqrt(V)
-                zero = D == 0
-                if zero.any():
-                    diag_counts[live] += zero[live].sum(axis=1)
-                    step = np.where(zero, 0.0, G / np.where(zero, 1.0, D))
-                else:
-                    step = G / D
-            W -= step_sizes * step
+            if ema:
+                # A row steps from column t only while it is live there.
+                taken = np.arange(t0, t0 + m)[:, None] < ends
+                diag_counts += (zero_counts[:m] * taken).sum(axis=0)
+            if n == 1:
+                snapshots.update(
+                    (t, Wc[t - t0, 0].copy())
+                    for t in range(t0, last + 1)
+                    if t < SNAPSHOT_EDGE or t % SNAPSHOT_STRIDE == 0
+                )
+            if not live.any():
+                break
+            Wc, prev = prev, Wc
+            Wc[0] = prev[m]
+            Wc[0][~live] = wstar  # keep stopped rows finite
+            t0 += m
+
+    if n == 1:
+        for t in range(max(0, last - SNAPSHOT_EDGE + 1), last + 1):
+            chunk, start = (Wc, t0) if t >= t0 else (prev, t0 - CHUNK)
+            snapshots.setdefault(t, chunk[t - start, 0].copy())
 
     trajectories = []
     for i in range(n):
         # A row that turned non-finite at t ends at t - 1, so every series is
         # finite; the copy frees the dense buffer.
-        series = ratios[i, : iters[i] + 1].copy()
+        series = ratios[: iters[i] + 1, i].copy()
         diagnostics = ()
         if diag_counts[i]:
             diagnostics = (
@@ -427,7 +465,7 @@ def _run_batch(
                 iterations=int(iters[i]),
                 initial_gap=float(gap0[i]),
                 w0=W0[i].copy(),
-                snapshots=recorder.merge() if (recorder is not None and i == 0) else [],
+                snapshots=[(t, snapshots[t]) for t in sorted(snapshots)],
                 diagnostics=diagnostics,
                 problem=problem,
             )

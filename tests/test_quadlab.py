@@ -1,10 +1,24 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from blockspectra.operators import save_spectrum_csv
 from blockspectra.quadlab import (
+    _CONVERGED,
+    _DIVERGED,
+    _LIVE,
+    _MAXITERS,
+    _PRUNED,
+    _STATUS_NAMES,
+    CHUNK,
+    DIVERGENCE_RATIO,
+    KINDS,
+    SNAPSHOT_EDGE,
+    SNAPSHOT_STRIDE,
     AllDivergedError,
     QuadraticProblem,
+    Trajectory,
     _run_batch,
     adam_ema_run,
     adam_fixed_run,
@@ -115,8 +129,14 @@ def test_grid_search_rejects_unknown_kind(case3):
         (lambda p, w: grid_search(p, "gd", [1e-3, np.nan], w, budget=10), "eta must be positive and finite, got nan"),
         (lambda p, w: grid_search(p, "gd", [0.1, 0.01], w[:5], budget=10), "w0 must be one point per step size"),
         (lambda p, w: grid_search(p, "gd", [0.1, 0.01], w[None], budget=10), "w0 must be one point per step size"),
+        (lambda p, w: gd_run(p, w, max_iters=20, target=float("nan")), "target must be a number >= 0 or None, got nan"),
+        (lambda p, w: grid_search(p, "gd", [0.1, 0.01], w, budget=10, target=-1e-6), "target must be a number >= 0"),
+        (lambda p, w: gd_run(p, w, max_iters=2.5, target=None), r"max_iters \(the iteration budget\) must be an integer, got 2.5"),
     ],
-    ids=["gd_run_negative_max_iters", "grid_negative_budget", "grid_nan_eta", "grid_short_w0", "grid_2d_w0"],
+    ids=[
+        "gd_run_negative_max_iters", "grid_negative_budget", "grid_nan_eta", "grid_short_w0", "grid_2d_w0",
+        "gd_run_nan_target", "grid_negative_target", "gd_run_fractional_max_iters",
+    ],
 )
 def test_bad_run_arguments_are_rejected_by_name(case3, call, message):
     with pytest.raises(ValueError, match=message):
@@ -443,6 +463,241 @@ def test_grid_row_equals_same_eta_in_two_row_batch(case3):
     pair = _run_batch(case3, np.tile(w0, (2, 1)), etas, "gd", 1.0, 20_000, 1e-6)
     assert (pair[0].status, pair[0].iterations) == ("converged", result.best.iterations)
     assert np.array_equal(pair[0].loss_ratios, result.best.loss_ratios)
+
+
+# ---------------------------------------------------------------------------
+# the chunked engine against the per-iteration loop it replaced
+# ---------------------------------------------------------------------------
+
+class _SnapshotRecorder:
+    def __init__(self):
+        self.head: list = []
+        self.tail: deque = deque(maxlen=SNAPSHOT_EDGE)
+
+    def record(self, t: int, w: np.ndarray):
+        if t < SNAPSHOT_EDGE or t % SNAPSHOT_STRIDE == 0:
+            self.head.append((t, w.copy()))
+        self.tail.append((t, w.copy()))
+
+    def merge(self) -> list:
+        seen = {t: w for t, w in self.head}
+        for t, w in self.tail:
+            seen.setdefault(t, w)
+        return [(t, seen[t]) for t in sorted(seen)]
+
+
+def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
+    """The run engine as one full iteration per loop pass, checks left out.
+
+    The body is the engine as it was before it ran in chunks; the chunked
+    engine must match it bit for bit.
+    """
+    etas = np.asarray(etas, dtype=float)
+    n = etas.size
+    W0 = np.asarray(W0, dtype=float)
+    H = problem.matrix
+    h = problem.h
+    wstar = problem.minimizer
+    resid = H @ wstar - h  # ~0; kept so gaps stay exact for h != 0
+    W = W0.copy()
+
+    gap0 = 0.5 * np.einsum("nd,nd->n", W - wstar, (W - wstar) @ H)
+    if not np.all(np.isfinite(gap0)):
+        bad = int(np.flatnonzero(~np.isfinite(gap0))[0])
+        raise ValueError(f"initial point {bad} is not finite or its loss overflows")
+    if np.any(gap0 <= 0):
+        bad = int(np.argmin(gap0))
+        raise ValueError(f"initial point {bad} already sits at the minimizer")
+
+    # Each row's fixed P: ones for gd (G * 1.0 is G bit for bit), 1 / |g(w0)| for adam_fixed.
+    pinv = np.ones_like(W)
+    if kind == "adam_fixed":
+        G0 = W @ H - h
+        if np.any(G0 == 0):
+            row, col = np.argwhere(G0 == 0)[0]
+            raise ValueError(
+                f"initial gradient coordinate {int(col)} is zero (run {int(row)}); "
+                "the fixed preconditioner would divide by zero"
+            )
+        pinv = 1.0 / np.abs(G0)
+
+    V = None  # second-moment accumulator for adam_ema
+    status = np.full(n, _LIVE, dtype=int)
+    live = np.ones(n, dtype=bool)
+    # Every row's ratio is stored at every iteration run, and each row is cut
+    # at its own last iteration, so columns never written are never read.
+    ratios = np.empty((n, max_iters + 1))
+    iters = np.zeros(n, dtype=int)
+    diag_counts = np.zeros(n, dtype=int)
+    recorder = _SnapshotRecorder() if n == 1 else None
+    step_sizes = etas[:, None]
+    # A live row's status can change only when its ratio leaves
+    # (lower, DIVERGENCE_RATIO]: non-finite, at or below target, or blown up.
+    lower = -np.inf if target is None else target
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(max_iters + 1):
+            G = W @ H - h
+            diff = W - wstar
+            gap = 0.5 * np.einsum("nd,nd->n", diff, G - resid)
+            ratio = gap / gap0
+            ratios[:, t] = ratio
+
+            if recorder is not None and live[0]:
+                recorder.record(t, W[0])
+            quiet = (ratio > lower) & (ratio <= DIVERGENCE_RATIO)
+            if not quiet[live].all():
+                nonfinite = live & ~np.isfinite(ratio)
+                status[nonfinite] = _DIVERGED
+                iters[nonfinite] = t - 1
+                W[nonfinite] = wstar  # freeze so later batched updates stay finite
+                live = status == _LIVE
+                if target is not None:
+                    converged = live & (ratio <= target)
+                    status[converged] = _CONVERGED
+                    iters[converged] = t
+                    live = status == _LIVE
+                blown = live & (ratio > DIVERGENCE_RATIO)
+                status[blown] = _DIVERGED
+                iters[blown] = t
+                W[blown] = wstar
+                live = status == _LIVE
+                if t < max_iters and (status == _CONVERGED).any():
+                    status[live] = _PRUNED
+                    iters[live] = t
+                    break
+                if not live.any():
+                    break
+            if t == max_iters:
+                status[live] = _MAXITERS
+                iters[live] = t
+                break
+
+            if kind != "adam_ema":
+                step = G * pinv
+            else:
+                if V is None:
+                    V = G * G
+                else:
+                    V = beta2 * V + (1.0 - beta2) * (G * G)
+                D = np.sqrt(V)
+                zero = D == 0
+                if zero.any():
+                    diag_counts[live] += zero[live].sum(axis=1)
+                    step = np.where(zero, 0.0, G / np.where(zero, 1.0, D))
+                else:
+                    step = G / D
+            W -= step_sizes * step
+
+    trajectories = []
+    for i in range(n):
+        # A row that turned non-finite at t ends at t - 1, so every series is
+        # finite; the copy frees the dense buffer.
+        series = ratios[i, : iters[i] + 1].copy()
+        diagnostics = ()
+        if diag_counts[i]:
+            diagnostics = (
+                f"skipped {int(diag_counts[i])} coordinate updates with zero preconditioner",
+            )
+        trajectories.append(
+            Trajectory(
+                kind=kind,
+                eta=float(etas[i]),
+                loss_ratios=series,
+                status=_STATUS_NAMES[status[i]],
+                iterations=int(iters[i]),
+                initial_gap=float(gap0[i]),
+                w0=W0[i].copy(),
+                snapshots=recorder.merge() if (recorder is not None and i == 0) else [],
+                diagnostics=diagnostics,
+                problem=problem,
+            )
+        )
+    return trajectories
+
+
+def _batch_args(problem, w0, etas, kind, max_iters, target, beta2=0.9):
+    """_run_batch arguments for ``etas`` from one shared initial point."""
+    etas = np.asarray(etas, dtype=float)
+    return (problem, np.tile(w0, (etas.size, 1)), etas, kind, beta2, max_iters, target)
+
+
+ORACLE_CASE = make_case(3, seed=0)
+ORACLE_W0 = gaussian_init(9, seed=1)
+ORACLE_ETA = {"gd": default_gd_eta(ORACLE_CASE), "adam_fixed": 0.05, "adam_ema": 0.01}
+ORACLE_ROWS = {1: None, 25: default_eta_grid()}
+
+
+def _oracle_batches():
+    """(id, _run_batch arguments, status the first run must end with or None)."""
+    budget = 2 * CHUNK + 37
+    for kind in KINDS:
+        for rows, grid in ORACLE_ROWS.items():
+            etas = [ORACLE_ETA[kind]] if grid is None else grid
+            for target in (None, 0.0, 1e-6):
+                yield f"{kind}-{rows}row-target-{target}", _batch_args(ORACLE_CASE, ORACLE_W0, etas, kind, budget, target), None
+            for max_iters in (0, 1, CHUNK):
+                yield f"{kind}-{rows}row-max_iters-{max_iters}", _batch_args(ORACLE_CASE, ORACLE_W0, etas, kind, max_iters, None), "max_iters"
+        for eta in (1e8, 1e300):
+            yield f"{kind}-diverges-at-eta-{eta}", _batch_args(ORACLE_CASE, ORACLE_W0, [eta], kind, budget, 1e-6), "diverged"
+    # The first block starts at its minimizer, so its gradient and second
+    # moment are zero; the larger step sizes diverge at different columns.
+    zero_start = np.ones(9)
+    zero_start[0:3] = 0.0
+    for etas in ([0.01], [0.01, 0.03, 1e8, 1e300]):
+        args = _batch_args(ORACLE_CASE, zero_start, etas, "adam_ema", budget, None, beta2=0.5)
+        yield f"adam_ema-zero-preconditioner-{len(etas)}row", args, "max_iters"
+
+
+ORACLE_BATCHES = {name: (args, status) for name, args, status in _oracle_batches()}
+
+
+def _assert_same_runs(runs, reference):
+    assert len(runs) == len(reference)
+    for new, old in zip(runs, reference):
+        assert (new.kind, new.eta, new.status, new.iterations) == (old.kind, old.eta, old.status, old.iterations)
+        assert new.loss_ratios.tobytes() == old.loss_ratios.tobytes()
+        assert new.initial_gap == old.initial_gap and new.diagnostics == old.diagnostics
+        assert [t for t, _ in new.snapshots] == [t for t, _ in old.snapshots]
+        assert [w.tobytes() for _, w in new.snapshots] == [w.tobytes() for _, w in old.snapshots]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_BATCHES))
+def test_chunked_engine_matches_stepwise_reference(name):
+    args, status = ORACLE_BATCHES[name]
+    reference = _stepwise_reference(*args)
+    assert status in (None, reference[0].status)
+    _assert_same_runs(_run_batch(*args), reference)
+    if name.startswith("adam_ema-zero"):
+        assert reference[0].diagnostics
+
+
+@pytest.mark.parametrize("column", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("rows", list(ORACLE_ROWS))
+@pytest.mark.parametrize("kind", ["gd", "adam_fixed"])
+def test_chunked_engine_converges_at_chunk_edges(kind, rows, column):
+    grid = ORACLE_ROWS[rows]
+    etas = [ORACLE_ETA[kind]] if grid is None else grid
+    args = _batch_args(ORACLE_CASE, ORACLE_W0, etas, kind, column + 5, None)
+    # The smallest ratio at ``column``: every run that still falls there
+    # reaches it no sooner, so the batch stops at ``column``.
+    target = min(tr.loss_ratios[column] for tr in _stepwise_reference(*args) if tr.iterations >= column)
+    args = args[:5] + (column + CHUNK, float(target))
+    reference = _stepwise_reference(*args)
+    assert [tr.iterations for tr in reference if tr.status == "converged"] == [column]
+    _assert_same_runs(_run_batch(*args), reference)
+
+
+@pytest.mark.parametrize("column", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("etas", [[], [0.01]], ids=["alone", "beside_a_slow_run"])
+def test_chunked_engine_diverges_at_chunk_edges(column, etas):
+    # gd on L = w^2 / 2 scales the ratio by (1 - eta)^2 per step, so this
+    # step size first passes DIVERGENCE_RATIO at ``column``.
+    blow_up = 1.0 + 10.0 ** (6.0 / (column - 0.5))
+    args = _batch_args(scalar_problem(1.0), np.array([1.0]), [blow_up, *etas], "gd", column + CHUNK, None)
+    reference = _stepwise_reference(*args)
+    assert (reference[0].status, reference[0].iterations) == ("diverged", column)
+    _assert_same_runs(_run_batch(*args), reference)
 
 
 # ---------------------------------------------------------------------------
