@@ -12,6 +12,13 @@ analytic gradient over a batch; ``logits``; and ``partition()``, the
 ``BlockPartition`` of the flattened vector into the model's parameter blocks.
 Labels are -1/+1 and the per-sample probability of the observed label is
 p = 1 / (1 + exp(-y f)).
+
+A model whose class sets ``stackable = True`` (``ScaledMLP``) also accepts
+an optional leading stack axis of k copies: ``set_flat`` / ``get_flat`` take
+and return (k, num_params), ``logits`` returns (k, n), and ``loss_grad``
+returns k losses and a (k, num_params) gradient.  ``train`` uses it to step
+a whole grid of learning rates at once; ``num_params`` and ``partition()``
+always describe one copy.
 """
 
 from __future__ import annotations
@@ -36,13 +43,14 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _logistic_loss(f: np.ndarray, y: np.ndarray) -> float:
-    """Mean logistic loss of logits ``f`` on -1/+1 labels ``y``."""
-    return float(np.mean(np.logaddexp(0.0, -y * f)))
+def _logistic_loss(f: np.ndarray, y: np.ndarray):
+    """Mean logistic loss of logits ``f`` on -1/+1 labels ``y``, one per stack row."""
+    return np.mean(np.logaddexp(0.0, -y * f), axis=-1)
 
 
-def _accuracy(f: np.ndarray, y) -> float:
-    return float(np.mean((f > 0) == (np.asarray(y) > 0)))
+def _accuracy(f: np.ndarray, y):
+    """Share of correctly signed logits, one per stack row."""
+    return np.mean((f > 0) == (np.asarray(y) > 0), axis=-1)
 
 
 def _check_finite_logits(f: np.ndarray):
@@ -216,7 +224,15 @@ class ScaledMLP:
     scale_growth^(l-1) / sqrt(fan_in), so scale_growth > 1 makes successive
     layers progressively larger and their Hessian blocks progressively more
     dissimilar.  The output is a single logit trained with logistic loss.
+
+    The parameters may carry a leading stack axis of k independent copies
+    of the network: ``set_flat`` with shape (k, dim) makes a stack, after
+    which ``get_flat`` returns (k, dim), ``logits`` (k, n), and ``loss_grad``
+    k losses and a (k, dim) gradient.  Each row is computed by the same
+    operations as a lone network, so it matches that network bit for bit.
     """
+
+    stackable = True
 
     def __init__(self, weights, biases):
         if len(weights) != len(biases) or not weights:
@@ -233,65 +249,83 @@ class ScaledMLP:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        """Parameters of one network, whether or not the model is a stack."""
+        return sum(w.shape[-2] * w.shape[-1] + b.shape[-1] for w, b in zip(self.weights, self.biases))
 
     def get_flat(self) -> np.ndarray:
+        lead = self.biases[0].shape[:-1]
         parts = []
         for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
+            parts.append(w.reshape(lead + (-1,)))
             parts.append(b)
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
 
     def set_flat(self, theta: np.ndarray):
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {theta.shape}")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.num_params:
+            dim = self.num_params
+            raise ValueError(f"expected {dim} parameters or a (k, {dim}) stack, got {theta.shape}")
+        lead = theta.shape[:-1]
         pos = 0
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[k] = theta[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[k] = theta[pos : pos + b.size].copy()
-            pos += b.size
+            size = w.shape[-2] * w.shape[-1]
+            self.weights[k] = theta[..., pos : pos + size].reshape(lead + w.shape[-2:]).copy()
+            pos += size
+            self.biases[k] = theta[..., pos : pos + b.shape[-1]].copy()
+            pos += b.shape[-1]
 
     def partition(self) -> BlockPartition:
         """One block per weight matrix and per bias vector."""
         sizes = []
         for w, b in zip(self.weights, self.biases):
-            sizes.append(w.size)
-            sizes.append(b.size)
+            sizes.append(w.shape[-2] * w.shape[-1])
+            sizes.append(b.shape[-1])
         return BlockPartition(sizes)
 
     def _forward(self, X: np.ndarray):
         activations = [np.atleast_2d(np.asarray(X, dtype=float))]
         for k in range(self.num_layers - 1):
-            activations.append(np.tanh(activations[-1] @ self.weights[k] + self.biases[k]))
-        logits = (activations[-1] @ self.weights[-1] + self.biases[-1])[:, 0]
+            activations.append(np.tanh(activations[-1] @ self.weights[k] + self.biases[k][..., None, :]))
+        logits = (activations[-1] @ self.weights[-1] + self.biases[-1][..., None, :])[..., 0]
         return activations, logits
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self._forward(X)[1]
 
     def loss_grad(self, X, y):
+        """Mean logistic loss over the batch and its analytic gradient.
+
+        A lone network raises ``FloatingPointError`` on a non-finite logit.
+        A stack instead gives that row a NaN loss and a NaN gradient, and
+        the other rows are unaffected.
+        """
         y = np.asarray(y, dtype=float)
         activations, f = self._forward(X)
-        _check_finite_logits(f)
+        if f.ndim == 1:
+            _check_finite_logits(f)
         b = activations[0].shape[0]
         if b == 0:
             raise ValueError("empty batch")
         loss = _logistic_loss(f, y)
-        delta = (-y * _sigmoid(-y * f) / b)[:, None]
+        delta = (-y * _sigmoid(-y * f) / b)[..., None]
         grads_w = [None] * self.num_layers
         grads_b = [None] * self.num_layers
         for k in range(self.num_layers - 1, -1, -1):
-            grads_w[k] = activations[k].T @ delta
-            grads_b[k] = delta.sum(axis=0)
+            grads_w[k] = activations[k].swapaxes(-1, -2) @ delta
+            grads_b[k] = delta.sum(axis=-2)
             if k > 0:
-                delta = (delta @ self.weights[k].T) * (1.0 - activations[k] ** 2)
+                delta = (delta @ self.weights[k].swapaxes(-1, -2)) * (1.0 - activations[k] ** 2)
+        lead = f.shape[:-1]
         parts = []
         for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
+            parts.append(gw.reshape(lead + (-1,)))
             parts.append(gb)
-        return loss, np.concatenate(parts)
+        grad = np.concatenate(parts, axis=-1)
+        if lead:
+            bad = ~np.all(np.isfinite(f), axis=-1)
+            loss[bad] = np.nan
+            grad[bad] = np.nan
+        return loss, grad
 
 
 def scaled_mlp(widths, scale_growth: float, seed: int = 0) -> ScaledMLP:
@@ -406,21 +440,46 @@ def load_dataset_csv(path) -> Dataset:
 
 @dataclass
 class TrainResult:
+    """Full-dataset loss and accuracy at each step of a training run.
+
+    With a scalar ``eta`` the arrays hold one value per step reached and
+    ``status`` is "completed" or "diverged".  With a sequence of k rates the
+    arrays are (k, steps + 1), NaN after a row's last step, and ``status``
+    is a list of k such strings.
+    """
+
     losses: np.ndarray
     accuracies: np.ndarray
-    status: str
+    status: str | list[str]
     snapshots: list
 
 
-def accuracy(model, X, y) -> float:
+def accuracy(model, X, y):
     return _accuracy(model.logits(X), y)
+
+
+def _learning_rates(eta, model, snapshot_stride: int) -> np.ndarray:
+    """``eta`` as a float array of shape () or (k,), checked against the model."""
+    try:
+        rates = np.asarray(eta, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"eta must be a number or a 1-D sequence of numbers, got {eta!r}") from None
+    if rates.ndim > 1 or rates.size == 0:
+        raise ValueError(f"eta must be a number or a nonempty 1-D sequence, got shape {rates.shape}")
+    if not np.all(rates >= 0):
+        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if rates.ndim and not getattr(model, "stackable", False):
+        raise ValueError(f"eta is a sequence, but {type(model).__name__} cannot train a stack of rates")
+    if rates.ndim and snapshot_stride > 0:
+        raise ValueError("eta is a sequence, but snapshot_stride > 0 needs a single rate")
+    return rates
 
 
 def train(
     model,
     dataset: Dataset,
     optimizer: str = "adam",
-    eta: float = 0.01,
+    eta=0.01,
     steps: int = 1000,
     batch_size: int = 64,
     seed: int = 0,
@@ -434,37 +493,64 @@ def train(
     ``snapshot_stride`` > 0 a finite-difference Hessian of the full-dataset
     loss is captured at that stride (and at the final step), which is only
     practical for small models.
+
+    ``eta`` is one learning rate, or a 1-D sequence of k rates for a model
+    that is ``stackable``.  A sequence trains k copies of the model as one
+    stack: every copy starts from the model's parameters and draws the same
+    minibatches, so each step is one forward and one backward pass for all
+    rates, and each row matches a lone run at its rate bit for bit.  A row
+    leaves the stack at the step where its lone run would diverge (a
+    non-finite full-dataset logit or loss, minibatch logit or gradient), and
+    the other rows go on.  A lone run leaves its trained parameters in the
+    model; a stacked run leaves the model's parameters as it found them.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    rates = _learning_rates(eta, model, snapshot_stride)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = derive_rng(seed, TAG_TRAIN, steps)
-    theta = model.get_flat()
+    stacked = rates.ndim == 1
+    k = rates.size
+    start = model.get_flat()
+    # One row per rate still training; ``rows`` maps each to its result row.
+    rows = np.arange(k)
+    eta_col = rates.reshape(k, 1)
+    theta = np.tile(start, (k, 1))
     buf = np.zeros_like(theta)  # momentum / first moment
     vbuf = np.zeros_like(theta)  # second moment (adam)
-    losses, accs, snapshots = [], [], []
-    status = "completed"
+    losses = np.full((k, steps + 1), np.nan)
+    accs = np.full((k, steps + 1), np.nan)
+    status = ["completed"] * k
+    snapshots = []
     n = len(dataset)
     batch_size = min(batch_size, n)
 
+    def place():
+        model.set_flat(theta if stacked else theta[0])
+
+    def keep_rows(keep):
+        nonlocal rows, eta_col, theta, buf, vbuf
+        for r in rows[~keep]:
+            status[r] = "diverged"
+        rows, eta_col, theta, buf, vbuf = (a[keep] for a in (rows, eta_col, theta, buf, vbuf))
+
+    if stacked:
+        place()
     for step in range(steps + 1):
-        try:
-            f = model.logits(dataset.X)
-            _check_finite_logits(f)
-        except FloatingPointError:
-            status = "diverged"
-            break
+        f = model.logits(dataset.X).reshape(rows.size, n)
         full_loss = _logistic_loss(f, dataset.y)
-        if not np.isfinite(full_loss):
-            status = "diverged"
-            break
-        losses.append(full_loss)
-        accs.append(_accuracy(f, dataset.y))
+        keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
+        if not keep.all():
+            keep_rows(keep)
+            if not rows.size:
+                break
+            f, full_loss = f[keep], full_loss[keep]
+            place()
+        losses[rows, step] = full_loss
+        accs[rows, step] = _accuracy(f, dataset.y)
         want_snapshot = snapshot_stride > 0 and (
             step % snapshot_stride == 0 or step == steps
         )
@@ -475,27 +561,34 @@ def train(
         idx = rng.integers(0, n, size=batch_size)
         try:
             _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
-        except FloatingPointError:
-            status = "diverged"
-            break
-        if not np.all(np.isfinite(g)):
-            status = "diverged"
-            break
+        except FloatingPointError:  # a lone model's non-finite logit; a stack gives that row a NaN gradient
+            g = np.nan
+        g = np.broadcast_to(g, theta.shape)
+        keep = np.all(np.isfinite(g), axis=1)
+        if not keep.all():
+            keep_rows(keep)
+            if not rows.size:
+                break
+            g = g[keep]
         if optimizer == "sgd":
             buf = SGD_MOMENTUM * buf + g
-            theta = theta - eta * buf
+            theta = theta - eta_col * buf
         else:
             buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
             vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
             mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
             vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
-            theta = theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        model.set_flat(theta)
+            theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        place()
 
+    if stacked:
+        model.set_flat(start)
+        return TrainResult(losses=losses, accuracies=accs, status=status, snapshots=snapshots)
+    reached = ~np.isnan(losses[0])
     return TrainResult(
-        losses=np.asarray(losses),
-        accuracies=np.asarray(accs),
-        status=status,
+        losses=losses[0, reached],
+        accuracies=accs[0, reached],
+        status=status[0],
         snapshots=snapshots,
     )
 

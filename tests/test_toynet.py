@@ -385,6 +385,163 @@ def test_train_matches_the_two_pass_loop_bit_for_bit(kind, optimizer, eta):
     assert result.accuracies.shape == accs.shape and np.all(result.accuracies == accs)
 
 
+def _lone_and_stacked(make, data, optimizer, grid, **kw):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lone = [train(make(), data, optimizer=optimizer, eta=lr, **kw) for lr in grid]
+        stacked = train(make(), data, optimizer=optimizer, eta=grid, **kw)
+    return lone, stacked
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_stacked_train_matches_lone_runs_bit_for_bit(optimizer):
+    def make():
+        return scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=1)
+
+    data = make_xor_blobs(48, 4, seed=1)
+    grid = [0.003, 0.05, 1e307, 0.3]
+    lone, stacked = _lone_and_stacked(make, data, optimizer, grid, steps=40, batch_size=16, seed=2)
+    assert stacked.losses.shape == stacked.accuracies.shape == (4, 41)
+    assert stacked.status == [r.status for r in lone]
+    assert [r.status for r in lone] == ["completed", "completed", "diverged", "completed"]
+    for row, r in enumerate(lone):
+        m = r.losses.size
+        assert np.all(stacked.losses[row, :m] == r.losses)
+        assert np.all(stacked.accuracies[row, :m] == r.accuracies)
+        assert np.all(np.isnan(stacked.losses[row, m:])) and np.all(np.isnan(stacked.accuracies[row, m:]))
+
+
+class _StackableDiagonalQuadratic(_QuadraticModel):
+    """0.5 sum a th^2 + b' th with a leading stack axis; its logits are zero.
+
+    With zero logits the full-dataset loss stays finite, so a rate that is
+    too large diverges through a non-finite minibatch gradient.
+    """
+
+    stackable = True
+
+    @property
+    def num_params(self):
+        return self.theta.shape[-1]
+
+    def loss_grad(self, X, y):
+        loss = np.sum((0.5 * self.A * self.theta + self.b) * self.theta, axis=-1)
+        return loss, self.A * self.theta + self.b
+
+    def logits(self, X):
+        return np.zeros(self.theta.shape[:-1] + (len(X),))
+
+
+def test_stacked_rows_drop_out_at_their_own_gradient_divergence(rng):
+    a, b, start = rng.uniform(1, 4, 5), rng.standard_normal(5), rng.standard_normal(5)
+
+    def make():
+        model = _StackableDiagonalQuadratic(a, b)
+        model.set_flat(start)
+        return model
+
+    grid = [0.01, 1e150, 0.1, 1e60]
+    lone, stacked = _lone_and_stacked(make, make_blobs(8, 2, seed=0), "sgd", grid, steps=50, batch_size=4)
+    assert stacked.status == [r.status for r in lone] == ["completed", "diverged", "completed", "diverged"]
+    lengths = [r.losses.size for r in lone]
+    assert lengths[1] < lengths[3] < 51
+    for row, r in enumerate(lone):
+        assert np.all(stacked.losses[row, : lengths[row]] == r.losses)
+        assert np.all(np.isnan(stacked.losses[row, lengths[row] :]))
+
+
+def test_stacked_train_leaves_the_model_as_it_found_it():
+    mlp = scaled_mlp((4, 6, 6, 6, 1), 2.0, seed=0)
+    before = mlp.get_flat()
+    train(mlp, make_xor_blobs(32, 4, seed=0), optimizer="adam", eta=[0.01, 0.1], steps=5, batch_size=8)
+    assert mlp.get_flat().shape == before.shape and np.array_equal(mlp.get_flat(), before)
+
+
+def test_one_rate_stack_matches_the_scalar_result():
+    data = make_xor_blobs(32, 4, seed=0)
+    lone, stacked = _lone_and_stacked(
+        lambda: scaled_mlp((4, 6, 6, 6, 1), 2.0, seed=0), data, "sgd", [0.05], steps=10, batch_size=8
+    )
+    assert stacked.status == [lone[0].status] and stacked.losses.shape == (1, 11)
+    assert np.all(stacked.losses[0] == lone[0].losses) and np.all(stacked.accuracies[0] == lone[0].accuracies)
+
+
+def test_stacked_mlp_rows_match_lone_networks_bit_for_bit():
+    mlp = scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=3)
+    data = make_xor_blobs(40, 4, seed=3)
+    rng = np.random.default_rng(0)
+    stack = mlp.get_flat() + 0.1 * rng.standard_normal((3, mlp.num_params))
+    stack[1, -1] = np.inf  # the output bias: every logit of row 1 is infinite
+    mlp.set_flat(stack)
+    assert np.array_equal(mlp.get_flat(), stack)
+    assert mlp.num_params == stack.shape[1] and mlp.partition().dim == stack.shape[1]
+    logits = mlp.logits(data.X)
+    losses, grads = mlp.loss_grad(data.X[:16], data.y[:16])
+    assert logits.shape == (3, 40) and losses.shape == (3,) and grads.shape == stack.shape
+    assert np.isnan(losses[1]) and np.all(np.isnan(grads[1]))
+    lone = scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=3)
+    for row in (0, 2):
+        lone.set_flat(stack[row])
+        assert np.array_equal(lone.logits(data.X), logits[row])
+        loss, grad = lone.loss_grad(data.X[:16], data.y[:16])
+        assert loss == losses[row] and np.array_equal(grad, grads[row])
+    lone.set_flat(stack[1])
+    with pytest.raises(FloatingPointError):
+        lone.loss_grad(data.X[:16], data.y[:16])
+
+
+@pytest.mark.parametrize(
+    "make_model, eta, kwargs",
+    [
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [], {}),
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [[0.1, 0.2]], {}),
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [0.1, -0.1], {}),
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [0.1, float("nan")], {}),
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), float("nan"), {}),
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), "fast", {}),
+        (lambda: random_toynet(2, 2, seed=0), [0.1, 0.2], {}),
+        (lambda: random_toynet(2, 2, seed=0), float("nan"), {}),
+        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [0.1, 0.2], {"snapshot_stride": 2}),
+    ],
+    ids=["empty", "2d", "negative", "nan_entry", "nan_scalar", "text", "toynet_sequence",
+         "toynet_nan", "stack_with_snapshots"],
+)
+def test_train_rejects_bad_eta_naming_it(make_model, eta, kwargs):
+    with pytest.raises(ValueError, match="eta"):
+        train(make_model(), make_blobs(8, 2, seed=0), eta=eta, steps=3, **kwargs)
+
+
+def _per_lr_gap(data, widths, c, seed, lr_grid, steps, batch):
+    """One ``gap.csv`` row with one lone ``train`` call per rate, a fresh network each."""
+    best = {}
+    for opt in ("sgd", "adam"):
+        accs = []
+        for lr in lr_grid:
+            model = scaled_mlp(widths, c, seed=seed)
+            res = train(model, data, optimizer=opt, eta=lr, steps=steps, batch_size=batch, seed=seed)
+            accs.append(res.accuracies[-1] if res.status == "completed" else 0.0)
+        best[opt] = max(accs)
+    return [c, seed, best["sgd"], best["adam"], best["adam"] - best["sgd"]]
+
+
+def test_scaled_gap_matches_the_per_rate_loop(tmp_path):
+    from blockspectra.cli import main
+    from blockspectra.fileio import read_table
+
+    data = make_xor_blobs(48, 4, seed=2)
+    save_dataset_csv(tmp_path / "xor.csv", data)
+    widths, lr_grid = (4, 5, 5, 5, 1), (0.01, 1e307, 0.3)
+    (tmp_path / "t.cfg").write_text(
+        "experiment = scaled\nwidths = 4,5,5,5,1\nc_values = 1,8\nseeds = 2\ngap = true\n"
+        f"gap_steps = 25\nbatch = 16\nlr_grid = 0.01,1e307,0.3\ndata_csv = {tmp_path / 'xor.csv'}\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["toynet", "--config", str(tmp_path / "t.cfg"), "--out", str(tmp_path / "out")]) == 0
+        expected = [_per_lr_gap(data, widths, c, s, lr_grid, 25, 16) for c in (1.0, 8.0) for s in range(2)]
+    header, table = read_table(tmp_path / "out" / "gap.csv", header_required=True)
+    assert header == ["scale", "seed", "best_sgd", "best_adam", "gap"]
+    assert table.tolist() == expected
+
+
 def test_train_rejects_bad_counts_naming_them():
     net = random_toynet(2, 2, seed=0)
     data = make_blobs(8, 2, seed=0)
