@@ -569,16 +569,17 @@ def _scaled_cell(cfg, dataset, c, s):
     With ``gap = true`` the cell also holds the best final accuracy of SGD
     and of Adam over the learning rates of ``lr_grid``; a rate that diverges
     scores 0.  Each optimizer trains the whole grid in one ``toynet.train``
-    call on a stack of copies of the cell's network.
+    call on a stack of copies of the cell's network.  ``hessian_fd`` and a
+    stacked ``train`` both leave the network's parameters as they found
+    them, so one network serves all three calls.
     """
     mlp = toynet.scaled_mlp(cfg["widths"], c, seed=s)
     snap = toynet.hessian_fd(mlp, dataset.X, dataset.y)
     cell = {"scale": c, "seed": s, "js0": toynet.snapshot_js0(snap)}
     if cfg["gap"]:
-        model = toynet.scaled_mlp(cfg["widths"], c, seed=s)
         for opt in ("sgd", "adam"):
             res = toynet.train(
-                model, dataset, optimizer=opt, eta=cfg["lr_grid"], steps=cfg["gap_steps"],
+                mlp, dataset, optimizer=opt, eta=cfg["lr_grid"], steps=cfg["gap_steps"],
                 batch_size=cfg["batch"], seed=s,
             )
             cell[f"best_{opt}"] = max(

@@ -174,23 +174,28 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     Column j uses step h_j = FD_STEP * (1 + |theta_j|); the result is
     symmetrized as (H + H')/2 and the pre-symmetrization defect is kept for
     inspection.  The snapshot carries ``model.partition()``.  Quadratic cost,
-    so the flattened dimension is capped.
+    so the flattened dimension is capped.  The model's parameters come back
+    bit for bit as they were, so every column is taken about the same point.
     """
     dim = model.num_params
     if dim > MAX_FD_DIM:
         raise ValueError(f"model has {dim} parameters, finite differences capped at {MAX_FD_DIM}")
     theta = model.get_flat()
+    if theta.ndim != 1:
+        raise ValueError(f"hessian_fd needs one network, got a stack of {theta.shape[0]}")
     H = np.empty((dim, dim))
     try:
         for j in range(dim):
-            hj = FD_STEP * (1.0 + abs(theta[j]))
-            theta[j] += hj
+            t = theta[j]
+            hj = FD_STEP * (1.0 + abs(t))
+            theta[j] = t + hj
             model.set_flat(theta)
             _, g_plus = model.loss_grad(X, y)
-            theta[j] -= 2 * hj
+            theta[j] = (t + hj) - 2 * hj
             model.set_flat(theta)
             _, g_minus = model.loss_grad(X, y)
-            theta[j] += hj
+            # t + hj - hj need not be t in floating point, so restore t itself
+            theta[j] = t
             H[:, j] = (g_plus - g_minus) / (2 * hj)
     finally:
         model.set_flat(theta)

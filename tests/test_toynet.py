@@ -206,6 +206,26 @@ def test_models_share_the_partition_protocol(make_model):
     assert hessian_fd(model, data.X, data.y).partition == model.partition()
 
 
+@pytest.mark.parametrize(
+    "make_model",
+    [lambda: random_toynet(8, 5, seed=0), lambda: scaled_mlp((5, 8, 8, 8, 1), 4.0, seed=0)],
+    ids=["toynet", "scaled_mlp"],
+)
+def test_hessian_fd_restores_the_parameters_bit_for_bit(make_model):
+    model = make_model()
+    data = make_xor_blobs(32, 5, seed=0)
+    before = model.get_flat()
+    hessian_fd(model, data.X, data.y)
+    assert np.array_equal(model.get_flat(), before)
+
+
+def test_hessian_fd_rejects_a_stack():
+    mlp = scaled_mlp((2, 3, 3, 3, 1), 1.0)
+    mlp.set_flat(np.tile(mlp.get_flat(), (2, 1)))
+    with pytest.raises(ValueError, match="stack"):
+        hessian_fd(mlp, np.zeros((2, 2)), np.array([1.0, -1.0]))
+
+
 def test_hessian_fd_symmetric_exactly(rng):
     net = random_toynet(4, 3, seed=1)
     data = make_blobs(16, 3, seed=1)
