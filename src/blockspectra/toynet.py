@@ -23,7 +23,9 @@ always describe one copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,6 +249,10 @@ class ScaledMLP:
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError("each bias must match its weight matrix's output width")
+        # One copy's arrays in flattening order (each weight matrix, then its
+        # bias), with where each starts in the flat vector.
+        self._shapes = [a.shape for pair in zip(self.weights, self.biases) for a in pair]
+        self._offsets = list(accumulate((math.prod(shape) for shape in self._shapes), initial=0))
 
     @property
     def num_layers(self) -> int:
@@ -255,37 +261,28 @@ class ScaledMLP:
     @property
     def num_params(self) -> int:
         """Parameters of one network, whether or not the model is a stack."""
-        return sum(w.shape[-2] * w.shape[-1] + b.shape[-1] for w, b in zip(self.weights, self.biases))
+        return self._offsets[-1]
 
     def get_flat(self) -> np.ndarray:
         lead = self.biases[0].shape[:-1]
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(lead + (-1,)))
-            parts.append(b)
-        return np.concatenate(parts, axis=-1)
+        arrays = (a for pair in zip(self.weights, self.biases) for a in pair)
+        return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
 
     def set_flat(self, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != self.num_params:
-            dim = self.num_params
+        # One private copy; the weights and biases are views of it.
+        theta = np.array(theta, dtype=float)
+        dim = self.num_params
+        if theta.ndim not in (1, 2) or theta.shape[-1] != dim:
             raise ValueError(f"expected {dim} parameters or a (k, {dim}) stack, got {theta.shape}")
         lead = theta.shape[:-1]
-        pos = 0
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            size = w.shape[-2] * w.shape[-1]
-            self.weights[k] = theta[..., pos : pos + size].reshape(lead + w.shape[-2:]).copy()
-            pos += size
-            self.biases[k] = theta[..., pos : pos + b.shape[-1]].copy()
-            pos += b.shape[-1]
+        bounds = zip(self._offsets, self._offsets[1:], self._shapes)
+        arrays = [theta[..., a:z].reshape(lead + shape) for a, z, shape in bounds]
+        self.weights[:] = arrays[0::2]
+        self.biases[:] = arrays[1::2]
 
     def partition(self) -> BlockPartition:
         """One block per weight matrix and per bias vector."""
-        sizes = []
-        for w, b in zip(self.weights, self.biases):
-            sizes.append(w.shape[-2] * w.shape[-1])
-            sizes.append(b.shape[-1])
-        return BlockPartition(sizes)
+        return BlockPartition([math.prod(shape) for shape in self._shapes])
 
     def _forward(self, X: np.ndarray):
         activations = [np.atleast_2d(np.asarray(X, dtype=float))]
@@ -316,10 +313,10 @@ class ScaledMLP:
         grads_w = [None] * self.num_layers
         grads_b = [None] * self.num_layers
         for k in range(self.num_layers - 1, -1, -1):
-            grads_w[k] = activations[k].swapaxes(-1, -2) @ delta
+            grads_w[k] = activations[k].mT @ delta
             grads_b[k] = delta.sum(axis=-2)
             if k > 0:
-                delta = (delta @ self.weights[k].swapaxes(-1, -2)) * (1.0 - activations[k] ** 2)
+                delta = (delta @ self.weights[k].mT) * (1.0 - activations[k] ** 2)
         lead = f.shape[:-1]
         parts = []
         for gw, gb in zip(grads_w, grads_b):
@@ -520,6 +517,8 @@ def train(
     stacked = rates.ndim == 1
     k = rates.size
     start = model.get_flat()
+    if start.ndim != 1:
+        raise ValueError(f"train needs one network, got a stack of {start.shape[0]}")
     # One row per rate still training; ``rows`` maps each to its result row.
     rows = np.arange(k)
     eta_col = rates.reshape(k, 1)
@@ -566,7 +565,7 @@ def train(
         idx = rng.integers(0, n, size=batch_size)
         try:
             _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
-        except FloatingPointError:  # a lone model's non-finite logit; a stack gives that row a NaN gradient
+        except FloatingPointError:  # a lone network's non-finite logit; a stack row gets a NaN gradient
             g = np.nan
         g = np.broadcast_to(g, theta.shape)
         keep = np.all(np.isfinite(g), axis=1)

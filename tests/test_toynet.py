@@ -219,11 +219,15 @@ def test_hessian_fd_restores_the_parameters_bit_for_bit(make_model):
     assert np.array_equal(model.get_flat(), before)
 
 
-def test_hessian_fd_rejects_a_stack():
+def test_hessian_fd_and_train_reject_a_stacked_model():
     mlp = scaled_mlp((2, 3, 3, 3, 1), 1.0)
     mlp.set_flat(np.tile(mlp.get_flat(), (2, 1)))
-    with pytest.raises(ValueError, match="stack"):
-        hessian_fd(mlp, np.zeros((2, 2)), np.array([1.0, -1.0]))
+    data = make_blobs(8, 2, seed=0)
+    with pytest.raises(ValueError, match="stack of 2"):
+        hessian_fd(mlp, data.X, data.y)
+    for eta in (0.1, [0.1, 0.2]):
+        with pytest.raises(ValueError, match="stack of 2"):
+            train(mlp, data, eta=eta, steps=2)
 
 
 def test_hessian_fd_symmetric_exactly(rng):
