@@ -59,12 +59,19 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows) -> None:
-    """Atomically replace ``path`` with a header row and ``rows``, floats written with ``repr``."""
+    """Atomically replace ``path`` with a header row and ``rows``, floats written with ``repr``.
+
+    Each row is a sequence.  A row of only Python ints and floats, which the
+    ``csv`` module would write unquoted as their ``repr``, is joined directly.
+    """
     with _atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if all(type(v) is float or type(v) is int for v in row):
+                fh.write(",".join(map(repr, row)) + "\r\n")
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 # The CSV dialect every reader parses: comma separated, ``"``-quoted cells.

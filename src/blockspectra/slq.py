@@ -21,6 +21,10 @@ from blockspectra.rng import TAG_BLOCK_PROBE, TAG_PROBE, derive_rng
 BREAKDOWN_RTOL = 1e-12
 MASS_LEAK_TOL = 1e-2
 GRID_POINTS = 2048
+# float64 exp underflows to exactly 0.0 below about -745.133, and numpy's exp
+# takes ~10x longer on an argument that underflows, so _gaussian_mixture
+# writes those zeros itself.  The cutoff lies just below the underflow point.
+EXP_CUTOFF = -745.2
 
 
 class GridError(ValueError):
@@ -184,10 +188,7 @@ def ritz_quadrature(fact: LanczosFactorization) -> RitzQuadrature:
     """
     if fact.steps == 0:
         raise ValueError("degenerate factorization with zero steps")
-    # Imported here, its only use, so that runs without Lanczos never load scipy.
-    from scipy.linalg import eigh_tridiagonal
-
-    nodes, vecs = eigh_tridiagonal(fact.alphas, fact.betas)
+    nodes, vecs = np.linalg.eigh(fact.tridiagonal())
     weights = vecs[0, :] ** 2
     return RitzQuadrature(nodes=nodes, weights=weights)
 
@@ -232,7 +233,9 @@ def _resolve_grid(lo, hi, sigma, grid):
 
 def _gaussian_mixture(grid, nodes, weights, sigma) -> np.ndarray:
     z = (grid[None, :] - nodes[:, None]) / sigma
-    kernel = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2 * np.pi))
+    arg = -0.5 * z * z
+    # ``~(arg < cutoff)`` and not ``arg >= cutoff``, so a NaN stays NaN.
+    kernel = np.exp(arg, out=np.zeros_like(arg), where=~(arg < EXP_CUTOFF)) / (sigma * np.sqrt(2 * np.pi))
     return weights @ kernel
 
 

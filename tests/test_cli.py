@@ -683,6 +683,110 @@ def test_outputs_byte_identical_across_jobs(tmp_path):
         assert b1[name] == b8[name], f"{name} differs between jobs=1 and jobs=8"
 
 
+# ---------------------------------------------------------------------------
+# --jobs: toynet scaled's worker pool
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the host has, so that --jobs 2 forks a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2_before_any_work(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "q.cfg", "case = 3\nmax_iters = 5\n")
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+    assert not out.exists()
+
+
+def test_toynet_scaled_outputs_byte_identical_across_jobs(tmp_path, monkeypatch, two_cpus):
+    import multiprocessing
+
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: methods.append(method) or get_context(method))
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        "experiment = scaled\nc_values = 1,4\nseeds = 2\nsamples = 32\ngap = true\nlr_grid = 0.01,0.1\ngap_steps = 5\n",
+    )
+    outs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        assert main(["toynet", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
+        outs[jobs] = dir_csv_bytes(out)
+        assert multiprocessing.active_children() == []
+    assert methods == ["fork"]
+    assert sorted(outs[1]) == ["gap.csv", "gap_medians.csv", "js0_medians.csv", "js0_vs_scale.csv"]
+    assert len(read_rows(tmp_path / "j2" / "gap.csv")) == 5
+    assert outs[1] == outs[2]
+
+
+def test_toynet_scaled_worker_error_exits_2_as_in_process(tmp_path, capsys, two_cpus):
+    import multiprocessing
+
+    from blockspectra.toynet import MAX_FD_DIM
+
+    # 112 + 272 + 136 + 9 = 529 parameters: hessian_fd raises in each cell.
+    cfg = write_config(tmp_path / "t.cfg", "experiment = scaled\nc_values = 1,2\nseeds = 1\nsamples = 24\nwidths = 6,16,16,8,1\n")
+    errors = {}
+    for jobs in (1, 2):
+        assert main(["toynet", "--config", cfg, "--out", str(tmp_path / f"j{jobs}"), "--jobs", str(jobs)]) == 2
+        errors[jobs] = capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+    assert errors[1] == errors[2] == f"error: model has 529 parameters, finite differences capped at {MAX_FD_DIM}\n"
+
+
+def test_map_cells_caps_workers_and_always_joins(monkeypatch):
+    import multiprocessing
+
+    from blockspectra.cli import _map_cells
+
+    log = []
+
+    class InlinePool:
+        """Records its size, close and join, and runs its tasks in this process."""
+
+        def __init__(self, workers):
+            log.append(("pool", workers))
+
+        def starmap(self, fn, tasks, chunksize):
+            return [fn(*task) for task in tasks]
+
+        def close(self):
+            log.append("close")
+
+        def join(self):
+            log.append("join")
+
+    class Fork:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    tasks = [(2, k) for k in range(5)]
+    powers = [2**k for k in range(5)]
+    # A huge job count starts no more workers than there are usable CPUs or tasks.
+    assert _map_cells(pow, tasks, 10**6) == powers
+    assert _map_cells(pow, tasks[:2], 10**6) == powers[:2]
+    assert _map_cells(pow, tasks, 2) == powers
+    assert log == [("pool", 3), "close", "join", ("pool", 2), "close", "join", ("pool", 2), "close", "join"]
+    # One worker, asked for or all there is, runs in this process.
+    log.clear()
+    assert _map_cells(pow, tasks, 1) == powers
+    assert _map_cells(pow, tasks[:1], 10**6) == powers[:1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _map_cells(pow, tasks, 10**6) == powers
+    assert log == []
+    # A task that raises still leaves the pool closed and joined.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ZeroDivisionError):
+        _map_cells(divmod, [(1, 1), (1, 0)], 2)
+    assert log == [("pool", 2), "close", "join"]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "h.cfg", "source = case\ncase = 4\n")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -724,13 +828,14 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_ritz_quadrature(tmp_path):
-    # quadlab and toynet never run Lanczos, so a fresh process running them
-    # never pays for importing scipy; a heatmap loads it for its quadrature.
+def test_no_subcommand_loads_scipy(tmp_path):
+    # The Ritz quadrature runs on numpy's eigh, so a fresh process never pays
+    # for importing scipy, not even for Lanczos.
     runs = [
         ("quadlab", "quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\n", []),
         ("toynet", "toynet", TOYNET_GAP + "gap_steps = 3\n", []),
         ("heatmap", "heatmap", "source = case\ncase = 3\n", ["--cheap"]),
+        ("spectrum", "spectrum", "source = case\ncase = 3\n", ["--cheap"]),
     ]
     argvs = [
         (label, [cmd, "--config", write_config(tmp_path / f"{label}.cfg", text),
@@ -745,5 +850,4 @@ def test_scipy_loads_only_for_ritz_quadrature(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == seen["quadlab"] == seen["toynet"] == []
-    assert "scipy.linalg" in seen["heatmap"]
+    assert seen == {label: [] for label in ["import", "quadlab", "toynet", "heatmap", "spectrum"]}

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -65,6 +66,32 @@ WRITERS = {
         b"k = 1\nj = 2\n",
     ),
 }
+
+
+def test_plain_number_rows_match_the_csv_module(tmp_path):
+    # Rows of only ints and floats are joined directly; every row must read
+    # exactly as the csv module writes it with floats as repr.
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        [0, 1.5, -0.0, nan, inf, -inf, 10**30, -(10**19), 5e-324, 1e300],
+        (3, 0.1),
+        [],
+        [np.float32(0.1), np.float64(-0.0), np.int64(7), 2],
+        [np.float64(0.25), 1],
+        [True, False, 1.0],
+        [None, 2.5, ""],
+        ["a,b", 'say "hi"', "two\nlines", 4.0],
+        [nan, "x"],
+    ]
+    path = tmp_path / "rows.csv"
+    fileio.write_csv(path, ["h1", "h,2"], rows)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h1", "h,2"])
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+    assert path.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))

@@ -9,6 +9,7 @@ from blockspectra.operators import (
     principal_block,
 )
 from blockspectra.slq import (
+    EXP_CUTOFF,
     GridError,
     LanczosFactorization,
     SLQParams,
@@ -20,6 +21,7 @@ from blockspectra.slq import (
     save_density_csv,
     smoothed_densities,
 )
+from blockspectra.slq import _gaussian_mixture
 
 
 def random_symmetric(dim, rng):
@@ -329,6 +331,24 @@ def test_blockwise_rejects_mismatched_partition(case3, case4):
 
     with pytest.raises(ValueError):
         blockwise_densities(case3.operator(), BlockPartition([4, 5, 4]), SLQParams())
+
+
+def test_gaussian_mixture_skips_only_exps_that_underflow():
+    assert np.exp(np.nextafter(EXP_CUTOFF, -np.inf)) == 0.0
+    # z runs to +-60, past the subnormal band z in (37.6, 38.6) where
+    # exp(-z**2 / 2) is below the smallest normal double but not 0.
+    sigma = 0.7
+    grid = np.linspace(-42.0, 42.0, 20001)
+    nodes = np.array([-30.0, -1.3, 0.0, 2.5, 11.0])
+    weights = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+    z = (grid[None, :] - nodes[:, None]) / sigma
+    plain = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2 * np.pi))
+    assert np.any(plain == 0) and np.any((plain > 0) & (plain < np.finfo(float).tiny))
+    assert np.array_equal(_gaussian_mixture(grid, nodes, weights, sigma), weights @ plain)
+    for i in range(nodes.size):
+        alone = _gaussian_mixture(grid, nodes[i : i + 1], np.ones(1), sigma)
+        assert np.array_equal(alone, plain[i])
+    assert np.isnan(_gaussian_mixture(grid[:3], np.array([np.nan]), np.ones(1), 1.0)).all()
 
 
 def test_smoothed_densities_share_grid():
