@@ -163,6 +163,12 @@ QUADLAB = {
 }
 
 DATASET = one_of("blobs", "xor")
+# scaled_mlp's layer widths: input, 3 hidden, and the one output logit.
+WIDTHS = Kind(
+    "5 integers >= 1 separated by commas, the last one 1 (input, 3 hidden, output)",
+    list_of(at_least(1)).parse,
+    lambda w: len(w) == 5 and min(w) >= 1 and w[-1] == 1,
+)
 
 # Keys both toynet experiments accept.
 TOYNET_COMMON = {
@@ -189,7 +195,7 @@ TRAIN = {
 SCALED = {
     **TOYNET_COMMON,
     "dataset": (DATASET, "xor", GENERATED),
-    "widths": (list_of(at_least(1)), (6, 8, 8, 8, 1)),
+    "widths": (WIDTHS, (6, 8, 8, 8, 1)),
     "c_values": (
         list_of(Kind("a finite number >= 1", float, lambda v: 1 <= v < np.inf)),
         (1.0, 2.0, 4.0, 8.0),

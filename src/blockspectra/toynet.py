@@ -1,24 +1,26 @@
 """Small dense networks with exact gradients and finite-difference Hessians.
 
-Two models live here: a one-hidden-layer tanh network whose off-diagonal
-Hessian blocks have a closed form worth checking numerically, and a deeper
-tanh MLP whose per-layer initialization scale can be swept to dial the
-spectral heterogeneity across parameter blocks up and down.
+Two models live here, and one class computes both.  ``ScaledMLP`` is a
+deeper tanh MLP whose per-layer initialization scale can be swept to dial
+the spectral heterogeneity across parameter blocks up and down.  ``ToyNet``,
+a one-hidden-layer tanh network whose off-diagonal Hessian blocks have a
+closed form worth checking numerically, is a ``ScaledMLP`` without biases
+that differs only in its parameter layout: its flat vector and partition go
+neuron by neuron.
 
-Both models expose the same protocol, which ``hessian_fd`` and ``train``
-rely on: ``num_params``; ``get_flat`` / ``set_flat`` for the flattened
-parameter vector; ``loss_grad`` returning the mean logistic loss and its
-analytic gradient over a batch; ``logits``; and ``partition()``, the
-``BlockPartition`` of the flattened vector into the model's parameter blocks.
-Labels are -1/+1 and the per-sample probability of the observed label is
-p = 1 / (1 + exp(-y f)).
+Both expose the protocol that ``hessian_fd`` and ``train`` rely on:
+``num_params``; ``get_flat`` / ``set_flat`` for the flattened parameter
+vector; ``loss_grad`` returning the mean logistic loss and its analytic
+gradient over a batch; ``logits``; and ``partition()``, the
+``BlockPartition`` of the flattened vector into the model's parameter
+blocks.  Labels are -1/+1 and the per-sample probability of the observed
+label is p = 1 / (1 + exp(-y f)).
 
-A model whose class sets ``stackable = True`` (``ScaledMLP``) also accepts
-an optional leading stack axis of k copies: ``set_flat`` / ``get_flat`` take
-and return (k, num_params), ``logits`` returns (k, n), and ``loss_grad``
-returns k losses and a (k, num_params) gradient.  ``train`` uses it to step
-a whole grid of learning rates at once; ``num_params`` and ``partition()``
-always describe one copy.
+The flattened vector may carry a leading stack axis of k copies:
+``set_flat`` / ``get_flat`` take and return (k, num_params), ``logits``
+returns (k, n), and ``loss_grad`` returns k losses and a (k, num_params)
+gradient.  ``train`` uses it to step a whole grid of learning rates at once;
+``num_params`` and ``partition()`` always describe one copy.
 """
 
 from __future__ import annotations
@@ -61,11 +63,156 @@ def _check_finite_logits(f: np.ndarray):
         raise FloatingPointError(f"non-finite activation at sample index {int(bad[0])}")
 
 
-class ToyNet:
+class ScaledMLP:
+    """Dense tanh MLP with one output logit, trained with logistic loss.
+
+    ``scaled_mlp`` builds one whose layer l is initialized with standard
+    deviation scale_growth^(l-1) / sqrt(fan_in), so scale_growth > 1 makes
+    successive layers progressively larger and their Hessian blocks
+    progressively more dissimilar.
+
+    The parameters are one private flat array, each weight matrix followed by
+    its bias, and ``weights`` and ``biases`` are views of it.  The array may
+    carry a leading stack axis of k independent copies of the network:
+    ``set_flat`` with shape (k, dim) makes a stack, after which ``get_flat``
+    returns (k, dim), ``logits`` (k, n), and ``loss_grad`` k losses and a
+    (k, dim) gradient.  Each row is computed by the same operations as a lone
+    network, so it matches that network bit for bit.
+    """
+
+    def __init__(self, weights, biases):
+        if len(weights) != len(biases) or not weights:
+            raise ValueError("need matching nonempty weight and bias lists")
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        for w, b in zip(weights, biases):
+            if w.ndim != 2 or b.shape != (w.shape[1],):
+                raise ValueError("each bias must match its weight matrix's output width")
+        if weights[-1].shape[1] != 1:
+            raise ValueError(f"the last weight matrix must have 1 output column, got {weights[-1].shape[1]}")
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        # One copy's arrays in flattening order, with where each starts.
+        self._shapes = [a.shape for a in arrays]
+        self._offsets = list(accumulate((a.size for a in arrays), initial=0))
+        self.set_flat(np.concatenate([a.ravel() for a in arrays]))
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights)
+
+    @property
+    def num_params(self) -> int:
+        """Parameters of one network, whether or not the model is a stack."""
+        return self._offsets[-1]
+
+    def _views(self, flat: np.ndarray):
+        """Per-layer weight and bias views of a flat vector or a (k, dim) stack.
+
+        A layer without biases has ``None`` for its bias view.
+        """
+        lead = flat.shape[:-1]
+        bounds = zip(self._offsets, self._offsets[1:], self._shapes)
+        arrays = [flat[..., a:z].reshape(lead + shape) for a, z, shape in bounds]
+        return arrays[0::2], arrays[1::2]
+
+    def get_flat(self) -> np.ndarray:
+        return self._flat.copy()
+
+    def set_flat(self, theta: np.ndarray):
+        # One private copy; the weights and biases are views of it.
+        theta = np.array(theta, dtype=float)
+        dim = self.num_params
+        if theta.ndim not in (1, 2) or theta.shape[-1] != dim:
+            raise ValueError(f"expected {dim} parameters or a (k, {dim}) stack, got {theta.shape}")
+        self._flat = theta
+        self.weights, self.biases = self._views(theta)
+
+    def partition(self) -> BlockPartition:
+        """One block per weight matrix and per bias vector."""
+        return BlockPartition([math.prod(shape) for shape in self._shapes])
+
+    @staticmethod
+    def _affine(a, w, b):
+        z = a @ w
+        return z if b is None else z + b[..., None, :]
+
+    def _forward(self, X: np.ndarray):
+        """Each layer's input, and the logits."""
+        activations = [np.atleast_2d(np.asarray(X, dtype=float))]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            activations.append(np.tanh(self._affine(activations[-1], w, b)))
+        return activations, self._affine(activations[-1], self.weights[-1], self.biases[-1])[..., 0]
+
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        return self._forward(X)[1]
+
+    def loss_grad(self, X, y):
+        """Mean logistic loss over the batch and its analytic gradient.
+
+        A lone network raises ``FloatingPointError`` on a non-finite logit.
+        A stack instead gives that row a NaN loss and a NaN gradient, and
+        the other rows are unaffected.
+        """
+        y = np.asarray(y, dtype=float)
+        activations, f = self._forward(X)
+        if f.ndim == 1:
+            _check_finite_logits(f)
+        b = activations[0].shape[0]
+        if b == 0:
+            raise ValueError("empty batch")
+        loss = _logistic_loss(f, y)
+        delta = (-y * _sigmoid(-y * f) / b)[..., None]
+        grad = np.empty(f.shape[:-1] + (self.num_params,))
+        grads_w, grads_b = self._views(grad)
+        for k in range(self.num_layers - 1, -1, -1):
+            grads_w[k][...] = activations[k].mT @ delta
+            if grads_b[k] is not None:
+                grads_b[k][...] = delta.sum(axis=-2)
+            if k > 0:
+                delta = (delta @ self.weights[k].mT) * (1.0 - activations[k] ** 2)
+        if f.ndim > 1:
+            bad = ~np.all(np.isfinite(f), axis=-1)
+            loss[bad] = np.nan
+            grad[bad] = np.nan
+        return loss, grad
+
+
+def scaled_mlp(widths, scale_growth: float, seed: int = 0) -> ScaledMLP:
+    """Four-layer tanh MLP whose hidden layers get geometrically scaled inits.
+
+    Hidden layer k (k = 1, 2, 3) is initialized with standard deviation
+    scale_growth^(k-1) / sqrt(fan_in); the output layer stays at base scale
+    so the logit, and with it the curvature of the logistic loss, remains
+    O(1) even at large scale_growth.  Growing scale_growth therefore spreads
+    the Hessian blocks of the layers across orders of magnitude without
+    flattening the loss surface itself.
+    """
+    widths = [int(w) for w in widths]
+    if len(widths) != 5:
+        raise ValueError(f"expected 5 widths (input, 3 hidden, output), got {len(widths)}")
+    if any(w <= 0 for w in widths):
+        raise ValueError(f"widths must be positive, got {widths}")
+    if widths[-1] != 1:
+        raise ValueError(f"widths must end in 1, the one output logit, got {widths}")
+    if scale_growth < 1:
+        raise ValueError(f"scale_growth must be >= 1, got {scale_growth}")
+    rng = derive_rng(seed, TAG_INIT, *widths)
+    weights, biases = [], []
+    for k in range(4):
+        mult = scale_growth**k if k < 3 else 1.0
+        std = mult / np.sqrt(widths[k])
+        weights.append(rng.standard_normal((widths[k], widths[k + 1])) * std)
+        biases.append(np.zeros(widths[k + 1]))
+    return ScaledMLP(weights, biases)
+
+
+class ToyNet(ScaledMLP):
     """f(x) = sum_i v_i tanh(w_i . x) with logistic loss on -1/+1 labels.
 
-    Parameters flatten deterministically: the hidden rows w_1..w_n
-    (row-major) followed by the output weights v_1..v_n.
+    A ``ScaledMLP`` with one hidden layer and no biases, in its own layout:
+    the flat vector holds the hidden rows w_1..w_n (row-major), so each
+    neuron's input weights are contiguous, followed by the output weights
+    v_1..v_n.  ``W`` and ``v`` are views of it.
     """
 
     def __init__(self, hidden_weights: np.ndarray, output_weights: np.ndarray):
@@ -73,52 +220,31 @@ class ToyNet:
         v = np.asarray(output_weights, dtype=float)
         if W.ndim != 2 or v.ndim != 1 or W.shape[0] != v.size:
             raise ValueError(f"incompatible shapes W{W.shape}, v{v.shape}")
-        self.W = W.copy()
-        self.v = v.copy()
-
-    @property
-    def n_hidden(self) -> int:
-        return self.v.size
-
-    @property
-    def d_in(self) -> int:
-        return self.W.shape[1]
+        self.n_hidden, self.d_in = W.shape
+        self.set_flat(np.concatenate([W.ravel(), v]))
 
     @property
     def num_params(self) -> int:
-        return self.W.size + self.v.size
+        return self.n_hidden * (self.d_in + 1)
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.W.ravel(), self.v])
+    # ScaledMLP's own function, named here because bench/layertrace.py traces
+    # ToyNet's calls through vars(ToyNet)["loss_grad"].
+    loss_grad = ScaledMLP.loss_grad
 
-    def set_flat(self, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {theta.shape}")
-        self.W = theta[: self.W.size].reshape(self.W.shape).copy()
-        self.v = theta[self.W.size :].copy()
+    def _views(self, flat: np.ndarray):
+        nd = self.n_hidden * self.d_in
+        W = flat[..., :nd].reshape(flat.shape[:-1] + (self.n_hidden, self.d_in))
+        return [W.mT, flat[..., nd:, None]], [None, None]
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return np.tanh(X @ self.W.T) @ self.v
+    @property
+    def W(self) -> np.ndarray:
+        """Hidden weights, one row per neuron."""
+        return self.weights[0].mT
 
-    def loss_grad(self, X: np.ndarray, y: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] == 0:
-            raise ValueError("empty batch")
-        t = np.tanh(X @ self.W.T)  # (b, n)
-        f = t @ self.v
-        _check_finite_logits(f)
-        loss = _logistic_loss(f, y)
-        # d loss / d f = -y (1 - p) with p = sigmoid(y f)
-        dldf = -y * _sigmoid(-y * f) / X.shape[0]
-        gv = t.T @ dldf
-        gW = ((dldf[:, None] * (1.0 - t * t)) * self.v[None, :]).T @ X
-        return loss, np.concatenate([gW.ravel(), gv])
-
-    def mean_prob(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean probability assigned to the observed labels."""
-        return float(np.mean(_sigmoid(np.asarray(y, dtype=float) * self.logits(X))))
+    @property
+    def v(self) -> np.ndarray:
+        """Output weights."""
+        return self.weights[1][..., 0]
 
     def partition(self) -> BlockPartition:
         """One block per hidden neuron's input weights, plus the output block."""
@@ -224,139 +350,6 @@ def offdiag_mass_ratio(snapshot, partition: BlockPartition | None = None) -> flo
     return (total - on) / total
 
 
-class ScaledMLP:
-    """Dense tanh MLP with geometrically scaled per-layer initialization.
-
-    Layer l's weights are initialized with standard deviation
-    scale_growth^(l-1) / sqrt(fan_in), so scale_growth > 1 makes successive
-    layers progressively larger and their Hessian blocks progressively more
-    dissimilar.  The output is a single logit trained with logistic loss.
-
-    The parameters may carry a leading stack axis of k independent copies
-    of the network: ``set_flat`` with shape (k, dim) makes a stack, after
-    which ``get_flat`` returns (k, dim), ``logits`` (k, n), and ``loss_grad``
-    k losses and a (k, dim) gradient.  Each row is computed by the same
-    operations as a lone network, so it matches that network bit for bit.
-    """
-
-    stackable = True
-
-    def __init__(self, weights, biases):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need matching nonempty weight and bias lists")
-        self.weights = [np.asarray(w, dtype=float).copy() for w in weights]
-        self.biases = [np.asarray(b, dtype=float).copy() for b in biases]
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("each bias must match its weight matrix's output width")
-        # One copy's arrays in flattening order (each weight matrix, then its
-        # bias), with where each starts in the flat vector.
-        self._shapes = [a.shape for pair in zip(self.weights, self.biases) for a in pair]
-        self._offsets = list(accumulate((math.prod(shape) for shape in self._shapes), initial=0))
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def num_params(self) -> int:
-        """Parameters of one network, whether or not the model is a stack."""
-        return self._offsets[-1]
-
-    def get_flat(self) -> np.ndarray:
-        lead = self.biases[0].shape[:-1]
-        arrays = (a for pair in zip(self.weights, self.biases) for a in pair)
-        return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
-
-    def set_flat(self, theta: np.ndarray):
-        # One private copy; the weights and biases are views of it.
-        theta = np.array(theta, dtype=float)
-        dim = self.num_params
-        if theta.ndim not in (1, 2) or theta.shape[-1] != dim:
-            raise ValueError(f"expected {dim} parameters or a (k, {dim}) stack, got {theta.shape}")
-        lead = theta.shape[:-1]
-        bounds = zip(self._offsets, self._offsets[1:], self._shapes)
-        arrays = [theta[..., a:z].reshape(lead + shape) for a, z, shape in bounds]
-        self.weights[:] = arrays[0::2]
-        self.biases[:] = arrays[1::2]
-
-    def partition(self) -> BlockPartition:
-        """One block per weight matrix and per bias vector."""
-        return BlockPartition([math.prod(shape) for shape in self._shapes])
-
-    def _forward(self, X: np.ndarray):
-        activations = [np.atleast_2d(np.asarray(X, dtype=float))]
-        for k in range(self.num_layers - 1):
-            activations.append(np.tanh(activations[-1] @ self.weights[k] + self.biases[k][..., None, :]))
-        logits = (activations[-1] @ self.weights[-1] + self.biases[-1][..., None, :])[..., 0]
-        return activations, logits
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[1]
-
-    def loss_grad(self, X, y):
-        """Mean logistic loss over the batch and its analytic gradient.
-
-        A lone network raises ``FloatingPointError`` on a non-finite logit.
-        A stack instead gives that row a NaN loss and a NaN gradient, and
-        the other rows are unaffected.
-        """
-        y = np.asarray(y, dtype=float)
-        activations, f = self._forward(X)
-        if f.ndim == 1:
-            _check_finite_logits(f)
-        b = activations[0].shape[0]
-        if b == 0:
-            raise ValueError("empty batch")
-        loss = _logistic_loss(f, y)
-        delta = (-y * _sigmoid(-y * f) / b)[..., None]
-        grads_w = [None] * self.num_layers
-        grads_b = [None] * self.num_layers
-        for k in range(self.num_layers - 1, -1, -1):
-            grads_w[k] = activations[k].mT @ delta
-            grads_b[k] = delta.sum(axis=-2)
-            if k > 0:
-                delta = (delta @ self.weights[k].mT) * (1.0 - activations[k] ** 2)
-        lead = f.shape[:-1]
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.reshape(lead + (-1,)))
-            parts.append(gb)
-        grad = np.concatenate(parts, axis=-1)
-        if lead:
-            bad = ~np.all(np.isfinite(f), axis=-1)
-            loss[bad] = np.nan
-            grad[bad] = np.nan
-        return loss, grad
-
-
-def scaled_mlp(widths, scale_growth: float, seed: int = 0) -> ScaledMLP:
-    """Four-layer tanh MLP whose hidden layers get geometrically scaled inits.
-
-    Hidden layer k (k = 1, 2, 3) is initialized with standard deviation
-    scale_growth^(k-1) / sqrt(fan_in); the output layer stays at base scale
-    so the logit, and with it the curvature of the logistic loss, remains
-    O(1) even at large scale_growth.  Growing scale_growth therefore spreads
-    the Hessian blocks of the layers across orders of magnitude without
-    flattening the loss surface itself.
-    """
-    widths = [int(w) for w in widths]
-    if len(widths) != 5:
-        raise ValueError(f"expected 5 widths (input, 3 hidden, output), got {len(widths)}")
-    if any(w <= 0 for w in widths):
-        raise ValueError(f"widths must be positive, got {widths}")
-    if scale_growth < 1:
-        raise ValueError(f"scale_growth must be >= 1, got {scale_growth}")
-    rng = derive_rng(seed, TAG_INIT, *widths)
-    weights, biases = [], []
-    for k in range(4):
-        mult = scale_growth**k if k < 3 else 1.0
-        std = mult / np.sqrt(widths[k])
-        weights.append(rng.standard_normal((widths[k], widths[k + 1])) * std)
-        biases.append(np.zeros(widths[k + 1]))
-    return ScaledMLP(weights, biases)
-
-
 # ---------------------------------------------------------------------------
 # Data
 # ---------------------------------------------------------------------------
@@ -460,8 +453,8 @@ def accuracy(model, X, y):
     return _accuracy(model.logits(X), y)
 
 
-def _learning_rates(eta, model, snapshot_stride: int) -> np.ndarray:
-    """``eta`` as a float array of shape () or (k,), checked against the model."""
+def _learning_rates(eta, snapshot_stride: int) -> np.ndarray:
+    """``eta`` as a float array of shape () or (k,)."""
     try:
         rates = np.asarray(eta, dtype=float)
     except (TypeError, ValueError):
@@ -470,8 +463,6 @@ def _learning_rates(eta, model, snapshot_stride: int) -> np.ndarray:
         raise ValueError(f"eta must be a number or a nonempty 1-D sequence, got shape {rates.shape}")
     if not np.all(rates >= 0):
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if rates.ndim and not getattr(model, "stackable", False):
-        raise ValueError(f"eta is a sequence, but {type(model).__name__} cannot train a stack of rates")
     if rates.ndim and snapshot_stride > 0:
         raise ValueError("eta is a sequence, but snapshot_stride > 0 needs a single rate")
     return rates
@@ -496,19 +487,19 @@ def train(
     loss is captured at that stride (and at the final step), which is only
     practical for small models.
 
-    ``eta`` is one learning rate, or a 1-D sequence of k rates for a model
-    that is ``stackable``.  A sequence trains k copies of the model as one
-    stack: every copy starts from the model's parameters and draws the same
-    minibatches, so each step is one forward and one backward pass for all
-    rates, and each row matches a lone run at its rate bit for bit.  A row
-    leaves the stack at the step where its lone run would diverge (a
-    non-finite full-dataset logit or loss, minibatch logit or gradient), and
-    the other rows go on.  A lone run leaves its trained parameters in the
-    model; a stacked run leaves the model's parameters as it found them.
+    ``eta`` is one learning rate, or a 1-D sequence of k rates.  A sequence
+    trains k copies of the model as one stack: every copy starts from the
+    model's parameters and draws the same minibatches, so each step is one
+    forward and one backward pass for all rates, and each row matches a lone
+    run at its rate bit for bit.  A row leaves the stack at the step where
+    its lone run would diverge (a non-finite full-dataset logit or loss,
+    minibatch logit or gradient), and the other rows go on.  A lone run
+    leaves its trained parameters in the model; a stacked run leaves the
+    model's parameters as it found them.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
-    rates = _learning_rates(eta, model, snapshot_stride)
+    rates = _learning_rates(eta, snapshot_stride)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if batch_size < 1:

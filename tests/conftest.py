@@ -1,7 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from blockspectra import make_case
+
+TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    """Any warning fails a test under tests/; a test's own filterwarnings mark still applies."""
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 @pytest.fixture(scope="session")

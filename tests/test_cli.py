@@ -502,6 +502,8 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = nan\n", "eta"),
         ("spectrum", "source = case\ncase = 3\nmatrix = /nonexistent.csv\n", "matrix"),
         ("spectrum", "source = case\ncase = 3\nblocks = 1,2\n", "blocks"),
+        ("toynet", "experiment = scaled\nwidths = 6,8,8,8,2\nc_values = 1\nseeds = 1\nsamples = 32\n", "widths"),
+        ("toynet", "experiment = scaled\nwidths = 6,8,8,1\nc_values = 1\nseeds = 1\nsamples = 32\n", "widths"),
     ],
     ids=[
         "toynet_seeds_0", "quadlab_seeds_0", "quadlab_target_nan", "quadlab_max_iters_negative",
@@ -512,7 +514,7 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         "quadlab_grid_points_0", "spectrum_sigma_nan", "spectrum_sigma_negative", "toynet_eta_list",
         "quadlab_max_iters_list", "quadlab_optimizer_typo", "quadlab_svg_maybe", "quadlab_strict_maybe",
         "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_eta_nan", "spectrum_matrix_under_case",
-        "spectrum_blocks_under_case",
+        "spectrum_blocks_under_case", "toynet_widths_output_2", "toynet_widths_four",
     ],
 )
 def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, key):

@@ -95,6 +95,34 @@ def test_flatten_roundtrip_toynet():
     assert theta.size == 4 * 3 + 4
 
 
+def test_toynet_flattens_neuron_by_neuron():
+    W = np.arange(12.0).reshape(3, 4) + 1
+    v = np.array([-1.0, -2.0, -3.0])
+    net = ToyNet(W, v)
+    assert np.array_equal(net.get_flat(), np.concatenate([W.ravel(), v]))
+    assert np.array_equal(net.W, W) and np.array_equal(net.v, v)
+
+
+def test_toynet_partition_blocks_are_its_neurons():
+    net = random_toynet(3, 4, seed=0)
+    start, W, v = net.get_flat(), net.W.copy(), net.v.copy()
+    for i, (a, z) in enumerate(net.partition().ranges()[:-1]):
+        theta = start.copy()
+        theta[a:z] += 1.0
+        net.set_flat(theta)
+        moved = W.copy()
+        moved[i] += 1.0
+        assert np.array_equal(net.W, moved) and np.array_equal(net.v, v)
+
+
+def test_toynet_stack_sizes_describe_one_copy():
+    net = random_toynet(3, 4, seed=0)
+    dim = net.num_params
+    net.set_flat(np.tile(net.get_flat(), (2, 1)))
+    assert net.num_params == net.partition().dim == dim == 3 * 4 + 3
+    assert net.W.shape == (2, 3, 4) and net.v.shape == (2, 3)
+
+
 def test_flatten_roundtrip_mlp():
     mlp = scaled_mlp((4, 5, 5, 5, 1), 2.0, seed=1)
     theta = mlp.get_flat()
@@ -416,11 +444,20 @@ def _lone_and_stacked(make, data, optimizer, grid, **kw):
     return lone, stacked
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_stacked_train_matches_lone_runs_bit_for_bit(optimizer):
-    def make():
-        return scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=1)
+def _stacking_mlp():
+    return scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=1)
 
+
+def _stacking_toynet():
+    return random_toynet(6, 4, seed=1)
+
+
+@pytest.mark.parametrize(
+    "make, optimizer",
+    [(_stacking_mlp, "sgd"), (_stacking_mlp, "adam"), (_stacking_toynet, "sgd"), (_stacking_toynet, "adam")],
+    ids=["sgd", "adam", "toynet-sgd", "toynet-adam"],
+)
+def test_stacked_train_matches_lone_runs_bit_for_bit(make, optimizer):
     data = make_xor_blobs(48, 4, seed=1)
     grid = [0.003, 0.05, 1e307, 0.3]
     lone, stacked = _lone_and_stacked(make, data, optimizer, grid, steps=40, batch_size=16, seed=2)
@@ -434,14 +471,12 @@ def test_stacked_train_matches_lone_runs_bit_for_bit(optimizer):
         assert np.all(np.isnan(stacked.losses[row, m:])) and np.all(np.isnan(stacked.accuracies[row, m:]))
 
 
-class _StackableDiagonalQuadratic(_QuadraticModel):
+class _StackedDiagonalQuadratic(_QuadraticModel):
     """0.5 sum a th^2 + b' th with a leading stack axis; its logits are zero.
 
     With zero logits the full-dataset loss stays finite, so a rate that is
     too large diverges through a non-finite minibatch gradient.
     """
-
-    stackable = True
 
     @property
     def num_params(self):
@@ -459,7 +494,7 @@ def test_stacked_rows_drop_out_at_their_own_gradient_divergence(rng):
     a, b, start = rng.uniform(1, 4, 5), rng.standard_normal(5), rng.standard_normal(5)
 
     def make():
-        model = _StackableDiagonalQuadratic(a, b)
+        model = _StackedDiagonalQuadratic(a, b)
         model.set_flat(start)
         return model
 
@@ -489,20 +524,22 @@ def test_one_rate_stack_matches_the_scalar_result():
     assert np.all(stacked.losses[0] == lone[0].losses) and np.all(stacked.accuracies[0] == lone[0].accuracies)
 
 
-def test_stacked_mlp_rows_match_lone_networks_bit_for_bit():
-    mlp = scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=3)
+def _check_stacked_rows_match_lone_networks(make):
+    model = make()
     data = make_xor_blobs(40, 4, seed=3)
     rng = np.random.default_rng(0)
-    stack = mlp.get_flat() + 0.1 * rng.standard_normal((3, mlp.num_params))
-    stack[1, -1] = np.inf  # the output bias: every logit of row 1 is infinite
-    mlp.set_flat(stack)
-    assert np.array_equal(mlp.get_flat(), stack)
-    assert mlp.num_params == stack.shape[1] and mlp.partition().dim == stack.shape[1]
-    logits = mlp.logits(data.X)
-    losses, grads = mlp.loss_grad(data.X[:16], data.y[:16])
+    stack = model.get_flat() + 0.1 * rng.standard_normal((3, model.num_params))
+    # the output bias, or the last output weight: every logit of row 1 is infinite
+    stack[1, -1] = np.inf
+    model.set_flat(stack)
+    assert np.array_equal(model.get_flat(), stack)
+    assert model.num_params == stack.shape[1] and model.partition().dim == stack.shape[1]
+    logits = model.logits(data.X)
+    with np.errstate(invalid="ignore"):  # an infinite output weight meets inf * 0 going back
+        losses, grads = model.loss_grad(data.X[:16], data.y[:16])
     assert logits.shape == (3, 40) and losses.shape == (3,) and grads.shape == stack.shape
     assert np.isnan(losses[1]) and np.all(np.isnan(grads[1]))
-    lone = scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=3)
+    lone = make()
     for row in (0, 2):
         lone.set_flat(stack[row])
         assert np.array_equal(lone.logits(data.X), logits[row])
@@ -511,6 +548,14 @@ def test_stacked_mlp_rows_match_lone_networks_bit_for_bit():
     lone.set_flat(stack[1])
     with pytest.raises(FloatingPointError):
         lone.loss_grad(data.X[:16], data.y[:16])
+
+
+def test_stacked_mlp_rows_match_lone_networks_bit_for_bit():
+    _check_stacked_rows_match_lone_networks(lambda: scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=3))
+
+
+def test_stacked_toynet_rows_match_lone_networks_bit_for_bit():
+    _check_stacked_rows_match_lone_networks(lambda: random_toynet(6, 4, seed=3))
 
 
 @pytest.mark.parametrize(
@@ -522,12 +567,10 @@ def test_stacked_mlp_rows_match_lone_networks_bit_for_bit():
         (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [0.1, float("nan")], {}),
         (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), float("nan"), {}),
         (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), "fast", {}),
-        (lambda: random_toynet(2, 2, seed=0), [0.1, 0.2], {}),
         (lambda: random_toynet(2, 2, seed=0), float("nan"), {}),
         (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [0.1, 0.2], {"snapshot_stride": 2}),
     ],
-    ids=["empty", "2d", "negative", "nan_entry", "nan_scalar", "text", "toynet_sequence",
-         "toynet_nan", "stack_with_snapshots"],
+    ids=["empty", "2d", "negative", "nan_entry", "nan_scalar", "text", "toynet_nan", "stack_with_snapshots"],
 )
 def test_train_rejects_bad_eta_naming_it(make_model, eta, kwargs):
     with pytest.raises(ValueError, match="eta"):
@@ -602,6 +645,10 @@ def test_scaled_mlp_validation():
         scaled_mlp((4, 5, 5, 5, 1), 0.5)
     with pytest.raises(ValueError):
         scaled_mlp((4, 0, 5, 5, 1), 2.0)
+    with pytest.raises(ValueError, match="widths"):
+        scaled_mlp((4, 5, 5, 5, 2), 2.0)
+    with pytest.raises(ValueError, match="1 output column"):
+        ScaledMLP([np.ones((3, 2))], [np.zeros(2)])
 
 
 def test_scaled_mlp_layer_partition():
@@ -650,7 +697,7 @@ def test_trained_toynet_offdiag_mass_halves():
         before = offdiag_mass_ratio(hessian_fd(net, data.X, data.y))
         result = train(net, data, optimizer="adam", eta=0.02, steps=3000, batch_size=32, seed=seed)
         assert result.status == "completed"
-        assert net.mean_prob(data.X, data.y) >= 0.95
+        assert np.mean(1.0 / (1.0 + np.exp(-data.y * net.logits(data.X)))) >= 0.95  # mean p of the labels
         after = offdiag_mass_ratio(hessian_fd(net, data.X, data.y))
         factors.append(after / before)
     assert np.median(factors) <= 0.5
