@@ -1,9 +1,11 @@
 """Experiment orchestration: subcommands, configs, seeds, CSV/SVG emission.
 
 Every subcommand takes ``--config PATH --out DIR --seed N --jobs K
-[--cheap]``.  Only ``toynet scaled`` uses ``--jobs``: it computes its
-independent (scale, seed) cells in up to K forked worker processes.  The
-other subcommands record it in the manifest and otherwise ignore it.
+[--cheap]``.  ``--jobs`` fans independent work out over up to K forked
+worker processes (``workers.fork_map``): ``heatmap`` and ``spectrum`` their
+SLQ probes, one Lanczos run per (block, probe), and ``toynet scaled`` its
+(scale, seed) cells.  ``quadlab`` and ``toynet train`` record it in the
+manifest and otherwise ignore it.  Outputs are the same at any K.
 Configs are flat ``key = value`` text files.  The keys a subcommand accepts,
 each with its kind, default and bound, are its table below: ``SPECTRUM``,
 ``HEATMAP``, ``QUADLAB``, and for ``toynet`` ``TRAIN`` or ``SCALED`` as its
@@ -36,6 +38,7 @@ from blockspectra.operators import (
     load_matrix_csv,
     principal_block,
 )
+from blockspectra.workers import fork_map
 
 MAX_CSV_ROWS = 2001
 
@@ -300,7 +303,7 @@ def _slq_params(cfg, seed, cheap) -> slq.SLQParams:
 
 def cmd_spectrum(cfg: dict, args: argparse.Namespace) -> int:
     op, partition = _resolve_source(cfg, args.seed)
-    densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap))
+    densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap), jobs=args.jobs)
     labels = ["full"] if partition is None else [f"block{i:02d}" for i in range(partition.num_blocks)]
     for label, density in zip(labels, densities):
         path = os.path.join(args.out, f"density_{label}.csv")
@@ -332,7 +335,7 @@ def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
     elif cfg["estimator"] == "exact":
         densities = slq.smoothed_densities(block_eigs)
     else:
-        densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap))
+        densities = slq.blockwise_densities(op, partition, _slq_params(cfg, args.seed, args.cheap), jobs=args.jobs)
     report = heterogeneity.pairwise_heatmap(
         densities, mode=cfg["mode"], eigenvalues=block_eigs, labels=labels
     )
@@ -576,14 +579,15 @@ def _scaled_cell(cfg, dataset, c, s):
 
     With ``gap = true`` the cell also holds the best final accuracy of SGD
     and of Adam over the learning rates of ``lr_grid``; a rate that diverges
-    scores 0.  Each optimizer trains the whole grid in one ``toynet.train``
-    call on a stack of copies of the cell's network.  ``hessian_fd`` and a
+    scores 0, and ``diverged`` names each such optimizer and rate.  Each
+    optimizer trains the whole grid in one ``toynet.train`` call on a stack
+    of copies of the cell's network.  ``hessian_fd`` and a
     stacked ``train`` both leave the network's parameters as they found
     them, so one network serves all three calls.
     """
     mlp = toynet.scaled_mlp(cfg["widths"], c, seed=s)
     snap = toynet.hessian_fd(mlp, dataset.X, dataset.y)
-    cell = {"scale": c, "seed": s, "js0": toynet.snapshot_js0(snap)}
+    cell = {"scale": c, "seed": s, "js0": toynet.snapshot_js0(snap), "diverged": []}
     if cfg["gap"]:
         for opt in ("sgd", "adam"):
             res = toynet.train(
@@ -593,33 +597,11 @@ def _scaled_cell(cfg, dataset, c, s):
             cell[f"best_{opt}"] = max(
                 acc[-1] if status == "completed" else 0.0 for acc, status in zip(res.accuracies, res.status)
             )
+            rates = [repr(eta) for eta, status in zip(cfg["lr_grid"], res.status) if status == "diverged"]
+            if rates:
+                cell["diverged"].append(f"{opt} diverged at lr {', '.join(rates)}")
         cell["gap"] = cell["best_adam"] - cell["best_sgd"]
     return cell
-
-
-def _map_cells(fn, tasks, jobs):
-    """``[fn(*task) for task in tasks]``, computed in up to ``jobs`` processes.
-
-    The worker count is the least of ``jobs``, the number of tasks and the
-    CPUs this process may use.  One worker is this process.  More are a
-    forked pool: a forked worker starts with numpy and blockspectra already
-    imported, where a spawned or forkserver one (the Linux default from
-    Python 3.14) would spend about 0.2 s importing them again.  The CLI
-    starts no threads of its own for a fork to copy mid-operation.  Results
-    come back in task order, and an exception a task raises is raised here.  The pool is closed and joined on every path, so no
-    worker outlives the call.
-    """
-    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    import multiprocessing  # only a pool needs it
-
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        return pool.starmap(fn, tasks, chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
 
 
 def cmd_scaled(cfg: dict, args: argparse.Namespace) -> int:
@@ -628,8 +610,17 @@ def cmd_scaled(cfg: dict, args: argparse.Namespace) -> int:
     features = datasets[0].X.shape[1]
     if features != cfg["widths"][0]:
         raise ConfigError(f"widths starts with {cfg['widths'][0]}, but {cfg['data_csv']} has {features} feature columns")
-    tasks = [(cfg, datasets[s], c, s) for c in cfg["c_values"] for s in seeds]
-    cells = _map_cells(_scaled_cell, tasks, args.jobs)
+    cells = fork_map(
+        lambda c, s: _scaled_cell(cfg, datasets[s], c, s),
+        [(c, s) for c in cfg["c_values"] for s in seeds],
+        args.jobs,
+    )
+    for cell in cells:
+        if cell["diverged"]:
+            print(
+                f"warning: scale {cell['scale']!r}, seed {cell['seed']}: {'; '.join(cell['diverged'])} (scored 0)",
+                file=sys.stderr,
+            )
 
     # Each table lists every cell, and the median of its last column per scale.
     tables = [("js0_vs_scale.csv", ["scale", "seed", "js0"])]
@@ -682,8 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes for toynet scaled's (scale, seed) cells, at most the "
-            "usable CPUs (default 1); the other subcommands ignore it",
+            help="worker processes, at most the usable CPUs (default 1), for the SLQ probes "
+            "of heatmap and spectrum and the (scale, seed) cells of toynet scaled; "
+            "quadlab and toynet train ignore it",
         )
         p.add_argument("--cheap", action="store_true", help="fast low-fidelity preset")
     return parser

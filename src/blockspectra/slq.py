@@ -17,6 +17,7 @@ import numpy as np
 from blockspectra import fileio
 from blockspectra.operators import BlockPartition, SymmetricOperator, principal_block
 from blockspectra.rng import TAG_BLOCK_PROBE, TAG_PROBE, derive_rng
+from blockspectra.workers import fork_map
 
 BREAKDOWN_RTOL = 1e-12
 MASS_LEAK_TOL = 1e-2
@@ -198,19 +199,10 @@ def _rademacher_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _probe_quadratures(op, steps, probes, key_prefix) -> list[RitzQuadrature]:
-    if probes <= 0:
-        raise ValueError(f"probe count must be positive, got {probes}")
-    if steps <= 0:
-        raise ValueError(f"step count must be positive, got {steps}")
-    m = min(steps, op.dim)
-    quads = []
-    for p in range(probes):
-        rng = derive_rng(*key_prefix, p)
-        v0 = _rademacher_unit(rng, op.dim)
-        fact = lanczos(op, v0, m)
-        quads.append(ritz_quadrature(fact))
-    return quads
+def _probe_quadrature(op, steps, key_prefix, p) -> RitzQuadrature:
+    """Ritz quadrature of probe ``p``, drawn from the stream keyed (*key_prefix, p)."""
+    v0 = _rademacher_unit(derive_rng(*key_prefix, p), op.dim)
+    return ritz_quadrature(lanczos(op, v0, min(steps, op.dim)))
 
 
 def _resolve_grid(lo, hi, sigma, grid):
@@ -271,6 +263,7 @@ def blockwise_densities(
     partition: BlockPartition | None = None,
     params: SLQParams = SLQParams(),
     grid: np.ndarray | None = None,
+    jobs: int = 1,
 ) -> list[SpectralDensity]:
     """SLQ density of every principal block, all on one shared grid.
 
@@ -278,23 +271,40 @@ def blockwise_densities(
     come from the streams keyed (seed, TAG_PROBE, p).  Otherwise the probes
     for block b come from the streams keyed (seed, TAG_BLOCK_PROBE, b, p) and
     act on the block coordinates only.  Probe averages are taken in index
-    order.  Unless
-    ``grid`` is given, the shared grid spans the union of all block supports
-    so the densities are directly comparable.
+    order.  Unless ``grid`` is given, the shared grid spans the union of all
+    block supports so the densities are directly comparable.
+
+    ``jobs = 1`` builds one principal block at a time and runs its probes in
+    this process.  ``jobs > 1`` builds every block first and maps the
+    (block, probe) Lanczos runs over up to ``jobs`` forked workers
+    (``workers.fork_map``).  Each probe draws from its own keyed stream and
+    runs the same arithmetic either way, so the densities are identical, bit
+    for bit, at any ``jobs``.
     """
+    if params.probes <= 0:
+        raise ValueError(f"probe count must be positive, got {params.probes}")
+    if params.steps <= 0:
+        raise ValueError(f"step count must be positive, got {params.steps}")
     if partition is None:
-        blocks = [(op, (params.seed, TAG_PROBE))]
+        blocks = [op]
+        keys = [(params.seed, TAG_PROBE)]
     elif partition.dim != op.dim:
         raise ValueError(f"partition dim {partition.dim} != operator dim {op.dim}")
     else:
-        # A generator, so only one block's copy is alive at a time.
-        blocks = (
-            (principal_block(op, a, z), (params.seed, TAG_BLOCK_PROBE, b))
-            for b, (a, z) in enumerate(partition.ranges())
+        # A generator, so at jobs = 1 only one block's copy is alive at a time.
+        blocks = (principal_block(op, a, z) for a, z in partition.ranges())
+        keys = [(params.seed, TAG_BLOCK_PROBE, b) for b in range(partition.num_blocks)]
+    probes = range(params.probes)
+    if jobs == 1:
+        per_block = [[_probe_quadrature(sub, params.steps, key, p) for p in probes] for sub, key in zip(blocks, keys)]
+    else:
+        blocks = list(blocks)
+        quads = fork_map(
+            lambda b, p: _probe_quadrature(blocks[b], params.steps, keys[b], p),
+            [(b, p) for b in range(len(blocks)) for p in probes],
+            jobs,
         )
-    per_block = [
-        _probe_quadratures(sub, params.steps, params.probes, key) for sub, key in blocks
-    ]
+        per_block = [quads[b * params.probes : (b + 1) * params.probes] for b in range(len(blocks))]
     nodes = [q.nodes for quads in per_block for q in quads]
     lo = min(float(n.min()) for n in nodes)
     hi = max(float(n.max()) for n in nodes)

@@ -534,47 +534,50 @@ def train(
 
     if stacked:
         place()
-    for step in range(steps + 1):
-        f = model.logits(dataset.X).reshape(rows.size, n)
-        full_loss = _logistic_loss(f, dataset.y)
-        keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
-        if not keep.all():
-            keep_rows(keep)
-            if not rows.size:
+    # A diverging row overflows before the finiteness checks below drop it,
+    # and its status says so, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            f = model.logits(dataset.X).reshape(rows.size, n)
+            full_loss = _logistic_loss(f, dataset.y)
+            keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
+            if not keep.all():
+                keep_rows(keep)
+                if not rows.size:
+                    break
+                f, full_loss = f[keep], full_loss[keep]
+                place()
+            losses[rows, step] = full_loss
+            accs[rows, step] = _accuracy(f, dataset.y)
+            want_snapshot = snapshot_stride > 0 and (
+                step % snapshot_stride == 0 or step == steps
+            )
+            if want_snapshot:
+                snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
+            if step == steps:
                 break
-            f, full_loss = f[keep], full_loss[keep]
+            idx = rng.integers(0, n, size=batch_size)
+            try:
+                _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
+            except FloatingPointError:  # a lone network's non-finite logit; a stack row gets a NaN gradient
+                g = np.nan
+            g = np.broadcast_to(g, theta.shape)
+            keep = np.all(np.isfinite(g), axis=1)
+            if not keep.all():
+                keep_rows(keep)
+                if not rows.size:
+                    break
+                g = g[keep]
+            if optimizer == "sgd":
+                buf = SGD_MOMENTUM * buf + g
+                theta = theta - eta_col * buf
+            else:
+                buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
+                vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
+                mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
+                vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
+                theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
             place()
-        losses[rows, step] = full_loss
-        accs[rows, step] = _accuracy(f, dataset.y)
-        want_snapshot = snapshot_stride > 0 and (
-            step % snapshot_stride == 0 or step == steps
-        )
-        if want_snapshot:
-            snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
-        if step == steps:
-            break
-        idx = rng.integers(0, n, size=batch_size)
-        try:
-            _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
-        except FloatingPointError:  # a lone network's non-finite logit; a stack row gets a NaN gradient
-            g = np.nan
-        g = np.broadcast_to(g, theta.shape)
-        keep = np.all(np.isfinite(g), axis=1)
-        if not keep.all():
-            keep_rows(keep)
-            if not rows.size:
-                break
-            g = g[keep]
-        if optimizer == "sgd":
-            buf = SGD_MOMENTUM * buf + g
-            theta = theta - eta_col * buf
-        else:
-            buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
-            vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
-            mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
-            vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
-            theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        place()
 
     if stacked:
         model.set_flat(start)

@@ -686,13 +686,36 @@ def test_outputs_byte_identical_across_jobs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# --jobs: toynet scaled's worker pool
+# --jobs: the forked worker pool of toynet scaled, heatmap and spectrum
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two usable CPUs, whatever the host has, so that --jobs 2 forks a pool."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def fork_methods(monkeypatch):
+    """The start methods asked of ``multiprocessing.get_context``, in order."""
+    import multiprocessing
+
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: methods.append(method) or get_context(method))
+    return methods
+
+
+def _outputs_at_jobs_1_and_2(tmp_path, command, cfg):
+    import multiprocessing
+
+    outs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        assert main([command, "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
+        outs[jobs] = dir_csv_bytes(out)
+        assert multiprocessing.active_children() == []
+    return outs
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -704,23 +727,13 @@ def test_jobs_below_one_exits_2_before_any_work(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-def test_toynet_scaled_outputs_byte_identical_across_jobs(tmp_path, monkeypatch, two_cpus):
-    import multiprocessing
-
-    methods = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: methods.append(method) or get_context(method))
+def test_toynet_scaled_outputs_byte_identical_across_jobs(tmp_path, two_cpus, fork_methods):
     cfg = write_config(
         tmp_path / "t.cfg",
         "experiment = scaled\nc_values = 1,4\nseeds = 2\nsamples = 32\ngap = true\nlr_grid = 0.01,0.1\ngap_steps = 5\n",
     )
-    outs = {}
-    for jobs in (1, 2):
-        out = tmp_path / f"j{jobs}"
-        assert main(["toynet", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
-        outs[jobs] = dir_csv_bytes(out)
-        assert multiprocessing.active_children() == []
-    assert methods == ["fork"]
+    outs = _outputs_at_jobs_1_and_2(tmp_path, "toynet", cfg)
+    assert fork_methods == ["fork"]
     assert sorted(outs[1]) == ["gap.csv", "gap_medians.csv", "js0_medians.csv", "js0_vs_scale.csv"]
     assert len(read_rows(tmp_path / "j2" / "gap.csv")) == 5
     assert outs[1] == outs[2]
@@ -741,21 +754,22 @@ def test_toynet_scaled_worker_error_exits_2_as_in_process(tmp_path, capsys, two_
     assert errors[1] == errors[2] == f"error: model has 529 parameters, finite differences capped at {MAX_FD_DIM}\n"
 
 
-def test_map_cells_caps_workers_and_always_joins(monkeypatch):
+def test_fork_map_caps_workers_and_always_joins(monkeypatch):
     import multiprocessing
 
-    from blockspectra.cli import _map_cells
+    from blockspectra.workers import fork_map
 
     log = []
 
     class InlinePool:
         """Records its size, close and join, and runs its tasks in this process."""
 
-        def __init__(self, workers):
+        def __init__(self, workers, initializer, initargs):
             log.append(("pool", workers))
+            initializer(*initargs)
 
-        def starmap(self, fn, tasks, chunksize):
-            return [fn(*task) for task in tasks]
+        def map(self, fn, tasks, chunksize):
+            return [fn(task) for task in tasks]
 
         def close(self):
             log.append("close")
@@ -771,22 +785,84 @@ def test_map_cells_caps_workers_and_always_joins(monkeypatch):
     tasks = [(2, k) for k in range(5)]
     powers = [2**k for k in range(5)]
     # A huge job count starts no more workers than there are usable CPUs or tasks.
-    assert _map_cells(pow, tasks, 10**6) == powers
-    assert _map_cells(pow, tasks[:2], 10**6) == powers[:2]
-    assert _map_cells(pow, tasks, 2) == powers
+    assert fork_map(pow, tasks, 10**6) == powers
+    assert fork_map(pow, tasks[:2], 10**6) == powers[:2]
+    assert fork_map(pow, tasks, 2) == powers
     assert log == [("pool", 3), "close", "join", ("pool", 2), "close", "join", ("pool", 2), "close", "join"]
     # One worker, asked for or all there is, runs in this process.
     log.clear()
-    assert _map_cells(pow, tasks, 1) == powers
-    assert _map_cells(pow, tasks[:1], 10**6) == powers[:1]
+    assert fork_map(pow, tasks, 1) == powers
+    assert fork_map(pow, tasks[:1], 10**6) == powers[:1]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _map_cells(pow, tasks, 10**6) == powers
+    assert fork_map(pow, tasks, 10**6) == powers
     assert log == []
     # A task that raises still leaves the pool closed and joined.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ZeroDivisionError):
-        _map_cells(divmod, [(1, 1), (1, 0)], 2)
+        fork_map(divmod, [(1, 1), (1, 0)], 2)
     assert log == [("pool", 2), "close", "join"]
+
+
+def test_fork_map_runs_a_closure_in_forked_workers(two_cpus):
+    import multiprocessing
+
+    from blockspectra.workers import fork_map
+
+    # A lambda over a local array cannot be pickled; the pool must not try.
+    table = np.arange(12.0).reshape(3, 4)
+    rows = fork_map(lambda i, scale: (os.getpid(), scale * table[i]), [(i, 10.0) for i in range(3)], 2)
+    assert [row.tolist() for _, row in rows] == (10.0 * table).tolist()
+    assert os.getpid() not in {pid for pid, _ in rows}
+    assert multiprocessing.active_children() == []
+    # An exception raised in a worker is raised here.
+    with pytest.raises(ZeroDivisionError):
+        fork_map(lambda x: 1 / x, [(1,), (0,)], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_heatmap_slq_outputs_byte_identical_across_jobs(tmp_path, two_cpus, fork_methods):
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((30, 30))
+    mpath = tmp_path / "m.csv"
+    save_matrix_csv(mpath, g @ g.T / 30 + np.diag(np.repeat([1.0, 10.0, 100.0], 10)))
+    cfg = write_config(
+        tmp_path / "h.cfg",
+        f"source = matrix\nmatrix = {mpath}\nblocks = 12,10,8\nestimator = slq\nsteps = 8\nprobes = 3\n",
+    )
+    outs = _outputs_at_jobs_1_and_2(tmp_path, "heatmap", cfg)
+    assert fork_methods == ["fork"]
+    assert sorted(outs[1]) == ["heatmap.csv", "summary.txt"]
+    assert outs[1] == outs[2]
+
+
+def test_spectrum_probes_byte_identical_across_jobs(tmp_path, two_cpus, fork_methods):
+    # No partition: the whole operator is one block, so the probes are the only tasks.
+    g = np.random.default_rng(6).standard_normal((40, 40))
+    mpath = tmp_path / "m.csv"
+    save_matrix_csv(mpath, g + g.T)
+    cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {mpath}\nsteps = 10\nprobes = 4\n")
+    outs = _outputs_at_jobs_1_and_2(tmp_path, "spectrum", cfg)
+    assert fork_methods == ["fork"]
+    assert sorted(outs[1]) == ["density_full.csv"]
+    assert outs[1] == outs[2]
+
+
+def test_toynet_scaled_names_diverged_rates_without_numpy_warnings(tmp_path, capsys):
+    import warnings
+
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = true\nlr_grid = 0.01,1e307\ngap_steps = 20\n",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "warning: scale 1.0, seed 0: sgd diverged at lr 1e+307; adam diverged at lr 1e+307 (scored 0)\n"
+    )
+    # The same table as before the warnings were silenced: each diverged rate scores 0.
+    assert (tmp_path / "out" / "gap.csv").read_text() == "scale,seed,best_sgd,best_adam,gap\n1.0,0,0.65625,0.78125,0.125\n"
 
 
 def test_rerun_is_byte_identical(tmp_path):
