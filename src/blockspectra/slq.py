@@ -274,12 +274,11 @@ def blockwise_densities(
     order.  Unless ``grid`` is given, the shared grid spans the union of all
     block supports so the densities are directly comparable.
 
-    ``jobs = 1`` builds one principal block at a time and runs its probes in
-    this process.  ``jobs > 1`` builds every block first and maps the
-    (block, probe) Lanczos runs over up to ``jobs`` forked workers
-    (``workers.fork_map``).  Each probe draws from its own keyed stream and
-    runs the same arithmetic either way, so the densities are identical, bit
-    for bit, at any ``jobs``.
+    Every block is built first, then the (block, probe) Lanczos runs are
+    mapped over up to ``jobs`` workers (``workers.fork_map``; one worker is
+    this process).  Each probe draws from its own keyed stream and runs the
+    same arithmetic in any worker, so the densities are identical, bit for
+    bit, at any ``jobs``.
     """
     if params.probes <= 0:
         raise ValueError(f"probe count must be positive, got {params.probes}")
@@ -291,20 +290,14 @@ def blockwise_densities(
     elif partition.dim != op.dim:
         raise ValueError(f"partition dim {partition.dim} != operator dim {op.dim}")
     else:
-        # A generator, so at jobs = 1 only one block's copy is alive at a time.
-        blocks = (principal_block(op, a, z) for a, z in partition.ranges())
+        blocks = [principal_block(op, a, z) for a, z in partition.ranges()]
         keys = [(params.seed, TAG_BLOCK_PROBE, b) for b in range(partition.num_blocks)]
-    probes = range(params.probes)
-    if jobs == 1:
-        per_block = [[_probe_quadrature(sub, params.steps, key, p) for p in probes] for sub, key in zip(blocks, keys)]
-    else:
-        blocks = list(blocks)
-        quads = fork_map(
-            lambda b, p: _probe_quadrature(blocks[b], params.steps, keys[b], p),
-            [(b, p) for b in range(len(blocks)) for p in probes],
-            jobs,
-        )
-        per_block = [quads[b * params.probes : (b + 1) * params.probes] for b in range(len(blocks))]
+    quads = fork_map(
+        lambda b, p: _probe_quadrature(blocks[b], params.steps, keys[b], p),
+        [(b, p) for b in range(len(blocks)) for p in range(params.probes)],
+        jobs,
+    )
+    per_block = [quads[b * params.probes : (b + 1) * params.probes] for b in range(len(blocks))]
     nodes = [q.nodes for quads in per_block for q in quads]
     lo = min(float(n.min()) for n in nodes)
     hi = max(float(n.max()) for n in nodes)

@@ -536,6 +536,8 @@ def train(
         place()
     # A diverging row overflows before the finiteness checks below drop it,
     # and its status says so, so numpy's overflow warnings would only repeat it.
+    # Nothing checks a snapshot's entries, so it runs under the caller's settings.
+    caller_err = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             f = model.logits(dataset.X).reshape(rows.size, n)
@@ -553,7 +555,8 @@ def train(
                 step % snapshot_stride == 0 or step == steps
             )
             if want_snapshot:
-                snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
+                with np.errstate(**caller_err):
+                    snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
             if step == steps:
                 break
             idx = rng.integers(0, n, size=batch_size)

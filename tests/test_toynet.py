@@ -634,6 +634,22 @@ def test_train_snapshots_at_stride():
     assert [s.step_index for s in result.snapshots] == [0, 50, 100]
 
 
+def test_train_snapshot_overflow_still_warns(monkeypatch):
+    # train excuses the overflows of rows it scores as diverged, not those of
+    # a finite-difference snapshot, whose entries nothing checks.
+    import blockspectra.toynet as toynet
+
+    def overflowing_hessian_fd(*args, **kwargs):
+        np.float64(1e308) * np.float64(10.0)
+        return hessian_fd(*args, **kwargs)
+
+    monkeypatch.setattr(toynet, "hessian_fd", overflowing_hessian_fd)
+    net = random_toynet(4, 3, seed=0)
+    data = make_blobs(32, 3, seed=0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        train(net, data, optimizer="adam", eta=0.02, steps=2, seed=0, snapshot_stride=2)
+
+
 # ---------------------------------------------------------------------------
 # scaled MLP heterogeneity
 # ---------------------------------------------------------------------------
