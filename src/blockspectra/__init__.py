@@ -11,8 +11,8 @@ The package has five functional layers:
 - ``quadlab``: block-diagonal quadratic benchmark problems, gradient descent
   and diagonally preconditioned (Adam-style) iterations, learning-rate search,
   and contraction-bound verification.
-- ``toynet``: small dense networks with exact and finite-difference Hessians
-  for studying near-block-diagonal structure and layer-scale heterogeneity.
+- ``toynet``: small dense networks with finite-difference Hessians for
+  studying near-block-diagonal structure and layer-scale heterogeneity.
 
 The ``cli`` module ties these together into reproducible experiment runs.
 """
@@ -42,7 +42,6 @@ from blockspectra.toynet import (
     HessianSnapshot,
     ScaledMLP,
     ToyNet,
-    cross_neuron_hessian_block,
     hessian_fd,
     make_blobs,
     offdiag_mass_ratio,
@@ -94,7 +93,6 @@ __all__ = [
     "HessianSnapshot",
     "ScaledMLP",
     "ToyNet",
-    "cross_neuron_hessian_block",
     "hessian_fd",
     "make_blobs",
     "offdiag_mass_ratio",

@@ -467,6 +467,8 @@ def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
     failed = False
     rows = []
     for (kind, i), (record, trajectory) in zip(keys, results):
+        if trajectory.diagnostics:
+            print(f"warning: {kind} seed {i}: {'; '.join(trajectory.diagnostics)}", file=sys.stderr)
         name = f"run_{kind}_s{i:03d}.csv"
         idx = _stride_indices(trajectory.loss_ratios.size)
         fileio.write_csv(

@@ -260,25 +260,13 @@ def condition_number(eigs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: matrices as one row per matrix row, spectra as one value
-# per line.  All writers emit a header row; readers skip a non-numeric first
-# row so the files round-trip.
+# CSV readers: matrices as one row per matrix row, spectra as one value per
+# line.  A non-numeric first row is skipped as a header.  The package writes
+# neither kind of file; the tests' fixture writers live in tests/helpers.py.
 # ---------------------------------------------------------------------------
-
-def save_matrix_csv(path, matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    fileio.write_csv(path, [f"c{j}" for j in range(m.shape[1])], m)
-
 
 def load_matrix_csv(path) -> np.ndarray:
     return fileio.read_table(path)[1]
-
-
-def save_spectrum_csv(path, eigenvalues) -> None:
-    e = np.asarray(eigenvalues, dtype=float)
-    fileio.write_csv(path, ["eigenvalue"], e[:, None])
 
 
 def load_spectrum_csv(path) -> np.ndarray:

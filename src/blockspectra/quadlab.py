@@ -102,27 +102,16 @@ class QuadraticProblem:
                 for m, hl in zip(self.blocks, self.partition.split(self.h))
             ]
         )
-        self.optimum = self.loss(self.minimizer)
 
     @property
     def dim(self) -> int:
         return self.partition.dim
-
-    def loss(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=float)
-        return float(0.5 * w @ (self.matrix @ w) - self.h @ w)
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(w, dtype=float) - self.h
 
     def operator(self) -> SymmetricOperator:
         return block_diagonal([DenseSymmetric(m) for m in self.blocks])
-
-    def scaled(self, c: float) -> "QuadraticProblem":
-        """The problem (c H, c h) for a positive constant c."""
-        if c <= 0:
-            raise ValueError(f"scale must be positive, got {c}")
-        return QuadraticProblem([c * m for m in self.blocks], c * self.h)
 
 
 @dataclass

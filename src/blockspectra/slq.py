@@ -97,9 +97,6 @@ class SpectralDensity:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
-
 
 @dataclass(frozen=True)
 class SLQParams:
@@ -319,30 +316,9 @@ def smoothed_densities(eigenvalue_lists, sigma=None, grid=None) -> list[Spectral
     return _averaged_densities(rules, lo, hi, sigma, grid)
 
 
-def l1_distance(p: SpectralDensity, q: SpectralDensity) -> float:
-    """Integrated absolute difference of two densities on the same grid."""
-    if p.grid.shape != q.grid.shape or not np.array_equal(p.grid, q.grid):
-        raise ValueError("densities must share an identical grid")
-    return float(np.trapezoid(np.abs(p.values - q.values), p.grid))
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization
 # ---------------------------------------------------------------------------
 
 def save_density_csv(path, density: SpectralDensity) -> None:
     fileio.write_csv(path, ["t", "density"], zip(density.grid, density.values))
-
-
-def load_density_csv(path, sigma: float | None = None) -> SpectralDensity:
-    header, table = fileio.read_table(path, header_required=True)
-    if header[:2] != ["t", "density"]:
-        raise ValueError(f"unexpected density header {header} in {path}")
-    grid, values = np.ascontiguousarray(table[:, :2].T)
-    if sigma is None:
-        # The kernel width is not stored in the CSV.  A derived grid spans the
-        # padded support (100 sigma wide) plus a 3-sigma margin on each side,
-        # so it is 106 sigma wide; a caller-chosen sigma must be passed in.
-        sigma = (grid[-1] - grid[0]) / 106
-    return SpectralDensity(grid=grid, values=values, sigma=sigma)
-

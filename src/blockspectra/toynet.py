@@ -3,10 +3,11 @@
 Two models live here, and one class computes both.  ``ScaledMLP`` is a
 deeper tanh MLP whose per-layer initialization scale can be swept to dial
 the spectral heterogeneity across parameter blocks up and down.  ``ToyNet``,
-a one-hidden-layer tanh network whose off-diagonal Hessian blocks have a
-closed form worth checking numerically, is a ``ScaledMLP`` without biases
-that differs only in its parameter layout: its flat vector and partition go
-neuron by neuron.
+a one-hidden-layer tanh network, is a ``ScaledMLP`` without biases that
+differs only in its parameter layout: its flat vector and partition go
+neuron by neuron.  Its off-diagonal Hessian blocks have a closed form; that
+oracle lives with the tests (``tests/helpers.py``), which check
+``hessian_fd`` against it.
 
 Both expose the protocol that ``hessian_fd`` and ``train`` rely on:
 ``num_params``; ``get_flat`` / ``set_flat`` for the flattened parameter
@@ -196,10 +197,18 @@ def scaled_mlp(widths, scale_growth: float, seed: int = 0) -> ScaledMLP:
         raise ValueError(f"widths must end in 1, the one output logit, got {widths}")
     if scale_growth < 1:
         raise ValueError(f"scale_growth must be >= 1, got {scale_growth}")
+    # A float past about 1.34e154 overflows scale_growth**2: Python floats
+    # raise, numpy floats return inf.
+    try:
+        with np.errstate(over="ignore"):
+            mults = [scale_growth**k for k in range(3)] + [1.0]
+    except OverflowError:
+        mults = [math.inf]
+    if not all(map(math.isfinite, mults)):
+        raise ValueError(f"scale_growth = {scale_growth!r} makes an initial weight scale non-finite")
     rng = derive_rng(seed, TAG_INIT, *widths)
     weights, biases = [], []
-    for k in range(4):
-        mult = scale_growth**k if k < 3 else 1.0
+    for k, mult in enumerate(mults):
         std = mult / np.sqrt(widths[k])
         weights.append(rng.standard_normal((widths[k], widths[k + 1])) * std)
         biases.append(np.zeros(widths[k + 1]))
@@ -258,30 +267,6 @@ def random_toynet(n_hidden: int, d_in: int, seed: int = 0) -> ToyNet:
     return ToyNet(W, v)
 
 
-def cross_neuron_hessian_block(net: ToyNet, x: np.ndarray, y: float, i: int, j: int) -> np.ndarray:
-    """Closed-form cross-neuron Hessian block of the single-sample loss.
-
-    For distinct hidden neurons i and j the second derivative of the
-    logistic loss w.r.t. (w_i, w_j) is
-
-        p (1 - p) v_i v_j tanh'(w_i.x) tanh'(w_j.x) x x'
-
-    which decays like p(1 - p) as the prediction becomes confident.  The
-    diagonal block (i == j) has extra terms and is rejected.
-    """
-    if i == j:
-        raise ValueError("the diagonal block has additional terms; need i != j")
-    n = net.n_hidden
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"neuron indices must lie in [0, {n}), got ({i}, {j})")
-    x = np.asarray(x, dtype=float)
-    f = float(net.logits(x[None, :])[0])
-    p = float(_sigmoid(y * f))
-    phi_i = 1.0 - np.tanh(net.W[i] @ x) ** 2
-    phi_j = 1.0 - np.tanh(net.W[j] @ x) ** 2
-    return p * (1.0 - p) * net.v[i] * net.v[j] * phi_i * phi_j * np.outer(x, x)
-
-
 @dataclass
 class HessianSnapshot:
     """Dense Hessian of the mean batch loss, with its parameter partition."""
@@ -332,21 +317,13 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     return HessianSnapshot(matrix=H, partition=model.partition(), step_index=step_index, asymmetry=asym)
 
 
-def offdiag_mass_ratio(snapshot, partition: BlockPartition | None = None) -> float:
-    """Share of squared Frobenius mass outside the partition's diagonal blocks."""
-    if isinstance(snapshot, HessianSnapshot):
-        matrix = snapshot.matrix
-        partition = partition or snapshot.partition
-    else:
-        matrix = np.asarray(snapshot, dtype=float)
-        if partition is None:
-            raise ValueError("a raw matrix needs an explicit partition")
-    if matrix.shape != (partition.dim, partition.dim):
-        raise ValueError(f"matrix shape {matrix.shape} does not match partition dim {partition.dim}")
+def offdiag_mass_ratio(snapshot: HessianSnapshot) -> float:
+    """Share of squared Frobenius mass outside the snapshot's diagonal blocks."""
+    matrix = snapshot.matrix
     total = float(np.sum(matrix * matrix))
     if total == 0:
         raise ValueError("zero matrix: off-diagonal mass ratio is undefined")
-    on = sum(float(np.sum(matrix[a:z, a:z] ** 2)) for a, z in partition.ranges())
+    on = sum(float(np.sum(matrix[a:z, a:z] ** 2)) for a, z in snapshot.partition.ranges())
     return (total - on) / total
 
 
@@ -447,10 +424,6 @@ class TrainResult:
     accuracies: np.ndarray
     status: str | list[str]
     snapshots: list
-
-
-def accuracy(model, X, y):
-    return _accuracy(model.logits(X), y)
 
 
 def _learning_rates(eta, snapshot_stride: int) -> np.ndarray:

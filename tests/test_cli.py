@@ -12,8 +12,7 @@ import pytest
 
 from blockspectra.cli import main, parse_config
 from blockspectra.heterogeneity import load_heatmap_csv
-from blockspectra.operators import save_matrix_csv
-from blockspectra.slq import load_density_csv
+from helpers import l1_distance, read_density, write_matrix_csv
 
 
 def write_config(path, text):
@@ -98,13 +97,13 @@ def test_unknown_key_exits_2_naming_the_closest_key(tmp_path, monkeypatch, capsy
 
 def test_spectrum_identity_matrix_single_bump(tmp_path):
     mpath = tmp_path / "ident.csv"
-    save_matrix_csv(mpath, np.eye(12))
+    write_matrix_csv(mpath, np.eye(12))
     cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {mpath}\n")
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out), "--cheap"]) == 0
-    dens = load_density_csv(out / "density_full.csv")
-    assert dens.mass() == pytest.approx(1.0, abs=1e-3)
-    assert dens.grid[np.argmax(dens.values)] == pytest.approx(1.0, abs=0.1)
+    grid, values = read_density(out / "density_full.csv")
+    assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=1e-3)
+    assert grid[np.argmax(values)] == pytest.approx(1.0, abs=0.1)
     assert (out / "manifest.txt").exists()
 
 
@@ -113,8 +112,8 @@ def test_spectrum_case3_blockwise(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     for i in range(3):
-        dens = load_density_csv(out / f"density_block{i:02d}.csv")
-        assert 0.999 <= dens.mass() <= 1.001
+        grid, values = read_density(out / f"density_block{i:02d}.csv")
+        assert 0.999 <= np.trapezoid(values, grid) <= 1.001
     assert (out / "spectrum.svg").exists()
 
 
@@ -122,11 +121,11 @@ def test_spectrum_cheap_mode_degrades_gracefully(tmp_path, rng):
     u = rng.random((200, 200))
     m = 0.5 * (u + u.T)
     mpath = tmp_path / "m.csv"
-    save_matrix_csv(mpath, m)
+    write_matrix_csv(mpath, m)
     cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {mpath}\n")
 
     from blockspectra.operators import DenseSymmetric, exact_eigenvalues
-    from blockspectra.slq import SLQParams, blockwise_densities, l1_distance, smoothed_densities
+    from blockspectra.slq import SLQParams, blockwise_densities, smoothed_densities
 
     op = DenseSymmetric(m)
     eigs = exact_eigenvalues(op)
@@ -161,7 +160,7 @@ def test_heatmap_duplicated_blocks_all_zero(tmp_path, rng):
     m[:4, :4] = block
     m[4:, 4:] = block
     mpath = tmp_path / "dup.csv"
-    save_matrix_csv(mpath, m)
+    write_matrix_csv(mpath, m)
     cfg = write_config(
         tmp_path / "h.cfg",
         f"source = matrix\nmatrix = {mpath}\nblocks = 4,4\nestimator = exact\n",
@@ -185,7 +184,7 @@ def test_heatmap_case3_much_larger_than_case4(tmp_path):
 
 def test_heatmap_single_block_rejected(tmp_path):
     mpath = tmp_path / "m.csv"
-    save_matrix_csv(mpath, np.eye(4))
+    write_matrix_csv(mpath, np.eye(4))
     cfg = write_config(tmp_path / "h.cfg", f"source = matrix\nmatrix = {mpath}\nblocks = 4\n")
     assert main(["heatmap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
@@ -209,7 +208,7 @@ def test_heatmap_from_exact_eigenvalues_follows_the_slq_path(tmp_path, rng, sett
         m[start : start + n, start : start + n] = scale * (g @ g.T) / (2 * n)
         start += n
     mpath = tmp_path / "m.csv"
-    save_matrix_csv(mpath, m)
+    write_matrix_csv(mpath, m)
     cfg = write_config(tmp_path / "h.cfg", f"source = matrix\nmatrix = {mpath}\nblocks = 12,12,14\n{settings}")
     out = tmp_path / "out"
 
@@ -238,6 +237,28 @@ def test_heatmap_from_exact_eigenvalues_follows_the_slq_path(tmp_path, rng, sett
 # ---------------------------------------------------------------------------
 # quadlab
 # ---------------------------------------------------------------------------
+
+def test_quadlab_reports_zero_preconditioner_skips_on_stderr(tmp_path, capsys):
+    # The first step lands on the minimizer; with beta2 = 0 the second moment
+    # is then exactly 0, so each of the other 9 updates is skipped.
+    cfg = write_config(
+        tmp_path / "q.cfg",
+        "case = scalar\nw0 = 0.1\noptimizer = adam_ema\neta = 0.1\nbeta2 = 0\nmax_iters = 10\n",
+    )
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: adam_ema seed 0: skipped 9 coordinate updates with zero preconditioner\n"
+    )
+    # The outputs carry no trace of the warning.
+    assert (out / "summary.csv").read_bytes() == (
+        b"case,optimizer,seed,eta,beta2,status,iterations,final_ratio,violations,cycling,tail_min_loss\r\n"
+        b"scalar,adam_ema,0,0.1,0.0,max_iters,10,0.0,,false,0.0\r\n"
+    )
+    assert (out / "run_adam_ema_s000.csv").read_bytes() == b"iter,loss_ratio\r\n0,1.0\r\n" + b"".join(
+        b"%d,0.0\r\n" % t for t in range(1, 11)
+    )
+
 
 def test_quadlab_limit_cycle_preset(tmp_path):
     cfg = write_config(
@@ -824,7 +845,7 @@ def test_heatmap_slq_outputs_byte_identical_across_jobs(tmp_path, two_cpus, fork
     rng = np.random.default_rng(5)
     g = rng.standard_normal((30, 30))
     mpath = tmp_path / "m.csv"
-    save_matrix_csv(mpath, g @ g.T / 30 + np.diag(np.repeat([1.0, 10.0, 100.0], 10)))
+    write_matrix_csv(mpath, g @ g.T / 30 + np.diag(np.repeat([1.0, 10.0, 100.0], 10)))
     cfg = write_config(
         tmp_path / "h.cfg",
         f"source = matrix\nmatrix = {mpath}\nblocks = 12,10,8\nestimator = slq\nsteps = 8\nprobes = 3\n",
@@ -839,7 +860,7 @@ def test_spectrum_probes_byte_identical_across_jobs(tmp_path, two_cpus, fork_met
     # No partition: the whole operator is one block, so the probes are the only tasks.
     g = np.random.default_rng(6).standard_normal((40, 40))
     mpath = tmp_path / "m.csv"
-    save_matrix_csv(mpath, g + g.T)
+    write_matrix_csv(mpath, g + g.T)
     cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {mpath}\nsteps = 10\nprobes = 4\n")
     outs = _outputs_at_jobs_1_and_2(tmp_path, "spectrum", cfg)
     assert fork_methods == ["fork"]
@@ -865,6 +886,22 @@ def test_toynet_scaled_names_diverged_rates_without_numpy_warnings(tmp_path, cap
     assert (tmp_path / "out" / "gap.csv").read_text() == "scale,seed,best_sgd,best_adam,gap\n1.0,0,0.65625,0.78125,0.125\n"
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_toynet_scaled_overflowing_scale_exits_2(tmp_path, capsys, two_cpus, fork_methods, jobs):
+    # 1e200**2 overflows a float; the other cell makes --jobs 2 fork a pool.
+    import multiprocessing
+    import warnings
+
+    cfg = write_config(tmp_path / "t.cfg", "experiment = scaled\nc_values = 1,1e200\nseeds = 1\nsamples = 32\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 2
+    assert caught == []
+    assert fork_methods == (["fork"] if jobs == 2 else [])
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == "error: scale_growth = 1e+200 makes an initial weight scale non-finite\n"
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "h.cfg", "source = case\ncase = 4\n")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -882,8 +919,8 @@ def test_all_csv_outputs_have_headers_and_reparse(tmp_path):
             rows = read_rows(out / name)
             with pytest.raises(ValueError):
                 [float(x) for x in rows[0]]  # header row is not numeric
-            dens = load_density_csv(out / name)
-            assert dens.values.size == dens.grid.size
+            grid, values = read_density(out / name)
+            assert values.size == grid.size
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from blockspectra.heterogeneity import (
     save_heatmap_csv,
     save_js0_summary,
 )
-from blockspectra.operators import load_matrix_csv, save_matrix_csv, save_spectrum_csv
-from blockspectra.slq import SpectralDensity, load_density_csv, save_density_csv
+from blockspectra.operators import load_matrix_csv
+from blockspectra.slq import SpectralDensity, save_density_csv
 from blockspectra.svgplot import heatmap_svg, line_plot_svg
 from blockspectra.toynet import Dataset, load_dataset_csv, save_dataset_csv
+from helpers import write_matrix_csv, write_spectrum_csv
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +35,11 @@ def _report():
 
 WRITERS = {
     "matrix": (
-        lambda p: save_matrix_csv(p, np.array([[1.0, 0.1], [0.1, 2]])),
+        lambda p: write_matrix_csv(p, np.array([[1.0, 0.1], [0.1, 2]])),
         b"c0,c1\r\n1.0,0.1\r\n0.1,2.0\r\n",
     ),
     "spectrum": (
-        lambda p: save_spectrum_csv(p, [3, 0.5]),
+        lambda p: write_spectrum_csv(p, [3, 0.5]),
         b"eigenvalue\r\n3.0\r\n0.5\r\n",
     ),
     "density": (
@@ -214,14 +215,16 @@ def test_bad_table_is_rejected_naming_the_file(tmp_path, capsys, content, messag
 def test_matrix_header_is_optional(tmp_path):
     m = np.array([[1.0, 0.25], [0.25, -3.0]])
     with_header, bare = tmp_path / "h.csv", tmp_path / "b.csv"
-    save_matrix_csv(with_header, m)
+    write_matrix_csv(with_header, m)
     np.savetxt(bare, m, fmt="%.17g", delimiter=",")
     assert np.array_equal(load_matrix_csv(with_header), m)
     assert np.array_equal(load_matrix_csv(bare), m)
 
 
+# The package reads no density file back; "density" is the header-required
+# read that tests give the files ``save_density_csv`` writes.
 @pytest.mark.parametrize(
-    "loader", [load_dataset_csv, load_heatmap_csv, load_density_csv],
+    "loader", [load_dataset_csv, load_heatmap_csv, lambda p: fileio.read_table(p, header_required=True)],
     ids=["dataset", "heatmap", "density"],
 )
 def test_empty_csv_is_rejected_naming_the_file(tmp_path, loader):

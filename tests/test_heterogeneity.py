@@ -85,7 +85,7 @@ def test_normalize_density_rescales_axis():
     (dens,) = smoothed_densities([[2.0, 4.0]], sigma=0.1)
     ns = normalize_spectrum(dens, mode="max_abs", eigenvalues=[2.0, 4.0])
     assert ns.scale == 4.0
-    assert ns.value.mass() == pytest.approx(1.0, abs=1e-3)
+    assert np.trapezoid(ns.value.values, ns.value.grid) == pytest.approx(1.0, abs=1e-3)
     peak = ns.value.grid[np.argmax(ns.value.values)]
     assert abs(peak - 0.5) < 0.1 or abs(peak - 1.0) < 0.1
 
@@ -93,7 +93,7 @@ def test_normalize_density_rescales_axis():
 def test_rescale_density_preserves_mass():
     (dens,) = smoothed_densities([[1.0, 3.0]], sigma=0.2)
     scaled = rescale_density(dens, 3.0)
-    assert scaled.mass() == pytest.approx(1.0, abs=1e-6)
+    assert np.trapezoid(scaled.values, scaled.grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_log_magnitude_spectra():

@@ -12,9 +12,8 @@ from blockspectra.operators import (
     load_matrix_csv,
     load_spectrum_csv,
     principal_block,
-    save_matrix_csv,
-    save_spectrum_csv,
 )
+from helpers import write_matrix_csv, write_spectrum_csv
 
 
 def _symmetry_defect(op, n_samples=8, seed=0):
@@ -174,7 +173,7 @@ def test_partition_validation():
 def test_matrix_csv_roundtrip(tmp_path, rng):
     m = rng.standard_normal((4, 4))
     path = tmp_path / "m.csv"
-    save_matrix_csv(path, m)
+    write_matrix_csv(path, m)
     with open(path) as fh:
         assert fh.readline().startswith("c0,")
     assert np.array_equal(load_matrix_csv(path), m)
@@ -183,5 +182,5 @@ def test_matrix_csv_roundtrip(tmp_path, rng):
 def test_spectrum_csv_roundtrip(tmp_path):
     eigs = np.array([3.25, -1.5, 0.0])
     path = tmp_path / "s.csv"
-    save_spectrum_csv(path, eigs)
+    write_spectrum_csv(path, eigs)
     assert np.array_equal(load_spectrum_csv(path), eigs)

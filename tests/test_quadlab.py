@@ -3,7 +3,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from blockspectra.operators import save_spectrum_csv
 from blockspectra.quadlab import (
     _CONVERGED,
     _DIVERGED,
@@ -34,6 +33,7 @@ from blockspectra.quadlab import (
     theory_report,
     verify_bounds,
 )
+from helpers import scaled_problem, write_spectrum_csv
 
 CASE_EIGS = np.array([1.0, 2.0, 3.0, 99.0, 100.0, 101.0, 4998.0, 4999.0, 5000.0])
 
@@ -78,7 +78,7 @@ def test_case1_from_files(tmp_path, rng):
     files = []
     for i in range(4):
         path = tmp_path / f"spec{i}.csv"
-        save_spectrum_csv(path, rng.random(60) * (10 ** (i + 1)))
+        write_spectrum_csv(path, rng.random(60) * (10 ** (i + 1)))
         files.append(path)
     prob = make_case(1, seed=0, spectrum_files=files)
     assert prob.dim == 100
@@ -89,7 +89,7 @@ def test_case1_from_files(tmp_path, rng):
 
 def test_case1_rejects_short_files(tmp_path):
     path = tmp_path / "short.csv"
-    save_spectrum_csv(path, np.arange(5.0) + 1)
+    write_spectrum_csv(path, np.arange(5.0) + 1)
     with pytest.raises(ValueError):
         make_case(2, seed=0, spectrum_files=[path] * 4)
 
@@ -104,9 +104,13 @@ def test_problem_minimizer_is_minimum(rng):
     block = 0.5 * (g + g.T) + 5 * np.eye(4)
     h = rng.standard_normal(4)
     prob = QuadraticProblem([block], h=h)
+
+    def loss(w):
+        return 0.5 * w @ (prob.matrix @ w) - prob.h @ w
+
     for _ in range(10):
         w = prob.minimizer + rng.standard_normal(4)
-        assert prob.loss(w) >= prob.optimum - 1e-10
+        assert loss(w) >= loss(prob.minimizer) - 1e-10
 
 
 @pytest.mark.parametrize("run", [gd_run, adam_fixed_run])
@@ -252,7 +256,7 @@ def test_adam_fixed_hand_computed_first_step():
 def test_adam_fixed_scale_invariance(case3, rng):
     w0 = rng.standard_normal(9)
     base = adam_fixed_run(case3, w0, 0.05, max_iters=100, target=None)
-    scaled = adam_fixed_run(case3.scaled(7.3), w0, 0.05, max_iters=100, target=None)
+    scaled = adam_fixed_run(scaled_problem(case3, 7.3), w0, 0.05, max_iters=100, target=None)
     for (t1, w1), (t2, w2) in zip(base.snapshots, scaled.snapshots):
         assert t1 == t2
         assert np.abs(w1 - w2).max() <= 1e-12 * max(1.0, np.abs(w1).max())
@@ -263,7 +267,7 @@ def test_gd_is_not_scale_invariant(case3, rng):
     w0 = rng.standard_normal(9)
     eta = default_gd_eta(case3)
     base = gd_run(case3, w0, eta=eta, max_iters=50, target=None)
-    scaled = gd_run(case3.scaled(2.0), w0, eta=eta, max_iters=50, target=None)
+    scaled = gd_run(scaled_problem(case3, 2.0), w0, eta=eta, max_iters=50, target=None)
     w1 = dict(base.snapshots)[10]
     w2 = dict(scaled.snapshots)[10]
     assert np.abs(w1 - w2).max() > 1e-6

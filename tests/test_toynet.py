@@ -9,11 +9,11 @@ from blockspectra.toynet import (
     ADAM_EPS,
     SGD_MOMENTUM,
     Dataset,
+    HessianSnapshot,
     ScaledMLP,
     ToyNet,
-    accuracy,
+    _accuracy,
     blockwise_exact_eigenvalues,
-    cross_neuron_hessian_block,
     hessian_fd,
     load_dataset_csv,
     make_blobs,
@@ -25,6 +25,7 @@ from blockspectra.toynet import (
     snapshot_js0,
     train,
 )
+from helpers import cross_neuron_hessian_block
 
 
 def fd_loss_gradient(model, X, y, step=1e-6):
@@ -282,27 +283,27 @@ def test_mass_ratio_block_diagonal_is_zero():
     m = np.zeros((4, 4))
     m[:2, :2] = 1.0
     m[2:, 2:] = 2.0
-    assert offdiag_mass_ratio(m, BlockPartition([2, 2])) == 0.0
+    assert offdiag_mass_ratio(HessianSnapshot(matrix=m, partition=BlockPartition([2, 2]))) == 0.0
 
 
 def test_mass_ratio_all_ones_half():
     m = np.ones((6, 6))
-    assert offdiag_mass_ratio(m, BlockPartition([3, 3])) == pytest.approx(0.5, rel=1e-12)
+    assert offdiag_mass_ratio(HessianSnapshot(matrix=m, partition=BlockPartition([3, 3]))) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_mass_ratio_zero_matrix_errors():
     with pytest.raises(ValueError):
-        offdiag_mass_ratio(np.zeros((4, 4)), BlockPartition([2, 2]))
+        offdiag_mass_ratio(HessianSnapshot(matrix=np.zeros((4, 4)), partition=BlockPartition([2, 2])))
 
 
 def test_mass_ratio_invariant_under_within_block_permutation(rng):
     g = rng.standard_normal((6, 6))
     m = 0.5 * (g + g.T)
     part = BlockPartition([3, 3])
-    base = offdiag_mass_ratio(m, part)
+    base = offdiag_mass_ratio(HessianSnapshot(matrix=m, partition=part))
     perm = np.array([2, 0, 1, 3, 5, 4])  # permutes inside each block only
     permuted = m[np.ix_(perm, perm)]
-    assert offdiag_mass_ratio(permuted, part) == pytest.approx(base, rel=1e-12)
+    assert offdiag_mass_ratio(HessianSnapshot(matrix=permuted, partition=part)) == pytest.approx(base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ def _parent_train(model, dataset, optimizer, eta, steps, batch_size, seed):
             status = "diverged"
             break
         losses.append(full_loss)
-        accs.append(accuracy(model, dataset.X, dataset.y))
+        accs.append(_accuracy(model.logits(dataset.X), dataset.y))
         if step == steps:
             break
         idx = rng.integers(0, n, size=batch_size)
@@ -665,6 +666,17 @@ def test_scaled_mlp_validation():
         scaled_mlp((4, 5, 5, 5, 2), 2.0)
     with pytest.raises(ValueError, match="1 output column"):
         ScaledMLP([np.ones((3, 2))], [np.zeros(2)])
+
+
+@pytest.mark.parametrize(
+    "c", [1e200, np.float64(1e200), float("inf"), float("nan")], ids=["float", "numpy_float", "inf", "nan"]
+)
+def test_scaled_mlp_rejects_a_non_finite_initial_scale(c):
+    # scale_growth**2 overflows: a Python float raises, a numpy float gives inf.
+    with pytest.raises(ValueError, match="scale_growth"):
+        scaled_mlp((4, 5, 5, 5, 1), c)
+    # Far below the float range's square root, every weight is finite.
+    assert np.all(np.isfinite(scaled_mlp((4, 5, 5, 5, 1), 1e100).get_flat()))
 
 
 def test_scaled_mlp_layer_partition():
