@@ -2,8 +2,9 @@
 
 The package has five functional layers:
 
-- ``operators``: symmetric linear operators (dense, diagonal, block diagonal)
-  plus the exact eigendecomposition used as the small-scale testing oracle.
+- ``operators``: the matvec-only symmetric operator protocol, its one dense
+  realization, and the exact eigendecomposition of each principal block,
+  which is also the small-scale testing oracle.
 - ``slq``: stochastic Lanczos quadrature estimates of eigenvalue densities,
   accessed only through matrix-vector products.
 - ``heterogeneity``: Jensen-Shannon distances between blockwise densities and
@@ -20,9 +21,7 @@ The ``cli`` module ties these together into reproducible experiment runs.
 from blockspectra.operators import (
     BlockPartition,
     DenseSymmetric,
-    DiagonalOperator,
     SymmetricOperator,
-    block_diagonal,
     condition_number,
     exact_eigenvalues,
     principal_block,
@@ -75,9 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockPartition",
     "DenseSymmetric",
-    "DiagonalOperator",
     "SymmetricOperator",
-    "block_diagonal",
     "condition_number",
     "exact_eigenvalues",
     "principal_block",

@@ -34,9 +34,11 @@ from blockspectra import fileio, heterogeneity, quadlab, slq, svgplot, toynet
 from blockspectra.operators import (
     BlockPartition,
     DenseSymmetric,
+    block_eigenvalues,
+    # Not called here, but bench/test_bench.py checks that the tracer rebinds
+    # this name in ``cli``; see ROADMAP item 12.
     exact_eigenvalues,
     load_matrix_csv,
-    principal_block,
 )
 from blockspectra.workers import fork_map
 
@@ -156,7 +158,9 @@ QUADLAB = {
     "eta_grid": (FLAG, False),
     "grid_points": (at_least(1), 25, {"eta_grid": lambda grid: grid}),
     "max_iters": (at_least(0), 100_000),
-    "target": (NONNEGATIVE, 1e-6),
+    # Unset, grid searches and gd and adam_fixed runs stop at 1e-6, and a
+    # fixed-step adam_ema run, which cycles, runs its whole budget.
+    "target": (NONNEGATIVE, None),
     "beta2": (Kind("in [0, 1)", float, lambda v: 0 <= v < 1), 0.99, ADAM_EMA),
     # Unset, each adam_ema run's length sets them.
     "transient": (at_least(0), None, ADAM_EMA),
@@ -329,7 +333,7 @@ def cmd_heatmap(cfg: dict, args: argparse.Namespace) -> int:
     # Exact block eigenvalues are needed unless SLQ densities go unnormalized.
     block_eigs = None
     if cfg["log_axis"] or cfg["estimator"] == "exact" or cfg["mode"] != "none":
-        block_eigs = [exact_eigenvalues(principal_block(op, a, z)) for a, z in partition.ranges()]
+        block_eigs = block_eigenvalues(op.matrix, partition)
     if cfg["log_axis"]:
         densities = slq.smoothed_densities(heterogeneity.log_magnitude_spectra(block_eigs))
     elif cfg["estimator"] == "exact":
@@ -409,6 +413,8 @@ def _resolve_eta(spec, kind, problem, w0):
 def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
     max_iters = cfg["max_iters"]
     target = cfg["target"]
+    if target is None and (cfg["eta_grid"] or kind != "adam_ema"):
+        target = 1e-6
     beta2 = cfg["beta2"]
     w0 = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, seed, index=run_index)
 
@@ -433,7 +439,7 @@ def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
         elif kind == "adam_fixed":
             trajectory = quadlab.adam_fixed_run(problem, w0, eta, max_iters=max_iters, target=target)
         else:
-            trajectory = quadlab.adam_ema_run(problem, w0, eta, beta2, max_iters=max_iters)
+            trajectory = quadlab.adam_ema_run(problem, w0, eta, beta2, max_iters=max_iters, target=target)
 
     check = quadlab.verify_bounds(trajectory)
     if check is not None:

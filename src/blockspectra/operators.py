@@ -1,9 +1,11 @@
 """Symmetric linear operators and the exact eigendecomposition oracle.
 
 Operators expose only a dimension and a matrix-vector product, which is the
-sole access path the stochastic Lanczos machinery needs.  Concrete dense and
-diagonal realizations exist so that small problems can be cross-checked
-against an exact eigendecomposition.
+sole access path the stochastic Lanczos machinery needs.  The one concrete
+realization is ``DenseSymmetric``: every operator the package builds (a
+matrix CSV, a quadratic case, a finite-difference Hessian) is a dense
+symmetric matrix, so its principal blocks can be cross-checked against an
+exact eigendecomposition.
 """
 
 from __future__ import annotations
@@ -72,30 +74,6 @@ class DenseSymmetric(SymmetricOperator):
         return self._matrix @ self._check_vector(v)
 
 
-class DiagonalOperator(SymmetricOperator):
-    """Multiplication by a fixed diagonal."""
-
-    def __init__(self, values: np.ndarray):
-        d = np.asarray(values, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("diagonal must be a nonempty 1-d array")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("diagonal has non-finite entries")
-        self._diag = d.copy()
-        self._diag.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self._diag.size
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self._diag
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._diag * self._check_vector(v)
-
-
 class BlockPartition:
     """Contiguous partition of coordinate indices into ordered blocks."""
 
@@ -136,95 +114,11 @@ class BlockPartition:
         return f"BlockPartition({list(self.block_sizes)})"
 
 
-class _BlockDiagonal(SymmetricOperator):
-    def __init__(self, blocks, partition: BlockPartition):
-        self._blocks = tuple(blocks)
-        self.partition = partition
-
-    @property
-    def dim(self) -> int:
-        return self.partition.dim
-
-    @property
-    def blocks(self):
-        return self._blocks
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_vector(v)
-        out = np.empty_like(v)
-        for block, (a, b) in zip(self._blocks, self.partition.ranges()):
-            out[a:b] = block.apply(v[a:b])
-        return out
-
-
-def block_diagonal(blocks) -> SymmetricOperator:
-    """Compose symmetric blocks into one operator on the concatenated space.
-
-    ``apply`` routes each contiguous sub-vector through its block, so the
-    composite spectrum is the multiset union of the block spectra.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("block_diagonal needs at least one block")
-    for i, b in enumerate(blocks):
-        if not isinstance(b, SymmetricOperator):
-            raise TypeError(f"block {i} is not a SymmetricOperator")
-    partition = BlockPartition([b.dim for b in blocks])
-    return _BlockDiagonal(blocks, partition)
-
-
-class _PrincipalBlock(SymmetricOperator):
-    """Restriction of an operator to a contiguous coordinate range.
-
-    apply(v) = (A [0, ..., v, ..., 0]) restricted back to the range, i.e. the
-    principal sub-matrix as a matrix-free operator.
-    """
-
-    def __init__(self, op: SymmetricOperator, start: int, stop: int):
-        self._op = op
-        self._start = start
-        self._stop = stop
-
-    @property
-    def dim(self) -> int:
-        return self._stop - self._start
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_vector(v)
-        full = np.zeros(self._op.dim)
-        full[self._start:self._stop] = v
-        return self._op.apply(full)[self._start:self._stop]
-
-
-def principal_block(op: SymmetricOperator, start: int, stop: int) -> SymmetricOperator:
+def principal_block(op: DenseSymmetric, start: int, stop: int) -> DenseSymmetric:
     """Principal sub-operator on coordinates [start, stop)."""
     if not (0 <= start < stop <= op.dim):
         raise ValueError(f"invalid range [{start}, {stop}) for dim {op.dim}")
-    if isinstance(op, DenseSymmetric):
-        return DenseSymmetric(op.matrix[start:stop, start:stop])
-    if isinstance(op, DiagonalOperator):
-        return DiagonalOperator(op.diagonal[start:stop])
-    if isinstance(op, _BlockDiagonal):
-        # Fast path when the range coincides with one stored block.
-        for block, (a, b) in zip(op.blocks, op.partition.ranges()):
-            if (a, b) == (start, stop):
-                return block
-    return _PrincipalBlock(op, start, stop)
-
-
-def as_dense(op: SymmetricOperator) -> np.ndarray:
-    """Materialize an operator column by column (oracle / small dims only)."""
-    if op.dim > MAX_ORACLE_DIM:
-        raise ValueError(f"refusing to densify dim {op.dim} > {MAX_ORACLE_DIM}")
-    if isinstance(op, DenseSymmetric):
-        return op.matrix.copy()
-    cols = np.empty((op.dim, op.dim))
-    e = np.zeros(op.dim)
-    for j in range(op.dim):
-        e[j] = 1.0
-        cols[:, j] = op.apply(e)
-        e[j] = 0.0
-    return cols
+    return DenseSymmetric(op.matrix[start:stop, start:stop])
 
 
 def exact_eigenvalues(m) -> np.ndarray:
@@ -232,12 +126,9 @@ def exact_eigenvalues(m) -> np.ndarray:
 
     This is the testing oracle: LAPACK's symmetric eigensolver (Householder
     tridiagonalization followed by implicit QR) via numpy.  Accepts a
-    DenseSymmetric, any SymmetricOperator of oracle size, or a raw array.
+    DenseSymmetric or a raw array.
     """
-    if isinstance(m, SymmetricOperator):
-        a = as_dense(m)
-    else:
-        a = np.asarray(m, dtype=float)
+    a = m.matrix if isinstance(m, DenseSymmetric) else np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_ORACLE_DIM:
@@ -246,6 +137,11 @@ def exact_eigenvalues(m) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     a = 0.5 * (a + a.T)
     return np.linalg.eigvalsh(a)[::-1].copy()
+
+
+def block_eigenvalues(matrix: np.ndarray, partition: BlockPartition) -> list[np.ndarray]:
+    """``exact_eigenvalues`` of each principal block of ``matrix`` that ``partition`` names."""
+    return [exact_eigenvalues(matrix[a:z, a:z]) for a, z in partition.ranges()]
 
 
 def condition_number(eigs) -> float:
@@ -270,4 +166,11 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def load_spectrum_csv(path) -> np.ndarray:
-    return fileio.read_table(path)[1][:, 0]
+    """The one column of finite eigenvalues of a spectrum file."""
+    table = fileio.read_table(path)[1]
+    if table.shape[1] != 1:
+        raise ValueError(f"{path}: expected one column of eigenvalues, got {table.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(table[:, 0]))
+    if bad.size:
+        raise ValueError(f"{path}: eigenvalue {bad[0] + 1} is {table[bad[0], 0]}, not a finite number")
+    return table[:, 0]

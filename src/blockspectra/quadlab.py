@@ -30,10 +30,8 @@ import numpy as np
 from blockspectra.operators import (
     BlockPartition,
     DenseSymmetric,
-    SymmetricOperator,
-    block_diagonal,
+    block_eigenvalues,
     condition_number,
-    exact_eigenvalues,
     load_spectrum_csv,
 )
 from blockspectra.rng import TAG_CASE, TAG_INIT, derive_rng
@@ -87,7 +85,7 @@ class QuadraticProblem:
         self.matrix = np.zeros((d, d))
         for m, (a, z) in zip(self.blocks, self.partition.ranges()):
             self.matrix[a:z, a:z] = m
-        self.block_eigenvalues = tuple(exact_eigenvalues(m) for m in self.blocks)
+        self.block_eigenvalues = tuple(block_eigenvalues(self.matrix, self.partition))
         for i, eigs in enumerate(self.block_eigenvalues):
             if eigs[-1] <= 0:
                 raise ValueError(
@@ -110,8 +108,8 @@ class QuadraticProblem:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(w, dtype=float) - self.h
 
-    def operator(self) -> SymmetricOperator:
-        return block_diagonal([DenseSymmetric(m) for m in self.blocks])
+    def operator(self) -> DenseSymmetric:
+        return DenseSymmetric(self.matrix)
 
 
 @dataclass

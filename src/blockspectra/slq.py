@@ -267,9 +267,10 @@ def blockwise_densities(
     ``partition = None`` makes the whole operator the one block, whose probes
     come from the streams keyed (seed, TAG_PROBE, p).  Otherwise the probes
     for block b come from the streams keyed (seed, TAG_BLOCK_PROBE, b, p) and
-    act on the block coordinates only.  Probe averages are taken in index
-    order.  Unless ``grid`` is given, the shared grid spans the union of all
-    block supports so the densities are directly comparable.
+    act on the block coordinates only, which ``principal_block`` cuts out of
+    a ``DenseSymmetric``.  Probe averages are taken in index order.  Unless
+    ``grid`` is given, the shared grid spans the union of all block supports
+    so the densities are directly comparable.
 
     Every block is built first, then the (block, probe) Lanczos runs are
     mapped over up to ``jobs`` workers (``workers.fork_map``; one worker is

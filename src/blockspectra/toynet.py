@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from blockspectra import fileio
-from blockspectra.operators import BlockPartition
+from blockspectra.operators import BlockPartition, block_eigenvalues
 from blockspectra.rng import TAG_DATA, TAG_INIT, TAG_TRAIN, derive_rng
 
 MAX_FD_DIM = 500
@@ -276,10 +276,6 @@ class HessianSnapshot:
     step_index: int = 0
     asymmetry: float = 0.0
 
-    def block(self, i: int) -> np.ndarray:
-        a, z = self.partition.ranges()[i]
-        return self.matrix[a:z, a:z]
-
 
 def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     """Full Hessian by central differences of the analytic gradient.
@@ -289,6 +285,9 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     inspection.  The snapshot carries ``model.partition()``.  Quadratic cost,
     so the flattened dimension is capped.  The model's parameters come back
     bit for bit as they were, so every column is taken about the same point.
+    An overflow or invalid value anywhere in the differencing raises a
+    ``ValueError`` naming it, rather than yielding a Hessian of overflowed
+    layers.
     """
     dim = model.num_params
     if dim > MAX_FD_DIM:
@@ -298,22 +297,25 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
         raise ValueError(f"hessian_fd needs one network, got a stack of {theta.shape[0]}")
     H = np.empty((dim, dim))
     try:
-        for j in range(dim):
-            t = theta[j]
-            hj = FD_STEP * (1.0 + abs(t))
-            theta[j] = t + hj
-            model.set_flat(theta)
-            _, g_plus = model.loss_grad(X, y)
-            theta[j] = (t + hj) - 2 * hj
-            model.set_flat(theta)
-            _, g_minus = model.loss_grad(X, y)
-            # t + hj - hj need not be t in floating point, so restore t itself
-            theta[j] = t
-            H[:, j] = (g_plus - g_minus) / (2 * hj)
+        with np.errstate(over="raise", invalid="raise"):
+            for j in range(dim):
+                t = theta[j]
+                hj = FD_STEP * (1.0 + abs(t))
+                theta[j] = t + hj
+                model.set_flat(theta)
+                _, g_plus = model.loss_grad(X, y)
+                theta[j] = (t + hj) - 2 * hj
+                model.set_flat(theta)
+                _, g_minus = model.loss_grad(X, y)
+                # t + hj - hj need not be t in floating point, so restore t itself
+                theta[j] = t
+                H[:, j] = (g_plus - g_minus) / (2 * hj)
+            asym = float(np.abs(H - H.T).max())
+            H = 0.5 * (H + H.T)
+    except FloatingPointError as exc:
+        raise ValueError(f"finite-difference Hessian failed: {exc}") from None
     finally:
         model.set_flat(theta)
-    asym = float(np.abs(H - H.T).max())
-    H = 0.5 * (H + H.T)
     return HessianSnapshot(matrix=H, partition=model.partition(), step_index=step_index, asymmetry=asym)
 
 
@@ -509,7 +511,8 @@ def train(
         place()
     # A diverging row overflows before the finiteness checks below drop it,
     # and its status says so, so numpy's overflow warnings would only repeat it.
-    # Nothing checks a snapshot's entries, so it runs under the caller's settings.
+    # A snapshot is no training row, so it runs under the caller's settings
+    # (hessian_fd raises on its own overflows).
     caller_err = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
@@ -567,11 +570,6 @@ def train(
     )
 
 
-def blockwise_exact_eigenvalues(snapshot: HessianSnapshot) -> list[np.ndarray]:
-    """Descending eigenvalues of each partition block of a Hessian snapshot."""
-    return [np.linalg.eigvalsh(snapshot.block(i))[::-1] for i in range(snapshot.partition.num_blocks)]
-
-
 def snapshot_js0(snapshot: HessianSnapshot) -> float:
     """Mean pairwise distance between the blocks' log-magnitude spectra.
 
@@ -583,7 +581,7 @@ def snapshot_js0(snapshot: HessianSnapshot) -> float:
     from blockspectra.heterogeneity import log_magnitude_spectra, pairwise_heatmap
     from blockspectra.slq import smoothed_densities
 
-    eigs = blockwise_exact_eigenvalues(snapshot)
+    eigs = block_eigenvalues(snapshot.matrix, snapshot.partition)
     logs = log_magnitude_spectra(eigs)
     densities = smoothed_densities(logs)
     return pairwise_heatmap(densities, mode="none").js0

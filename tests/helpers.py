@@ -47,6 +47,18 @@ def cross_neuron_hessian_block(net: ToyNet, x: np.ndarray, y: float, i: int, j: 
     return p * (1.0 - p) * net.v[i] * net.v[j] * phi_i * phi_j * np.outer(x, x)
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """The square ``blocks`` on the diagonal of one matrix, zeros elsewhere."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim))
+    a = 0
+    for b in blocks:
+        out[a : a + b.shape[0], a : a + b.shape[0]] = b
+        a += b.shape[0]
+    return out
+
+
 def scaled_problem(problem: QuadraticProblem, c: float) -> QuadraticProblem:
     """The problem (c H, c h) for a positive constant c."""
     return QuadraticProblem([c * m for m in problem.blocks], c * problem.h)

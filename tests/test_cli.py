@@ -12,7 +12,7 @@ import pytest
 
 from blockspectra.cli import main, parse_config
 from blockspectra.heterogeneity import load_heatmap_csv
-from helpers import l1_distance, read_density, write_matrix_csv
+from helpers import l1_distance, read_density, write_matrix_csv, write_spectrum_csv
 
 
 def write_config(path, text):
@@ -300,6 +300,42 @@ def test_quadlab_unset_window_keeps_the_default(tmp_path):
         assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 0
         header, row = read_rows(out / "summary.csv")
         assert row[header.index("cycling")] == "true"
+
+
+def test_quadlab_fixed_step_adam_ema_stops_at_an_explicit_target(tmp_path):
+    # Unset, the target leaves a fixed-step adam_ema run its whole budget;
+    # set, the run stops once its loss ratio reaches it.
+    base = "case = 3\noptimizer = adam_ema\neta = 0.01\nbeta2 = 0.9\nmax_iters = 3000\n"
+    results = {}
+    for name, extra in (("unset", ""), ("set", "target = 0.5\n")):
+        out = tmp_path / name
+        assert main(["quadlab", "--config", write_config(tmp_path / f"{name}.cfg", base + extra), "--out", str(out)]) == 0
+        header, row = read_rows(out / "summary.csv")
+        results[name] = dict(zip(header, row))
+    assert results["unset"]["status"] == "max_iters" and results["unset"]["iterations"] == "3000"
+    assert results["set"]["status"] == "converged"
+    assert int(results["set"]["iterations"]) < 3000
+    assert float(results["set"]["final_ratio"]) <= 0.5
+
+
+@pytest.mark.parametrize(
+    "name, eigenvalues, message",
+    [
+        ("two_columns", np.stack([np.arange(1.0, 31.0), np.arange(31.0, 61.0)], axis=1),
+         "expected one column of eigenvalues, got 2"),
+        ("nan", np.r_[np.arange(1.0, 30.0), np.nan], "eigenvalue 30 is nan, not a finite number"),
+    ],
+    ids=["two_columns", "nan"],
+)
+def test_quadlab_bad_spectrum_file_exits_2_naming_it(tmp_path, capsys, name, eigenvalues, message):
+    path = tmp_path / f"{name}.csv"
+    if eigenvalues.ndim == 2:
+        write_matrix_csv(path, eigenvalues)
+    else:
+        write_spectrum_csv(path, eigenvalues)
+    cfg = write_config(tmp_path / "q.cfg", f"case = 1\nspectrum_files = {path}\nmax_iters = 10\n")
+    assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_quadlab_bad_window_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
@@ -597,7 +633,7 @@ def test_ignored_key_exits_2_before_any_work(tmp_path, monkeypatch, capsys, tabl
     # A key the run would ignore is an error whatever its value, found before
     # any optimizer, SLQ, eigensolver or training runs; where the run reads
     # the key, the same line resolves.
-    from blockspectra import cli, quadlab, slq, toynet
+    from blockspectra import cli, operators, quadlab, slq, toynet
 
     def no_run(*args, **kwargs):
         raise AssertionError("work ran before the config was checked")
@@ -606,7 +642,7 @@ def test_ignored_key_exits_2_before_any_work(tmp_path, monkeypatch, capsys, tabl
         (quadlab, ["gd_run", "adam_fixed_run", "adam_ema_run", "grid_search"]),
         (slq, ["blockwise_densities"]),
         (toynet, ["train", "hessian_fd"]),
-        (cli, ["exact_eigenvalues"]),
+        (operators, ["exact_eigenvalues"]),
     ):
         for name in names:
             monkeypatch.setattr(module, name, no_run)
@@ -900,6 +936,24 @@ def test_toynet_scaled_overflowing_scale_exits_2(tmp_path, capsys, two_cpus, for
     assert fork_methods == (["fork"] if jobs == 2 else [])
     assert multiprocessing.active_children() == []
     assert capsys.readouterr().err == "error: scale_growth = 1e+200 makes an initial weight scale non-finite\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_toynet_scaled_overflowing_layers_exit_2(tmp_path, capsys, two_cpus, fork_methods, jobs):
+    # scale_growth**2 is still finite at 1.34e154, but the hidden layers'
+    # matmuls overflow: no JS0 is scored from such a Hessian.
+    import multiprocessing
+    import warnings
+
+    cfg = write_config(tmp_path / "t.cfg", "experiment = scaled\nc_values = 1,1.34e154\nseeds = 1\nsamples = 32\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 2
+    assert caught == []
+    assert fork_methods == (["fork"] if jobs == 2 else [])
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == "error: finite-difference Hessian failed: overflow encountered in matmul\n"
+    assert not (tmp_path / "out" / "js0_vs_scale.csv").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

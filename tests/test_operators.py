@@ -4,9 +4,7 @@ import pytest
 from blockspectra.operators import (
     BlockPartition,
     DenseSymmetric,
-    DiagonalOperator,
-    as_dense,
-    block_diagonal,
+    block_eigenvalues,
     condition_number,
     exact_eigenvalues,
     load_matrix_csv,
@@ -34,42 +32,10 @@ def _symmetry_defect(op, n_samples=8, seed=0):
     return worst
 
 
-def test_block_diagonal_scalars():
-    op = block_diagonal([DenseSymmetric([[2.0]]), DenseSymmetric([[3.0]])])
-    assert np.array_equal(op.apply(np.array([1.0, 1.0])), [2.0, 3.0])
-
-
-def test_block_diagonal_identity():
-    op = block_diagonal([DenseSymmetric(np.eye(2)), DenseSymmetric(np.eye(3))])
-    v = np.arange(5.0)
-    assert np.array_equal(op.apply(v), v)
-
-
-def test_block_diagonal_empty():
-    with pytest.raises(ValueError):
-        block_diagonal([])
-
-
 def test_block_diagonal_spectrum_union(case3):
-    composite = exact_eigenvalues(as_dense(case3.operator()))
+    composite = exact_eigenvalues(case3.operator())
     union = np.sort(np.concatenate(case3.block_eigenvalues))[::-1]
     assert np.allclose(composite, union, rtol=1e-8)
-
-
-def test_block_diagonal_quadratic_form_decomposes(rng):
-    sym_blocks = []
-    for k in (2, 3, 4):
-        g = rng.standard_normal((k, k))
-        sym_blocks.append(DenseSymmetric(0.5 * (g + g.T) + np.eye(k) * 5))
-    op = block_diagonal(sym_blocks)
-    partition = BlockPartition([2, 3, 4])
-    for _ in range(5):
-        v = rng.standard_normal(9)
-        total = v @ op.apply(v)
-        per_block = sum(
-            vl @ b.apply(vl) for b, vl in zip(sym_blocks, partition.split(v))
-        )
-        assert total == pytest.approx(per_block, rel=1e-12)
 
 
 def test_exact_eigenvalues_diagonal():
@@ -108,6 +74,17 @@ def test_exact_eigenvalues_dim_cap():
         exact_eigenvalues(np.zeros((2001, 2001)))
 
 
+def test_block_eigenvalues_are_those_of_each_principal_block(rng):
+    g = rng.standard_normal((9, 9))
+    m = 0.5 * (g + g.T)
+    partition = BlockPartition([2, 3, 4])
+    got = block_eigenvalues(m, partition)
+    assert len(got) == 3
+    for eigs, (a, z) in zip(got, partition.ranges()):
+        assert np.array_equal(eigs, exact_eigenvalues(m[a:z, a:z]))
+        assert np.array_equal(eigs, exact_eigenvalues(DenseSymmetric(m[a:z, a:z])))
+
+
 def test_condition_number():
     assert condition_number([5000.0, 1.0]) == 5000.0
     assert condition_number([7.0, 7.0]) == 1.0
@@ -141,7 +118,7 @@ def test_operator_symmetry_sampled(case3, rng):
     g = rng.standard_normal((8, 8))
     ops = [
         DenseSymmetric(0.5 * (g + g.T)),
-        DiagonalOperator(rng.standard_normal(7)),
+        DenseSymmetric(np.diag(rng.standard_normal(7))),
         case3.operator(),
         principal_block(case3.operator(), 2, 7),
     ]
@@ -156,8 +133,6 @@ def test_principal_block_matches_submatrix(rng):
     assert sub.dim == 3
     v = rng.standard_normal(3)
     assert np.allclose(sub.apply(v), d.matrix[2:5, 2:5] @ v)
-    generic = principal_block(DiagonalOperator(np.arange(1.0, 8.0)), 1, 4)
-    assert np.allclose(generic.apply(np.ones(3)), [2.0, 3.0, 4.0])
 
 
 def test_partition_validation():

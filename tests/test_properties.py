@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockspectra.heterogeneity import js_distance
-from blockspectra.operators import DenseSymmetric, block_diagonal, exact_eigenvalues, principal_block
+from blockspectra.operators import DenseSymmetric, exact_eigenvalues, principal_block
 from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case
 from blockspectra.slq import smoothed_densities
+from helpers import block_diag
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -45,7 +46,7 @@ def test_smoothed_densities_have_unit_mass(spectra):
 @PROPERTY
 @given(st.lists(symmetric_matrix, min_size=1, max_size=4))
 def test_block_diagonal_spectrum_is_union_of_block_spectra(blocks):
-    op = block_diagonal([DenseSymmetric(m) for m in blocks])
+    op = DenseSymmetric(block_diag(*blocks))
     union = np.sort(np.concatenate([exact_eigenvalues(m) for m in blocks]))[::-1]
     scale = max(1.0, max(float(np.abs(m).max()) for m in blocks))
     np.testing.assert_allclose(exact_eigenvalues(op), union, rtol=0, atol=1e-12 * op.dim * scale)
@@ -55,10 +56,13 @@ def test_block_diagonal_spectrum_is_union_of_block_spectra(blocks):
 @given(case=st.sampled_from((3, 4)), seed=st.integers(0, 2**32 - 1))
 def test_case_block_eigenvalues_are_those_of_the_operator_blocks(case, seed):
     # The heatmap takes a case's block eigenvalues from its operator, as for
-    # any matrix source; they must be the very numbers the case caches.
+    # any matrix source; they must be the very numbers the case caches.  The
+    # operator's principal blocks are the case's blocks, bit for bit, so SLQ
+    # on a case source runs on the same matrices as ever.
     problem = make_case(case, seed=seed)
     op = problem.operator()
     for b, (a, z) in enumerate(problem.partition.ranges()):
+        assert np.array_equal(principal_block(op, a, z).matrix, problem.blocks[b])
         assert np.array_equal(problem.block_eigenvalues[b], exact_eigenvalues(principal_block(op, a, z)))
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from blockspectra.operators import (
+    BlockPartition,
     DenseSymmetric,
-    DiagonalOperator,
-    block_diagonal,
     exact_eigenvalues,
     principal_block,
 )
@@ -20,7 +19,7 @@ from blockspectra.slq import (
     smoothed_densities,
 )
 from blockspectra.slq import _gaussian_mixture
-from helpers import l1_distance, read_density
+from helpers import block_diag, l1_distance, read_density
 
 
 def random_symmetric(dim, rng):
@@ -33,7 +32,7 @@ def random_symmetric(dim, rng):
 # ---------------------------------------------------------------------------
 
 def test_lanczos_identity_terminates_after_one_step():
-    op = DiagonalOperator(np.ones(5))
+    op = DenseSymmetric(np.diag(np.ones(5)))
     v0 = np.ones(5) / np.sqrt(5)
     fact = lanczos(op, v0, 5)
     assert fact.steps == 1
@@ -42,7 +41,7 @@ def test_lanczos_identity_terminates_after_one_step():
 
 
 def test_lanczos_full_krylov_recovers_spectrum():
-    op = DiagonalOperator(np.array([1.0, 2.0, 3.0]))
+    op = DenseSymmetric(np.diag(np.array([1.0, 2.0, 3.0])))
     v0 = np.ones(3) / np.sqrt(3)
     fact = lanczos(op, v0, 3)
     eigs = np.linalg.eigvalsh(fact.tridiagonal())
@@ -118,9 +117,9 @@ def _lanczos_cases(case3):
         op = random_symmetric(dim, rng)
         for m in sorted({dim, max(1, dim // 3), 1}):
             yield f"dense{dim}_m{m}", op, m
-    yield "identity", DiagonalOperator(np.ones(5)), 5
-    yield "diag123", DiagonalOperator(np.array([1.0, 2.0, 3.0])), 3
-    yield "constant", DiagonalOperator(np.full(6, 2.5)), 6
+    yield "identity", DenseSymmetric(np.diag(np.ones(5))), 5
+    yield "diag123", DenseSymmetric(np.diag(np.array([1.0, 2.0, 3.0]))), 3
+    yield "constant", DenseSymmetric(np.diag(np.full(6, 2.5))), 6
     yield "case3", case3.operator(), 9
     yield "principal", principal_block(case3.operator(), 2, 7), 5
 
@@ -151,7 +150,7 @@ def test_ritz_single_step():
 
 
 def test_ritz_uniform_projection_weights():
-    op = DiagonalOperator(np.array([1.0, 2.0, 3.0]))
+    op = DenseSymmetric(np.diag(np.array([1.0, 2.0, 3.0])))
     v0 = np.ones(3) / np.sqrt(3)
     quad = ritz_quadrature(lanczos(op, v0, 3))
     assert np.allclose(quad.nodes, [1.0, 2.0, 3.0], atol=1e-10)
@@ -205,7 +204,7 @@ def test_ritz_nodes_inside_spectrum(rng):
 # ---------------------------------------------------------------------------
 
 def test_density_scalar_operator_single_bump():
-    op = DiagonalOperator(np.full(6, 2.5))
+    op = DenseSymmetric(np.diag(np.full(6, 2.5)))
     (dens,) = blockwise_densities(op, params=SLQParams(steps=3, probes=2, seed=0))
     assert np.trapezoid(dens.values, dens.grid) == pytest.approx(1.0, abs=1e-3)
     peak = dens.grid[np.argmax(dens.values)]
@@ -225,7 +224,7 @@ def test_density_block_average_property(rng):
     u2 = rng.random((100, 100))
     b1 = DenseSymmetric(0.5 * (u1 + u1.T))
     b2 = DenseSymmetric(0.5 * (u2 + u2.T))
-    comp = block_diagonal([b1, b2])
+    comp = DenseSymmetric(block_diag(b1.matrix, b2.matrix))
     (dens,) = blockwise_densities(comp, params=SLQParams(steps=60, probes=60, seed=0))
     (d1,) = blockwise_densities(
         b1, params=SLQParams(steps=60, probes=60, sigma=dens.sigma, seed=1), grid=dens.grid
@@ -275,7 +274,7 @@ def test_mass_leak_diagnostic():
 
 
 def test_density_explicit_grid_must_cover_support():
-    op = DiagonalOperator(np.array([0.0, 10.0]))
+    op = DenseSymmetric(np.diag(np.array([0.0, 10.0])))
     with pytest.raises(GridError):
         blockwise_densities(
             op, params=SLQParams(steps=2, probes=1, sigma=0.1, seed=0), grid=np.linspace(-1, 5, 128)
@@ -297,8 +296,8 @@ def test_blockwise_identical_blocks_agree(rng):
     # the two estimates
     u = rng.random((300, 300))
     b = DenseSymmetric(0.5 * (u + u.T))
-    comp = block_diagonal([b, b])
-    densities = blockwise_densities(comp, comp.partition, SLQParams(steps=60, probes=150, seed=0))
+    comp = DenseSymmetric(block_diag(b.matrix, b.matrix))
+    densities = blockwise_densities(comp, BlockPartition([300, 300]), SLQParams(steps=60, probes=150, seed=0))
     assert np.array_equal(densities[0].grid, densities[1].grid)
     assert l1_distance(densities[0], densities[1]) <= 2e-2
 
@@ -326,8 +325,6 @@ def test_blockwise_case4_near_identical(case4):
 
 
 def test_blockwise_rejects_mismatched_partition(case3, case4):
-    from blockspectra.operators import BlockPartition
-
     with pytest.raises(ValueError):
         blockwise_densities(case3.operator(), BlockPartition([4, 5, 4]), SLQParams())
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockspectra.operators import BlockPartition
+from blockspectra.operators import BlockPartition, block_eigenvalues
 from blockspectra.rng import TAG_TRAIN, derive_rng
 from blockspectra.toynet import (
     ADAM_BETA1,
@@ -13,7 +13,6 @@ from blockspectra.toynet import (
     ScaledMLP,
     ToyNet,
     _accuracy,
-    blockwise_exact_eigenvalues,
     hessian_fd,
     load_dataset_csv,
     make_blobs,
@@ -637,7 +636,7 @@ def test_train_snapshots_at_stride():
 
 def test_train_snapshot_overflow_still_warns(monkeypatch):
     # train excuses the overflows of rows it scores as diverged, not those of
-    # a finite-difference snapshot, whose entries nothing checks.
+    # a finite-difference snapshot.
     import blockspectra.toynet as toynet
 
     def overflowing_hessian_fd(*args, **kwargs):
@@ -731,11 +730,11 @@ def test_trained_toynet_offdiag_mass_halves():
     assert np.median(factors) <= 0.5
 
 
-def test_blockwise_exact_eigenvalues_shapes():
+def test_snapshot_block_eigenvalues_shapes():
     net = random_toynet(3, 2, seed=0)
     data = make_blobs(16, 2, seed=0)
     snap = hessian_fd(net, data.X, data.y)
-    eigs = blockwise_exact_eigenvalues(snap)
+    eigs = block_eigenvalues(snap.matrix, snap.partition)
     assert [e.size for e in eigs] == [2, 2, 2, 3]
     for e in eigs:
         assert np.all(np.diff(e) <= 0)
