@@ -283,7 +283,11 @@ def _resolve_source(cfg, seed):
         return problem.operator(), problem.partition
     if not cfg["matrix"]:
         raise ConfigError("source = matrix requires a 'matrix = PATH' key")
-    op = DenseSymmetric(load_matrix_csv(cfg["matrix"]))
+    matrix = load_matrix_csv(cfg["matrix"])
+    try:
+        op = DenseSymmetric(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{cfg['matrix']}: {exc}") from None
     if cfg["blocks"] is None:
         return op, None
     partition = BlockPartition(cfg["blocks"])
@@ -488,8 +492,8 @@ def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
     fileio.write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS, rows)
     print(f"wrote {os.path.join(args.out, 'summary.csv')} ({len(rows)} runs)")
 
-    w0_theory = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, args.seed, index=0)
-    report = quadlab.theory_report(problem, w0_theory)
+    # theory.txt describes run 0's start point, which every kind shares.
+    report = quadlab.theory_report(problem, results[0][1].iterates[0])
     lines = [
         f"kappa = {report.kappa!r}",
         f"r = {report.r!r}",

@@ -48,8 +48,6 @@ CASE3_SPECTRA = ((1.0, 2.0, 3.0), (99.0, 100.0, 101.0), (4998.0, 4999.0, 5000.0)
 CASE4_SPECTRA = ((1.0, 99.0, 4998.0), (2.0, 100.0, 4999.0), (3.0, 101.0, 5000.0))
 CASE_BLOCK_DIM = 25
 
-SNAPSHOT_EDGE = 50
-SNAPSHOT_STRIDE = 100
 BOUND_SLACK = 1e-9
 
 
@@ -65,12 +63,7 @@ class QuadraticProblem:
     """
 
     def __init__(self, blocks, h=None):
-        mats = []
-        for b in blocks:
-            if isinstance(b, DenseSymmetric):
-                mats.append(b.matrix)
-            else:
-                mats.append(DenseSymmetric(np.asarray(b, dtype=float)).matrix)
+        mats = [DenseSymmetric(np.asarray(b, dtype=float)).matrix for b in blocks]
         if not mats:
             raise ValueError("problem needs at least one block")
         self.partition = BlockPartition([m.shape[0] for m in mats])
@@ -114,13 +107,12 @@ class QuadraticProblem:
 
 @dataclass
 class Trajectory:
-    """One optimizer run: normalized loss curve plus sparse iterate snapshots.
+    """One optimizer run: normalized loss curve plus its first iterates.
 
     ``loss_ratios[t]`` is (L(w_t) - L*) / (L(w_0) - L*); entry 0 is exactly 1.
-    ``snapshots`` holds (t, w_t) pairs for the first 50 iterations, every
-    100th iteration, and the last 50 iterations up to the one at which the
-    run stopped (one past ``iterations`` when its ratio turned non-finite).
-    Only a one-row batch (a single run) keeps snapshots.
+    Row t of ``iterates`` is w_t, for t from 0 up to the column at which the
+    run stopped (one past ``iterations`` when its ratio turned non-finite),
+    but no further than the engine's first chunk, t = CHUNK - 1.
 
     ``status`` is ``"converged"`` (reached the target), ``"diverged"`` (the
     ratio blew past DIVERGENCE_RATIO or stopped being finite), ``"max_iters"``
@@ -135,9 +127,8 @@ class Trajectory:
     status: str
     iterations: int
     initial_gap: float
-    w0: np.ndarray
+    iterates: np.ndarray = field(repr=False)
     problem: QuadraticProblem = field(repr=False)
-    snapshots: list = field(default_factory=list)
     diagnostics: tuple = ()
 
     def final_ratio(self) -> float:
@@ -251,10 +242,11 @@ def default_eta_grid(points: int = 25) -> np.ndarray:
 # same operations as one iteration at a time, rows are independent, and the
 # columns a row runs past its own stop are never read.  A row that stopped
 # early is reset to the minimizer at the end of its chunk, so its later
-# columns stay finite.
+# columns stay finite.  Every row keeps the iterates of the first chunk, up to
+# its own stop column, copied before any stopped row is reset.
 # ---------------------------------------------------------------------------
 
-CHUNK = 128  # at least SNAPSHOT_EDGE, so the last snapshots span two chunks at most
+CHUNK = 128
 
 _LIVE, _CONVERGED, _MAXITERS, _DIVERGED, _PRUNED = 0, 1, 2, 3, 4
 _STATUS_NAMES = {
@@ -340,14 +332,10 @@ def _run_batch(
     iters = np.zeros(n, dtype=int)
     ends = np.full(n, max_iters)  # the column at which each row stopped
     diag_counts = np.zeros(n, dtype=int)
-    # A one-row batch alternates between two iterate buffers, so it can slice
-    # its last SNAPSHOT_EDGE iterates from the final chunk and the one before.
     Wc = np.empty((CHUNK + 1, n, d))
-    prev = np.empty_like(Wc) if n == 1 else Wc
     Gc = np.empty((CHUNK, n, d))
     zero_counts = np.zeros((CHUNK, n), dtype=int)
     step = np.empty((n, d))
-    snapshots = {}
     # Full-shape copies: same-shape ufuncs skip numpy's slower broadcasting loop.
     step_sizes = np.repeat(etas[:, None], d, axis=1)
     h_rows = np.tile(h, (n, 1))
@@ -415,23 +403,13 @@ def _run_batch(
                 # A row steps from column t only while it is live there.
                 taken = np.arange(t0, t0 + m)[:, None] < ends
                 diag_counts += (zero_counts[:m] * taken).sum(axis=0)
-            if n == 1:
-                snapshots.update(
-                    (t, Wc[t - t0, 0].copy())
-                    for t in range(t0, last + 1)
-                    if t < SNAPSHOT_EDGE or t % SNAPSHOT_STRIDE == 0
-                )
+            if t0 == 0:
+                first = Wc[:m].copy()
             if not live.any():
                 break
-            Wc, prev = prev, Wc
-            Wc[0] = prev[m]
+            Wc[0] = Wc[m]
             Wc[0][~live] = wstar  # keep stopped rows finite
             t0 += m
-
-    if n == 1:
-        for t in range(max(0, last - SNAPSHOT_EDGE + 1), last + 1):
-            chunk, start = (Wc, t0) if t >= t0 else (prev, t0 - CHUNK)
-            snapshots.setdefault(t, chunk[t - start, 0].copy())
 
     trajectories = []
     for i in range(n):
@@ -451,8 +429,7 @@ def _run_batch(
                 status=_STATUS_NAMES[status[i]],
                 iterations=int(iters[i]),
                 initial_gap=float(gap0[i]),
-                w0=W0[i].copy(),
-                snapshots=[(t, snapshots[t]) for t in sorted(snapshots)],
+                iterates=first[: ends[i] + 1, i].copy(),
                 diagnostics=diagnostics,
                 problem=problem,
             )
@@ -634,7 +611,7 @@ def verify_bounds(trajectory: Trajectory) -> BoundCheck | None:
     problem and initial point.  Any other run meets neither hypothesis, and
     the result is None.
     """
-    problem, w0 = trajectory.problem, trajectory.w0
+    problem, w0 = trajectory.problem, trajectory.iterates[0]
     if trajectory.kind == "gd" and _is_hard_instance(problem, w0):
         report = theory_report(problem, w0)
     elif trajectory.kind == "adam_fixed":
@@ -644,8 +621,6 @@ def verify_bounds(trajectory: Trajectory) -> BoundCheck | None:
     else:
         return None
     ratios = trajectory.loss_ratios
-    if ratios.size < 2:
-        raise ValueError("trajectory is shorter than 2 steps")
     prev = ratios[:-1]
     nxt = ratios[1:]
     ok = prev > RATIO_FLOOR

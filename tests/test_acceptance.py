@@ -212,12 +212,12 @@ def test_c09_scale_invariance():
     w0 = rng.standard_normal(6)
     base = adam_fixed_run(prob, w0, 0.05, max_iters=100, target=None)
     scaled = adam_fixed_run(scaled_problem(prob, 7.3), w0, 0.05, max_iters=100, target=None)
-    assert dict(base.snapshots).keys() == dict(scaled.snapshots).keys()
-    for (t, w1), (_, w2) in zip(base.snapshots, scaled.snapshots):
+    assert base.iterates.shape == scaled.iterates.shape == (101, 6)
+    for t, (w1, w2) in enumerate(zip(base.iterates, scaled.iterates)):
         assert np.abs(w1 - w2).max() <= 1e-12 * max(1.0, np.abs(w1).max()), f"step {t}"
     gd_base = gd_run(prob, w0, eta=0.01, max_iters=100, target=None)
     gd_scaled = gd_run(scaled_problem(prob, 7.3), w0, eta=0.01, max_iters=100, target=None)
-    diff = np.abs(dict(gd_base.snapshots)[10] - dict(gd_scaled.snapshots)[10]).max()
+    diff = np.abs(gd_base.iterates[10] - gd_scaled.iterates[10]).max()
     assert diff > 1e-6, "gd unexpectedly scale invariant"
     report(9, "preconditioned iterates invariant to 7.3x problem scaling; gd witness differs")
 

@@ -149,6 +149,24 @@ def test_spectrum_unreadable_matrix(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, np.nan], [np.nan, 1.0]], "matrix has non-finite entries"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "expected a square matrix, got shape (2, 3)"),
+        ([[1.0, 0.5], [0.0, 1.0]], "matrix is not symmetric within tolerance"),
+    ],
+    ids=["nan", "not_square", "asymmetric"],
+)
+@pytest.mark.parametrize("subcommand", ["spectrum", "heatmap"])
+def test_bad_matrix_file_exits_2_naming_it(tmp_path, capsys, subcommand, matrix, message):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, matrix)
+    cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {path}\nblocks = 1,1\n")
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # heatmap
 # ---------------------------------------------------------------------------
@@ -431,6 +449,25 @@ def test_quadlab_strict_exit_code_on_divergence(tmp_path):
     assert main(["quadlab", "--config", strict, "--out", str(tmp_path / "o2")]) == 1
     rows = read_rows(tmp_path / "o2" / "summary.csv")
     assert rows[1][rows[0].index("status")] == "diverged"
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("case = hard\neta = 1e200\nmax_iters = 10\n", "diverged"),
+        ("case = hard\nmax_iters = 0\n", "max_iters"),
+        ("case = 3\noptimizer = adam_fixed\neta = theory\ntarget = 1\n", "converged"),
+    ],
+    ids=["diverges_at_step_1", "no_budget", "converges_at_t0"],
+)
+def test_quadlab_one_point_runs_are_checked_not_rejected(tmp_path, text, status):
+    # Each run's loss curve has one point, so its bound finds no step to fault.
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", write_config(tmp_path / "q.cfg", text), "--out", str(out)]) == 0
+    header, *rows = read_rows(out / "summary.csv")
+    fields = [header.index(name) for name in ("status", "iterations", "violations")]
+    assert {tuple(row[i] for i in fields) for row in rows} == {(status, "0", "0")}
+    assert (out / "theory.txt").is_file()
 
 
 def test_quadlab_grid_search_config(tmp_path):

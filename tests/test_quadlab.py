@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,8 @@ from blockspectra.quadlab import (
     CHUNK,
     DIVERGENCE_RATIO,
     KINDS,
-    SNAPSHOT_EDGE,
-    SNAPSHOT_STRIDE,
     AllDivergedError,
+    BoundCheck,
     QuadraticProblem,
     Trajectory,
     _run_batch,
@@ -173,7 +170,7 @@ def test_gd_matches_closed_form(rng):
     traj = gd_run(prob, w0, eta=eta, max_iters=100, target=None)
     lam, q = np.linalg.eigh(prob.matrix)
     wstar = prob.minimizer
-    for t, w in traj.snapshots:
+    for t, w in enumerate(traj.iterates):
         closed = wstar + q @ ((1 - eta * lam) ** t * (q.T @ (w0 - wstar)))
         assert np.abs(w - closed).max() <= 1e-10 * max(1.0, np.abs(closed).max())
 
@@ -250,15 +247,15 @@ def test_adam_fixed_hand_computed_first_step():
     eta = 0.25
     traj = adam_fixed_run(prob, np.array([3.0]), eta, max_iters=5, target=None)
     # D = |grad| = 6, update 3 - eta * 6/6 = 3 - eta
-    assert traj.snapshots[1][1][0] == pytest.approx(3.0 - eta, rel=1e-14)
+    assert traj.iterates[1][0] == pytest.approx(3.0 - eta, rel=1e-14)
 
 
 def test_adam_fixed_scale_invariance(case3, rng):
     w0 = rng.standard_normal(9)
     base = adam_fixed_run(case3, w0, 0.05, max_iters=100, target=None)
     scaled = adam_fixed_run(scaled_problem(case3, 7.3), w0, 0.05, max_iters=100, target=None)
-    for (t1, w1), (t2, w2) in zip(base.snapshots, scaled.snapshots):
-        assert t1 == t2
+    assert base.iterates.shape == scaled.iterates.shape
+    for w1, w2 in zip(base.iterates, scaled.iterates):
         assert np.abs(w1 - w2).max() <= 1e-12 * max(1.0, np.abs(w1).max())
     assert np.allclose(base.loss_ratios, scaled.loss_ratios, rtol=1e-10)
 
@@ -268,8 +265,8 @@ def test_gd_is_not_scale_invariant(case3, rng):
     eta = default_gd_eta(case3)
     base = gd_run(case3, w0, eta=eta, max_iters=50, target=None)
     scaled = gd_run(scaled_problem(case3, 2.0), w0, eta=eta, max_iters=50, target=None)
-    w1 = dict(base.snapshots)[10]
-    w2 = dict(scaled.snapshots)[10]
+    w1 = base.iterates[10]
+    w2 = scaled.iterates[10]
     assert np.abs(w1 - w2).max() > 1e-6
 
 
@@ -284,7 +281,7 @@ def test_adam_fixed_equals_preconditioned_gd(case3, rng):
     for t in range(1, 51):
         w = w - eta * dinv * (case3.matrix @ w - case3.h)
         manual[t] = w.copy()
-    for t, snap in traj.snapshots:
+    for t, snap in enumerate(traj.iterates):
         assert np.abs(snap - manual[t]).max() <= 1e-12 * max(1.0, np.abs(manual[t]).max())
 
 
@@ -306,7 +303,7 @@ def test_adam_ema_sign_descent_cycle():
     gaps = traj.loss_ratios * traj.initial_gap
     # alternates between +eta/2 and -eta/2 forever, loss stays at eta^2/8
     assert np.all(np.abs(gaps - eta**2 / 8) <= 1e-15)
-    iterates = dict(traj.snapshots)
+    iterates = traj.iterates
     assert iterates[10][0] == pytest.approx(eta / 2, abs=1e-15)
     assert iterates[11][0] == pytest.approx(-eta / 2, abs=1e-15)
 
@@ -315,7 +312,7 @@ def test_adam_ema_accumulator_matches_direct_sum(case3, rng):
     beta2 = 0.7
     w0 = rng.standard_normal(9)
     traj = adam_ema_run(case3, w0, 0.01, beta2=beta2, max_iters=6)
-    iterates = [w for _, w in sorted(traj.snapshots)]
+    iterates = traj.iterates
     grads = [case3.gradient(w) for w in iterates]
     # replay the recursion from the displayed sum and compare iterates
     w = w0.copy()
@@ -339,7 +336,7 @@ def test_adam_ema_t1_accumulator():
     g1 = 2.0 * w1
     v1 = (1 - beta2) * g1**2 + beta2 * g0**2
     w2 = w1 - eta * g1 / np.sqrt(v1)
-    iterates = dict(traj.snapshots)
+    iterates = traj.iterates
     assert iterates[1][0] == pytest.approx(w1, rel=1e-14)
     assert iterates[2][0] == pytest.approx(w2, rel=1e-14)
 
@@ -356,7 +353,7 @@ def test_adam_ema_zero_preconditioner_skips_coordinate(case3):
     w0[0:3] = 0.0  # that block starts at its minimizer with zero gradient
     traj = adam_ema_run(case3, w0, 0.01, beta2=0.5, max_iters=10)
     assert any("zero preconditioner" in d for d in traj.diagnostics)
-    for _, w in traj.snapshots:
+    for w in traj.iterates:
         assert np.array_equal(w[0:3], np.zeros(3))
 
 
@@ -467,28 +464,12 @@ def test_grid_row_equals_same_eta_in_two_row_batch(case3):
     pair = _run_batch(case3, np.tile(w0, (2, 1)), etas, "gd", 1.0, 20_000, 1e-6)
     assert (pair[0].status, pair[0].iterations) == ("converged", result.best.iterations)
     assert np.array_equal(pair[0].loss_ratios, result.best.loss_ratios)
+    assert pair[0].iterates.tobytes() == result.best.iterates.tobytes()
 
 
 # ---------------------------------------------------------------------------
 # the chunked engine against the per-iteration loop it replaced
 # ---------------------------------------------------------------------------
-
-class _SnapshotRecorder:
-    def __init__(self):
-        self.head: list = []
-        self.tail: deque = deque(maxlen=SNAPSHOT_EDGE)
-
-    def record(self, t: int, w: np.ndarray):
-        if t < SNAPSHOT_EDGE or t % SNAPSHOT_STRIDE == 0:
-            self.head.append((t, w.copy()))
-        self.tail.append((t, w.copy()))
-
-    def merge(self) -> list:
-        seen = {t: w for t, w in self.head}
-        for t, w in self.tail:
-            seen.setdefault(t, w)
-        return [(t, seen[t]) for t in sorted(seen)]
-
 
 def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
     """The run engine as one full iteration per loop pass, checks left out.
@@ -533,7 +514,7 @@ def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
     ratios = np.empty((n, max_iters + 1))
     iters = np.zeros(n, dtype=int)
     diag_counts = np.zeros(n, dtype=int)
-    recorder = _SnapshotRecorder() if n == 1 else None
+    iterates = [[] for _ in range(n)]  # each row's first CHUNK iterates
     step_sizes = etas[:, None]
     # A live row's status can change only when its ratio leaves
     # (lower, DIVERGENCE_RATIO]: non-finite, at or below target, or blown up.
@@ -547,8 +528,9 @@ def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
             ratio = gap / gap0
             ratios[:, t] = ratio
 
-            if recorder is not None and live[0]:
-                recorder.record(t, W[0])
+            if t < CHUNK:
+                for i in np.flatnonzero(live):
+                    iterates[i].append(W[i].copy())
             quiet = (ratio > lower) & (ratio <= DIVERGENCE_RATIO)
             if not quiet[live].all():
                 nonfinite = live & ~np.isfinite(ratio)
@@ -611,8 +593,7 @@ def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
                 status=_STATUS_NAMES[status[i]],
                 iterations=int(iters[i]),
                 initial_gap=float(gap0[i]),
-                w0=W0[i].copy(),
-                snapshots=recorder.merge() if (recorder is not None and i == 0) else [],
+                iterates=np.array(iterates[i]),
                 diagnostics=diagnostics,
                 problem=problem,
             )
@@ -662,8 +643,8 @@ def _assert_same_runs(runs, reference):
         assert (new.kind, new.eta, new.status, new.iterations) == (old.kind, old.eta, old.status, old.iterations)
         assert new.loss_ratios.tobytes() == old.loss_ratios.tobytes()
         assert new.initial_gap == old.initial_gap and new.diagnostics == old.diagnostics
-        assert [t for t, _ in new.snapshots] == [t for t, _ in old.snapshots]
-        assert [w.tobytes() for _, w in new.snapshots] == [w.tobytes() for _, w in old.snapshots]
+        assert new.iterates.shape == old.iterates.shape
+        assert new.iterates.tobytes() == old.iterates.tobytes()
 
 
 @pytest.mark.parametrize("name", list(ORACLE_BATCHES))
@@ -794,12 +775,19 @@ def test_gd_lower_requires_hard_instance(case3, rng, monkeypatch):
     assert verify_bounds(gd_run(prob, 2.0 * hard_w0 * [1.0, 0.5], max_iters=50, target=None)) is None
 
 
-def test_verify_bounds_needs_two_steps():
+def test_verify_bounds_on_a_one_point_gd_run_checks_only_the_step_size():
+    # A one-point trajectory has no step to check, but gd_lower tests the
+    # step size's contraction factor, which needs none; 2 / 5001 sits on the floor.
     prob, w0 = make_hard_instance()
-    traj = gd_run(prob, w0, eta=0.1, max_iters=50, target=None)
-    traj.loss_ratios = traj.loss_ratios[:1]
-    with pytest.raises(ValueError):
-        verify_bounds(traj)
+    traj = gd_run(prob, w0, eta=2.0 / 5001.0, max_iters=0, target=None)
+    assert traj.loss_ratios.size == 1
+    assert verify_bounds(traj) == BoundCheck("gd_lower", 0, 0)
+
+
+def test_verify_bounds_on_a_one_point_adam_fixed_run_checks_no_step(case3):
+    w0 = gaussian_init(9, seed=0)
+    traj = adam_fixed_run(case3, w0, theory_report(case3, w0).eta_theory, max_iters=0, target=None)
+    assert verify_bounds(traj) == BoundCheck("adam_upper", 0, 0)
 
 
 # ---------------------------------------------------------------------------
