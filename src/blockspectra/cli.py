@@ -414,37 +414,40 @@ def _resolve_eta(spec, kind, problem, w0):
     return spec
 
 
-def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
+def _quadlab_runs(problem, fixed_w0, kind, cfg, seed):
+    """Every seed's run of one kind, in seed order.
+
+    With ``eta_grid`` each is the best run of the seed's own grid search;
+    otherwise every seed's lone run goes through one ``quadlab.runs`` call.
+    """
     max_iters = cfg["max_iters"]
     target = cfg["target"]
     if target is None and (cfg["eta_grid"] or kind != "adam_ema"):
         target = 1e-6
     beta2 = cfg["beta2"]
-    w0 = fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, seed, index=run_index)
+    starts = [
+        fixed_w0 if fixed_w0 is not None else quadlab.gaussian_init(problem.dim, seed, index=i)
+        for i in range(cfg["seeds"])
+    ]
+    if cfg["eta_grid"]:
+        grid = quadlab.default_eta_grid(cfg["grid_points"])
+        return [
+            quadlab.grid_search(problem, kind, grid, w0, budget=max_iters, target=target, beta2=beta2).best
+            for w0 in starts
+        ]
+    etas = [_resolve_eta(cfg["eta"], kind, problem, w0) for w0 in starts]
+    return quadlab.runs(problem, kind, starts, etas, beta2, max_iters, target)
 
+
+def _quadlab_record(kind, run_index, trajectory, cfg):
     record = {
         "optimizer": kind,
         "seed": run_index,
-        "beta2": beta2 if kind == "adam_ema" else 1.0,
+        "beta2": cfg["beta2"] if kind == "adam_ema" else 1.0,
         "violations": "",
         "cycling": "",
         "tail_min_loss": "",
     }
-    if cfg["eta_grid"]:
-        result = quadlab.grid_search(
-            problem, kind, quadlab.default_eta_grid(cfg["grid_points"]), w0,
-            budget=max_iters, target=target, beta2=beta2,
-        )
-        trajectory = result.best
-    else:
-        eta = _resolve_eta(cfg["eta"], kind, problem, w0)
-        if kind == "gd":
-            trajectory = quadlab.gd_run(problem, w0, eta=eta, max_iters=max_iters, target=target)
-        elif kind == "adam_fixed":
-            trajectory = quadlab.adam_fixed_run(problem, w0, eta, max_iters=max_iters, target=target)
-        else:
-            trajectory = quadlab.adam_ema_run(problem, w0, eta, beta2, max_iters=max_iters, target=target)
-
     check = quadlab.verify_bounds(trajectory)
     if check is not None:
         record["violations"] = check.violations
@@ -462,21 +465,23 @@ def _one_quadlab_run(problem, fixed_w0, kind, cfg, seed, run_index):
         iterations=trajectory.iterations,
         final_ratio=trajectory.final_ratio(),
     )
-    return record, trajectory
+    return record
 
 
 def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
     _check_quadlab(cfg)
     problem, fixed_w0, case_label = _quadlab_problem(cfg, args.seed)
     keys = [(kind, i) for kind in cfg["optimizer"] for i in range(cfg["seeds"])]
-    results = [
-        _one_quadlab_run(problem, fixed_w0, kind, cfg, args.seed, i)
-        for kind, i in keys
+    trajectories = [
+        trajectory
+        for kind in cfg["optimizer"]
+        for trajectory in _quadlab_runs(problem, fixed_w0, kind, cfg, args.seed)
     ]
+    records = [_quadlab_record(kind, i, tr, cfg) for (kind, i), tr in zip(keys, trajectories)]
 
     failed = False
     rows = []
-    for (kind, i), (record, trajectory) in zip(keys, results):
+    for (kind, i), record, trajectory in zip(keys, records, trajectories):
         if trajectory.diagnostics:
             print(f"warning: {kind} seed {i}: {'; '.join(trajectory.diagnostics)}", file=sys.stderr)
         name = f"run_{kind}_s{i:03d}.csv"
@@ -493,7 +498,7 @@ def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
     print(f"wrote {os.path.join(args.out, 'summary.csv')} ({len(rows)} runs)")
 
     # theory.txt describes run 0's start point, which every kind shares.
-    report = quadlab.theory_report(problem, results[0][1].iterates[0])
+    report = quadlab.theory_report(problem, trajectories[0].iterates[0])
     lines = [
         f"kappa = {report.kappa!r}",
         f"r = {report.r!r}",
@@ -513,7 +518,7 @@ def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
 
     if cfg["svg"]:
         series = []
-        for (kind, i), (_, trajectory) in zip(keys, results):
+        for (kind, i), trajectory in zip(keys, trajectories):
             if i == 0:
                 idx = _stride_indices(trajectory.loss_ratios.size)
                 series.append((kind, idx, trajectory.loss_ratios[idx]))

@@ -116,9 +116,10 @@ class Trajectory:
 
     ``status`` is ``"converged"`` (reached the target), ``"diverged"`` (the
     ratio blew past DIVERGENCE_RATIO or stopped being finite), ``"max_iters"``
-    (ran the whole budget) or ``"pruned"`` (its batch stopped when another run
-    of the batch converged first).  ``iterations`` is the index
-    of the last entry of ``loss_ratios``.
+    (ran the whole budget) or ``"pruned"`` (its group, a ``grid_search``
+    batch, stopped when another run of the group converged first).
+    ``iterations`` is the index of the last entry of ``loss_ratios``.  Every
+    field is bit-identical to running the run's group alone.
     """
 
     kind: str
@@ -226,12 +227,18 @@ def default_eta_grid(points: int = 25) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched run engine.  Rows are independent runs sharing one problem, and each
-# row's updates touch only its own slice.  Results are bit-identical across
-# batches of two or more rows, which all go through the matrix-matrix product.
-# A one-row batch goes through the BLAS matrix-vector product instead, whose
-# summation order can differ in the last bit (seen with OpenBLAS 0.3.31), so a
-# single run need not match the same row of a grid exactly.
+# Batched run engine.  One call runs groups of rows on a shared problem.  A
+# row is one run, and each row's updates touch only its own slice.  A group
+# is a batch in its own right: its rows share the stop rule, so the group
+# ends at its own first convergence and prunes only its own live rows, and
+# groups never affect one another.  Every product with H is one np.matmul on
+# the (groups, rows, d) array, which makes one BLAS call per group in that
+# group's shape: the matrix-vector product for a one-row group, as for a
+# lone run, and the matrix-matrix product for a larger group.  Those two can
+# differ in the last bit (seen with OpenBLAS 0.3.31), but each group's call
+# is the one it would make alone, so every run is bit-identical to running
+# its group alone, and a row of a group of two or more is bit-identical
+# across all such groups.
 #
 # The engine runs CHUNK columns (one iteration of every row) at a time.
 # Inside a chunk it runs only the recurrence, writing iterates and gradients
@@ -266,26 +273,31 @@ def _run_batch(
     max_iters: int,
     target: float | None,
 ):
-    """Run len(etas) independent iterations of one kind on a shared problem.
+    """Run groups of independent iterations of one kind on a shared problem.
 
-    Row i runs from W0[i] at step size etas[i]; every run argument is checked
-    here.  The batch ends at the first iteration t* at which any row reaches
-    the target; rows still live then are marked ``"pruned"`` with
-    ``iterations = t*``, since they could only converge later.
+    ``etas`` has shape (groups, rows), and row i of group g runs from
+    W0[g, i] at step size etas[g, i]; every run argument is checked here.
+    Each group ends at the first iteration t* at which any of its rows
+    reaches the target; its rows still live then are marked ``"pruned"``
+    with ``iterations = t*``, since they could only converge later.  Returns
+    one Trajectory per row, group by group.  Runs are numbered in the same
+    order in error messages.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     etas = np.asarray(etas, dtype=float)
-    if etas.ndim != 1 or etas.size == 0:
-        raise ValueError(f"eta grid must be a nonempty 1-D array, got shape {etas.shape}")
+    if etas.ndim != 2 or etas.size == 0:
+        raise ValueError(f"eta grid must be a nonempty (groups, rows) array, got shape {etas.shape}")
     bad = etas[~((etas > 0) & np.isfinite(etas))]
     if bad.size:
         raise ValueError(f"eta must be positive and finite, got {bad[0]}")
-    n = etas.size
+    groups, n = etas.shape
     d = problem.dim
     W0 = np.asarray(W0, dtype=float)
-    if W0.shape != (n, d):
-        raise ValueError(f"w0 must be one point per step size: got shape {W0.shape}, expected ({n}, {d})")
+    if W0.shape != (groups, n, d):
+        raise ValueError(
+            f"w0 must be one point per step size: got shape {W0.shape}, expected ({groups}, {n}, {d})"
+        )
     try:
         max_iters = operator.index(max_iters)
     except TypeError:
@@ -302,7 +314,7 @@ def _run_batch(
     wstar = problem.minimizer
     resid = H @ wstar - h  # ~0; kept so gaps stay exact for h != 0
 
-    gap0 = 0.5 * np.einsum("nd,nd->n", W0 - wstar, (W0 - wstar) @ H)
+    gap0 = 0.5 * np.einsum("gnd,gnd->gn", W0 - wstar, (W0 - wstar) @ H)
     if not np.all(np.isfinite(gap0)):
         bad = int(np.flatnonzero(~np.isfinite(gap0))[0])
         raise ValueError(f"initial point {bad} is not finite or its loss overflows")
@@ -315,30 +327,30 @@ def _run_batch(
     if kind == "adam_fixed":
         G0 = W0 @ H - h
         if np.any(G0 == 0):
-            row, col = np.argwhere(G0 == 0)[0]
+            run, col = np.argwhere(G0.reshape(-1, d) == 0)[0]
             raise ValueError(
-                f"initial gradient coordinate {int(col)} is zero (run {int(row)}); "
+                f"initial gradient coordinate {int(col)} is zero (run {int(run)}); "
                 "the fixed preconditioner would divide by zero"
             )
         pinv = 1.0 / np.abs(G0)
 
     ema = kind == "adam_ema"
     V = None  # second-moment accumulator for adam_ema
-    status = np.full(n, _LIVE, dtype=int)
-    live = np.ones(n, dtype=bool)
+    status = np.full((groups, n), _LIVE, dtype=int)
+    live = np.ones((groups, n), dtype=bool)
     # ratios[t] holds every row's ratio at iteration t, and each row is cut at
     # its own last iteration, so entries never written are never read.
-    ratios = np.empty((max_iters + 1, n))
-    iters = np.zeros(n, dtype=int)
-    ends = np.full(n, max_iters)  # the column at which each row stopped
-    diag_counts = np.zeros(n, dtype=int)
-    Wc = np.empty((CHUNK + 1, n, d))
-    Gc = np.empty((CHUNK, n, d))
-    zero_counts = np.zeros((CHUNK, n), dtype=int)
-    step = np.empty((n, d))
+    ratios = np.empty((max_iters + 1, groups, n))
+    iters = np.zeros((groups, n), dtype=int)
+    ends = np.full((groups, n), max_iters)  # the column at which each row stopped
+    diag_counts = np.zeros((groups, n), dtype=int)
+    Wc = np.empty((CHUNK + 1, groups, n, d))
+    Gc = np.empty((CHUNK, groups, n, d))
+    zero_counts = np.zeros((CHUNK, groups, n), dtype=int)
+    step = np.empty((groups, n, d))
     # Full-shape copies: same-shape ufuncs skip numpy's slower broadcasting loop.
-    step_sizes = np.repeat(etas[:, None], d, axis=1)
-    h_rows = np.tile(h, (n, 1))
+    step_sizes = np.repeat(etas[..., None], d, axis=-1)
+    h_rows = np.tile(h, (groups, n, 1))
     # A live row's status can change only when its ratio leaves
     # (lower, DIVERGENCE_RATIO]: non-finite, at or below target, or blown up.
     lower = -np.inf if target is None else target
@@ -357,7 +369,7 @@ def _run_batch(
                     V = G * G if V is None else beta2 * V + (1.0 - beta2) * (G * G)
                     D = np.sqrt(V)
                     zero = D == 0
-                    zero_counts[k] = zero.sum(axis=1)
+                    zero_counts[k] = zero.sum(axis=-1)
                     precond = np.where(zero, 0.0, G / np.where(zero, 1.0, D))
                 else:
                     precond = np.multiply(G, pinv, out=step)
@@ -365,7 +377,7 @@ def _run_batch(
                 np.subtract(Wc[k], step, out=Wc[k + 1])
 
             np.subtract(Gc[:m], resid, out=Gc[:m])
-            chunk_ratios = 0.5 * np.einsum("knd,knd->kn", Wc[:m] - wstar, Gc[:m]) / gap0
+            chunk_ratios = 0.5 * np.einsum("kgnd,kgnd->kgn", Wc[:m] - wstar, Gc[:m]) / gap0
             ratios[t0 : t0 + m] = chunk_ratios
             quiet = (chunk_ratios > lower) & (chunk_ratios <= DIVERGENCE_RATIO)
             last = t0 + m - 1
@@ -386,9 +398,11 @@ def _run_batch(
                 status[blown] = _DIVERGED
                 iters[blown] = t
                 live = status == _LIVE
-                if t < max_iters and (status == _CONVERGED).any():
-                    status[live] = _PRUNED
-                    iters[live] = t
+                if t < max_iters:
+                    # A group with a converged row prunes its own live rows.
+                    pruned = live & (status == _CONVERGED).any(axis=1, keepdims=True)
+                    status[pruned] = _PRUNED
+                    iters[pruned] = t
                     live = status == _LIVE
                 ends[was_live & ~live] = t
                 if not live.any():
@@ -401,7 +415,7 @@ def _run_batch(
 
             if ema:
                 # A row steps from column t only while it is live there.
-                taken = np.arange(t0, t0 + m)[:, None] < ends
+                taken = np.arange(t0, t0 + m)[:, None, None] < ends
                 diag_counts += (zero_counts[:m] * taken).sum(axis=0)
             if t0 == 0:
                 first = Wc[:m].copy()
@@ -412,24 +426,24 @@ def _run_batch(
             t0 += m
 
     trajectories = []
-    for i in range(n):
+    for g, i in np.ndindex(groups, n):
         # A row that turned non-finite at t ends at t - 1, so every series is
         # finite; the copy frees the dense buffer.
-        series = ratios[: iters[i] + 1, i].copy()
+        series = ratios[: iters[g, i] + 1, g, i].copy()
         diagnostics = ()
-        if diag_counts[i]:
+        if diag_counts[g, i]:
             diagnostics = (
-                f"skipped {int(diag_counts[i])} coordinate updates with zero preconditioner",
+                f"skipped {int(diag_counts[g, i])} coordinate updates with zero preconditioner",
             )
         trajectories.append(
             Trajectory(
                 kind=kind,
-                eta=float(etas[i]),
+                eta=float(etas[g, i]),
                 loss_ratios=series,
-                status=_STATUS_NAMES[status[i]],
-                iterations=int(iters[i]),
-                initial_gap=float(gap0[i]),
-                iterates=first[: ends[i] + 1, i].copy(),
+                status=_STATUS_NAMES[status[g, i]],
+                iterations=int(iters[g, i]),
+                initial_gap=float(gap0[g, i]),
+                iterates=first[: ends[g, i] + 1, g, i].copy(),
                 diagnostics=diagnostics,
                 problem=problem,
             )
@@ -437,20 +451,30 @@ def _run_batch(
     return trajectories
 
 
-def _single_run(problem, w0, eta, kind, beta2, max_iters, target) -> Trajectory:
-    return _run_batch(problem, np.asarray(w0, dtype=float)[None], [eta], kind, beta2, max_iters, target)[0]
+def runs(problem, kind, W0, etas, beta2=0.99, max_iters=100_000, target=1e-6) -> list[Trajectory]:
+    """Run ``kind`` from each start W0[i] at step size etas[i], each run on its own.
+
+    The runs share one engine call as one-row groups, so each run keeps the
+    bits it has when run alone, and stops only by its own target, divergence
+    or budget; none is ever ``"pruned"``.  ``target=None`` runs every run to
+    the budget unless it diverges.  ``beta2`` is read by ``adam_ema`` only.
+    Returns one Trajectory per start, in order.
+    """
+    W0 = np.asarray(W0, dtype=float)
+    etas = np.asarray(etas, dtype=float)
+    return _run_batch(problem, W0[:, None], etas[:, None], kind, beta2, max_iters, target)
 
 
 def gd_run(problem, w0, eta=None, max_iters=100_000, target=1e-8) -> Trajectory:
     """Gradient descent w <- w - eta (Hw - h); eta defaults to 2/(l1 + ld)."""
     if eta is None:
         eta = default_gd_eta(problem)
-    return _single_run(problem, w0, eta, "gd", 1.0, max_iters, target)
+    return runs(problem, "gd", [w0], [eta], max_iters=max_iters, target=target)[0]
 
 
 def adam_fixed_run(problem, w0, eta, max_iters=100_000, target=1e-8) -> Trajectory:
     """Preconditioned descent with the frozen diagonal D = diag(|grad L(w0)|)."""
-    return _single_run(problem, w0, eta, "adam_fixed", 1.0, max_iters, target)
+    return runs(problem, "adam_fixed", [w0], [eta], max_iters=max_iters, target=target)[0]
 
 
 def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None) -> Trajectory:
@@ -461,7 +485,7 @@ def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None) -> Tra
     constant step the iterates settle into a cycle around the minimizer, so
     there is no convergence target by default.
     """
-    return _single_run(problem, w0, eta, "adam_ema", beta2, max_iters, target)
+    return runs(problem, "adam_ema", [w0], [eta], beta2, max_iters, target)[0]
 
 
 @dataclass
@@ -492,10 +516,15 @@ def grid_search(
     nothing converges, every run goes to the budget and the best run is the
     non-diverged one with the lowest final loss ratio; if everything
     diverges, AllDivergedError is raised.  All runs are retained.
+
+    The grid is one engine group.  A grid of two or more step sizes goes
+    through the matrix-matrix product, so each of its runs is bit-identical
+    to the same step size in any group of two or more rows, but may differ
+    in the last bit from a lone run (``runs``) of that step size.
     """
     etas = np.asarray(list(etas), dtype=float)
     W0 = np.repeat(np.asarray(w0, dtype=float)[None], etas.size, axis=0)
-    trajectories = _run_batch(problem, W0, etas, kind, beta2, budget, target)
+    trajectories = _run_batch(problem, W0[None], etas[None], kind, beta2, budget, target)
 
     converged = [
         (tr.iterations, tr.eta, i)

@@ -38,6 +38,7 @@ from blockspectra.quadlab import (
     default_gd_eta,
     detect_limit_cycle,
     gaussian_init,
+    runs,
     scalar_problem,
 )
 from blockspectra.toynet import (
@@ -128,13 +129,10 @@ def test_c04_gd_lower_bound():
 def test_c05_adam_upper_bound():
     prob = make_case(3, seed=0)
     t0 = time.perf_counter()
-    total_violations = 0
-    for i in range(100):
-        w0 = gaussian_init(9, seed=10, index=i)
-        rep = theory_report(prob, w0)
-        traj = adam_fixed_run(prob, w0, rep.eta_theory, max_iters=10_000, target=None)
-        check = verify_bounds(traj)
-        total_violations += check.violations
+    W0 = np.array([gaussian_init(9, seed=10, index=i) for i in range(100)])
+    etas = [theory_report(prob, w0).eta_theory for w0 in W0]
+    trajectories = runs(prob, "adam_fixed", W0, etas, max_iters=10_000, target=None)
+    total_violations = sum(verify_bounds(traj).violations for traj in trajectories)
     elapsed = time.perf_counter() - t0
     assert total_violations == 0
     assert elapsed <= 60.0, f"took {elapsed:.1f}s"

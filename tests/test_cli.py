@@ -82,7 +82,7 @@ def test_unknown_key_exits_2_naming_the_closest_key(tmp_path, monkeypatch, capsy
     def no_run(*args, **kwargs):
         raise AssertionError("the optimizer ran before the config was checked")
 
-    monkeypatch.setattr(quadlab, "gd_run", no_run)
+    monkeypatch.setattr(quadlab, "runs", no_run)
     cfg = write_config(tmp_path / "q.cfg", "case = 3\noptimizer = gd\nmax_iter = 50\n")
     out = tmp_path / "out"
     assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
@@ -362,7 +362,7 @@ def test_quadlab_bad_window_exits_2_before_any_run(tmp_path, monkeypatch, capsys
     def no_run(*args, **kwargs):
         raise AssertionError("the optimizer ran before the config was checked")
 
-    monkeypatch.setattr(quadlab, "adam_ema_run", no_run)
+    monkeypatch.setattr(quadlab, "runs", no_run)
     cfg = write_config(
         tmp_path / "q.cfg", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = -5\n"
     )
@@ -397,7 +397,7 @@ def test_quadlab_config_faults_exit_2_before_any_run(tmp_path, monkeypatch, caps
     def no_run(*args, **kwargs):
         raise AssertionError("the optimizer ran before the config was checked")
 
-    for name in ("gd_run", "adam_fixed_run", "adam_ema_run", "grid_search"):
+    for name in ("runs", "grid_search"):
         monkeypatch.setattr(quadlab, name, no_run)
     cfg = write_config(tmp_path / "q.cfg", text)
     assert main(["quadlab", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -676,7 +676,7 @@ def test_ignored_key_exits_2_before_any_work(tmp_path, monkeypatch, capsys, tabl
         raise AssertionError("work ran before the config was checked")
 
     for module, names in (
-        (quadlab, ["gd_run", "adam_fixed_run", "adam_ema_run", "grid_search"]),
+        (quadlab, ["runs", "grid_search"]),
         (slq, ["blockwise_densities"]),
         (toynet, ["train", "hessian_fd"]),
         (operators, ["exact_eigenvalues"]),

@@ -71,7 +71,7 @@ WRITERS = {
 
 def test_plain_number_rows_match_the_csv_module(tmp_path):
     # Rows of only ints and floats are joined directly; every row must read
-    # exactly as the csv module writes it with floats as repr.
+    # exactly as the csv module writes it with floats as repr, in order.
     nan, inf = float("nan"), float("inf")
     rows = [
         [0, 1.5, -0.0, nan, inf, -inf, 10**30, -(10**19), 5e-324, 1e300],
@@ -84,8 +84,12 @@ def test_plain_number_rows_match_the_csv_module(tmp_path):
         ["a,b", 'say "hi"', "two\nlines", 4.0],
         [nan, "x"],
     ]
+    # A trajectory file's (iteration, ratio) rows, one of them mixed.
+    trajectory = list(zip(range(1001), np.random.default_rng(0).random(1001).tolist()))
+    trajectory[500] = (500, np.float64(0.5))
+    rows += trajectory
     path = tmp_path / "rows.csv"
-    fileio.write_csv(path, ["h1", "h,2"], rows)
+    fileio.write_csv(path, ["h1", "h,2"], iter(rows))
     expected = tmp_path / "expected.csv"
     with open(expected, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from blockspectra.heterogeneity import js_distance
 from blockspectra.operators import DenseSymmetric, exact_eigenvalues, principal_block
-from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case
+from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case, runs
 from blockspectra.slq import smoothed_densities
 from helpers import block_diag
 
@@ -73,16 +73,38 @@ def test_case_block_eigenvalues_are_those_of_the_operator_blocks(case, seed):
     data=st.data(),
 )
 def test_run_batch_rows_agree_across_batches_of_two_or_more(case3, log_etas, kind, data):
-    # Batches of two or more rows all go through the matrix-matrix product,
-    # so a row's bits do not depend on which other rows share its batch.  No
-    # target is set: a batch stops when any row converges, which does depend
+    # Groups of two or more rows all go through the matrix-matrix product,
+    # so a row's bits do not depend on which other rows share its group.  No
+    # target is set: a group stops when any row converges, which does depend
     # on the other rows.
     etas = 10.0 ** np.array(log_etas)
     W0 = np.array([gaussian_init(9, seed=0, index=k) for k in range(etas.size)])
     beta2 = 0.99 if kind == "adam_ema" else 1.0
-    full = _run_batch(case3, W0, etas, kind, beta2, 200, None)
+    full = _run_batch(case3, W0[None], etas[None], kind, beta2, 200, None)
     rows = data.draw(st.lists(st.sampled_from(range(etas.size)), min_size=2, unique=True))
-    sub = _run_batch(case3, W0[rows], etas[rows], kind, beta2, 200, None)
+    sub = _run_batch(case3, W0[rows][None], etas[rows][None], kind, beta2, 200, None)
     for i, tr in zip(rows, sub):
         assert (tr.status, tr.iterations) == (full[i].status, full[i].iterations)
         assert np.array_equal(tr.loss_ratios, full[i].loss_ratios)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(
+    log_etas=st.lists(st.floats(-6, 300), min_size=1, max_size=8),
+    kind=st.sampled_from(KINDS),
+    target=st.sampled_from([None, 0.0, 1e-3]),
+    zero_block=st.booleans(),
+)
+def test_runs_rows_equal_their_lone_runs(case3, log_etas, kind, target, zero_block):
+    # Each start is a one-row group, so it keeps the bits of its lone run and
+    # stops by its own target, divergence or budget, whatever runs beside it.
+    etas = 10.0 ** np.array(log_etas)
+    W0 = np.array([gaussian_init(9, seed=2, index=k) for k in range(etas.size)])
+    if zero_block and kind == "adam_ema":
+        W0[0, 0:3] = 0.0  # the first block starts at its minimizer
+    together = runs(case3, kind, W0, etas, 0.5, 150, target)
+    for w0, eta, tr in zip(W0, etas, together):
+        (alone,) = runs(case3, kind, w0[None], [eta], 0.5, 150, target)
+        assert (tr.eta, tr.status, tr.iterations, tr.diagnostics) == (alone.eta, alone.status, alone.iterations, alone.diagnostics)
+        assert tr.loss_ratios.tobytes() == alone.loss_ratios.tobytes()
+        assert tr.iterates.tobytes() == alone.iterates.tobytes()

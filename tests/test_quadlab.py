@@ -26,6 +26,7 @@ from blockspectra.quadlab import (
     grid_search,
     make_case,
     make_hard_instance,
+    runs,
     scalar_problem,
     theory_report,
     verify_bounds,
@@ -226,13 +227,13 @@ def test_linear_kinds_match_closed_form(case_id, kind):
         root = np.sqrt(pinv)
         lam_max = np.linalg.eigvalsh(root[:, None] * problem.matrix * root[None, :])[-1]
         etas = np.array([1.0, 1.8]) / lam_max
-        batch = _run_batch(problem, np.tile(w0, (2, 1)), etas, kind, 1.0, steps, None)
+        batch = _run_batch(problem, np.tile(w0, (1, 2, 1)), etas[None], kind, 1.0, steps, None)
         singles = [run(problem, w0, eta=eta, max_iters=steps, target=None) for eta in etas]
-        for eta, *runs in zip(etas, batch, singles):
+        for eta, *same_eta in zip(etas, batch, singles):
             oracle = _closed_form_ratios(problem, w0, eta, pinv, ts)
             kept = oracle > 1e-200
             assert kept.sum() > 100
-            for tr in runs:
+            for tr in same_eta:
                 assert (tr.status, tr.iterations) == ("max_iters", steps)
                 err = np.abs(tr.loss_ratios[kept] - oracle[kept]) / oracle[kept]
                 assert err.max() <= 1e-10
@@ -426,7 +427,7 @@ def test_grid_search_stop_rule_matches_full_budget(case_id, kind, seed):
     # Without a target no row converges, so no row is pruned and every row
     # runs to the budget; each row's own stop is where its ratio first meets
     # the target.
-    full = _run_batch(problem, np.tile(w0, (etas.size, 1)), etas, kind, 1.0, budget, None)
+    full = _run_batch(problem, np.tile(w0, (1, etas.size, 1)), etas[None], kind, 1.0, budget, None)
     for tr in full:
         hit = np.flatnonzero(tr.loss_ratios <= target)
         if hit.size:
@@ -456,12 +457,12 @@ def test_grid_search_stop_rule_matches_full_budget(case_id, kind, seed):
 
 
 def test_grid_row_equals_same_eta_in_two_row_batch(case3):
-    # Batches of two or more rows share the matrix-matrix product, so a grid
-    # row is reproduced bit for bit by a 2-row batch (a 1-row batch may not be).
+    # Groups of two or more rows share the matrix-matrix product, so a grid
+    # row is reproduced bit for bit by a 2-row group (a lone run may not be).
     w0 = gaussian_init(9, seed=4)
     result = grid_search(case3, "gd", default_eta_grid(), w0, budget=20_000, target=1e-6)
     etas = np.array([result.best.eta, 1e-6])
-    pair = _run_batch(case3, np.tile(w0, (2, 1)), etas, "gd", 1.0, 20_000, 1e-6)
+    pair = _run_batch(case3, np.tile(w0, (1, 2, 1)), etas[None], "gd", 1.0, 20_000, 1e-6)
     assert (pair[0].status, pair[0].iterations) == ("converged", result.best.iterations)
     assert np.array_equal(pair[0].loss_ratios, result.best.loss_ratios)
     assert pair[0].iterates.tobytes() == result.best.iterates.tobytes()
@@ -472,10 +473,19 @@ def test_grid_row_equals_same_eta_in_two_row_batch(case3):
 # ---------------------------------------------------------------------------
 
 def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
+    """Each group of a (groups, rows) batch run alone by ``_stepwise_group``."""
+    return [
+        tr
+        for W0_group, etas_group in zip(W0, etas)
+        for tr in _stepwise_group(problem, W0_group, etas_group, kind, beta2, max_iters, target)
+    ]
+
+
+def _stepwise_group(problem, W0, etas, kind, beta2, max_iters, target):
     """The run engine as one full iteration per loop pass, checks left out.
 
-    The body is the engine as it was before it ran in chunks; the chunked
-    engine must match it bit for bit.
+    The body is the engine as it was before it ran in chunks and groups, on
+    one group of rows; the chunked engine must match it bit for bit.
     """
     etas = np.asarray(etas, dtype=float)
     n = etas.size
@@ -602,9 +612,9 @@ def _stepwise_reference(problem, W0, etas, kind, beta2, max_iters, target):
 
 
 def _batch_args(problem, w0, etas, kind, max_iters, target, beta2=0.9):
-    """_run_batch arguments for ``etas`` from one shared initial point."""
+    """_run_batch arguments for one group of ``etas`` from one shared initial point."""
     etas = np.asarray(etas, dtype=float)
-    return (problem, np.tile(w0, (etas.size, 1)), etas, kind, beta2, max_iters, target)
+    return (problem, np.tile(w0, (1, etas.size, 1)), etas[None], kind, beta2, max_iters, target)
 
 
 ORACLE_CASE = make_case(3, seed=0)
@@ -683,6 +693,55 @@ def test_chunked_engine_diverges_at_chunk_edges(column, etas):
     reference = _stepwise_reference(*args)
     assert (reference[0].status, reference[0].iterations) == ("diverged", column)
     _assert_same_runs(_run_batch(*args), reference)
+
+
+# On ORACLE_CASE with target 1e-3 and a budget of 2 * CHUNK + 37, these runs
+# from gaussian_init(9, seed=1, index=i) converge, diverge and run out of
+# budget, at different columns on both sides of a chunk edge.
+MIXED_ETAS = {
+    "gd": [1e-6, 2 / 5001, 1.5 / 5001, 1.5e-4, 1e-3, 1e-2, 1e300],
+    "adam_fixed": [1e-6, 0.05, 0.02, 0.03, 1.0, 10.0, 1e300],
+    "adam_ema": [1e-6, 0.01, 0.003, 0.03, 1e8, 1e300, 0.001],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_runs_equal_lone_runs(kind):
+    etas = MIXED_ETAS[kind]
+    W0 = np.array([gaussian_init(9, seed=1, index=i) for i in range(len(etas))])
+    if kind == "adam_ema":
+        # A start whose first block sits at its minimizer skips coordinates.
+        W0 = np.vstack([W0, np.r_[np.zeros(3), np.ones(6)]])
+        etas = etas + [0.01]
+    budget, target = 2 * CHUNK + 37, 1e-3
+    batch = runs(ORACLE_CASE, kind, W0, etas, 0.5, budget, target)
+    for w0, eta, tr in zip(W0, etas, batch):
+        _assert_same_runs([tr], runs(ORACLE_CASE, kind, w0[None], [eta], 0.5, budget, target))
+    reference = _stepwise_reference(ORACLE_CASE, W0[:, None], np.array(etas)[:, None], kind, 0.5, budget, target)
+    _assert_same_runs(batch, reference)
+
+    columns = {}
+    for tr in batch:
+        columns.setdefault(tr.status, set()).add(tr.iterations)
+    assert set(columns) == {"converged", "diverged", "max_iters"}
+    assert len(columns["converged"]) >= 2 and len(columns["diverged"]) >= 2
+    assert min(columns["converged"]) < CHUNK < max(columns["converged"])
+    if kind == "adam_ema":
+        assert batch[-1].diagnostics
+
+
+@pytest.mark.parametrize("kind", ["gd", "adam_fixed"])
+def test_grid_groups_stop_on_their_own(kind):
+    # Two grids in one call end at their own first convergence and prune only
+    # their own rows, exactly as two grid_search calls do.
+    etas = default_eta_grid()
+    starts = [gaussian_init(9, seed=s) for s in (0, 1)]
+    W0 = np.array([np.tile(w0, (etas.size, 1)) for w0 in starts])
+    both = _run_batch(ORACLE_CASE, W0, np.tile(etas, (2, 1)), kind, 0.99, 22_000, 1e-6)
+    alone = [grid_search(ORACLE_CASE, kind, etas, w0, budget=22_000, target=1e-6).trajectories for w0 in starts]
+    _assert_same_runs(both, alone[0] + alone[1])
+    pruned_at = [{tr.iterations for tr in group if tr.status == "pruned"} for group in alone]
+    assert len(pruned_at[0]) == len(pruned_at[1]) == 1 and pruned_at[0] != pruned_at[1]
 
 
 # ---------------------------------------------------------------------------
