@@ -28,7 +28,6 @@ import csv
 import os
 from contextlib import contextmanager, suppress
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,28 +58,20 @@ def _fmt(value):
     return value
 
 
-# Cell types whose ``repr`` is what the csv module writes; bool and numpy
-# scalars are excluded by exact type.
-_PLAIN_NUMBERS = frozenset((float, int))
-
-
 def write_csv(path, header, rows) -> None:
     """Atomically replace ``path`` with a header row and ``rows``, floats written with ``repr``.
 
     Each row is a sequence.  A row of only Python ints and floats, which the
     ``csv`` module would write unquoted as their ``repr``, is joined directly.
-    The text is built in memory and written in one call.
     """
-    lines = []
-    # The csv module writes each row it formats as one string to ``write``.
-    writer = csv.writer(SimpleNamespace(write=lines.append))
-    writer.writerow(header)
-    for row in rows:
-        if _PLAIN_NUMBERS.issuperset(map(type, row)):
-            lines.append(",".join(map(repr, row)) + "\r\n")
-        else:
-            writer.writerow([_fmt(v) for v in row])
-    write_text(path, "".join(lines))
+    with _atomic(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            if all(type(v) is float or type(v) is int for v in row):
+                fh.write(",".join(map(repr, row)) + "\r\n")
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 # The CSV dialect every reader parses: comma separated, ``"``-quoted cells.

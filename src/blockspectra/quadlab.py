@@ -249,8 +249,14 @@ def default_eta_grid(points: int = 25) -> np.ndarray:
 # same operations as one iteration at a time, rows are independent, and the
 # columns a row runs past its own stop are never read.  A row that stopped
 # early is reset to the minimizer at the end of its chunk, so its later
-# columns stay finite.  Every row keeps the iterates of the first chunk, up to
-# its own stop column, copied before any stopped row is reset.
+# columns stay finite, and a group whose rows have all stopped leaves the
+# work buffers, so a call costs what its groups cost alone.  Each group's
+# ratios go into its own (budget + 1, rows) buffer, one chunk at a time, so
+# the pages past the group's stop are never touched.  A one-row group's
+# series is a view of its buffer; a larger group's rows are copied out, so a
+# caller that keeps one row of a grid does not keep the grid.  Every row
+# keeps the iterates of the first chunk, up to its own stop column, copied
+# before any stopped row is reset.
 # ---------------------------------------------------------------------------
 
 CHUNK = 128
@@ -269,7 +275,7 @@ def _run_batch(
     W0: np.ndarray,
     etas: np.ndarray,
     kind: str,
-    beta2: float,
+    beta2: float | None,
     max_iters: int,
     target: float | None,
 ):
@@ -338,9 +344,9 @@ def _run_batch(
     V = None  # second-moment accumulator for adam_ema
     status = np.full((groups, n), _LIVE, dtype=int)
     live = np.ones((groups, n), dtype=bool)
-    # ratios[t] holds every row's ratio at iteration t, and each row is cut at
-    # its own last iteration, so entries never written are never read.
-    ratios = np.empty((max_iters + 1, groups, n))
+    # ratios[g][t, i] is row i of group g at iteration t, and each row is cut
+    # at its own last iteration, so entries never written are never read.
+    ratios = [np.empty((max_iters + 1, n)) for _ in range(groups)]
     iters = np.zeros((groups, n), dtype=int)
     ends = np.full((groups, n), max_iters)  # the column at which each row stopped
     diag_counts = np.zeros((groups, n), dtype=int)
@@ -356,6 +362,9 @@ def _run_batch(
     lower = -np.inf if target is None else target
 
     Wc[0] = W0
+    # The groups still running, in order; they fill the leading slots of every
+    # per-group work array.
+    active = np.arange(groups)
     t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -377,8 +386,12 @@ def _run_batch(
                 np.subtract(Wc[k], step, out=Wc[k + 1])
 
             np.subtract(Gc[:m], resid, out=Gc[:m])
-            chunk_ratios = 0.5 * np.einsum("kgnd,kgnd->kgn", Wc[:m] - wstar, Gc[:m]) / gap0
-            ratios[t0 : t0 + m] = chunk_ratios
+            active_ratios = 0.5 * np.einsum("kgnd,kgnd->kgn", Wc[:m] - wstar, Gc[:m]) / gap0[active]
+            for j, g in enumerate(active):
+                ratios[g][t0 : t0 + m] = active_ratios[:, j]
+            # Finished groups have no live rows, so their zeros are never read.
+            chunk_ratios = np.zeros((m, groups, n))
+            chunk_ratios[:, active] = active_ratios
             quiet = (chunk_ratios > lower) & (chunk_ratios <= DIVERGENCE_RATIO)
             last = t0 + m - 1
             for k in np.flatnonzero(~quiet[:, live].all(axis=1)):
@@ -415,21 +428,34 @@ def _run_batch(
 
             if ema:
                 # A row steps from column t only while it is live there.
-                taken = np.arange(t0, t0 + m)[:, None, None] < ends
-                diag_counts += (zero_counts[:m] * taken).sum(axis=0)
+                taken = np.arange(t0, t0 + m)[:, None, None] < ends[active]
+                diag_counts[active] += (zero_counts[:m] * taken).sum(axis=0)
             if t0 == 0:
                 first = Wc[:m].copy()
             if not live.any():
                 break
             Wc[0] = Wc[m]
-            Wc[0][~live] = wstar  # keep stopped rows finite
+            keep = live[active].any(axis=1)
+            if not keep.all():
+                # Finished groups leave; the rest move up, each group's rows
+                # keeping their own (rows, d) slab and so their BLAS call.
+                active = active[keep]
+                a = active.size
+                Wc[0, :a] = Wc[0, keep]
+                Wc, Gc, zero_counts, step = Wc[:, :a], Gc[:, :a], zero_counts[:, :a], step[:a]
+                step_sizes, h_rows, pinv = step_sizes[keep], h_rows[keep], pinv[keep]
+                if V is not None:
+                    V = V[keep]
+            Wc[0][~live[active]] = wstar  # keep stopped rows finite
             t0 += m
 
     trajectories = []
     for g, i in np.ndindex(groups, n):
         # A row that turned non-finite at t ends at t - 1, so every series is
-        # finite; the copy frees the dense buffer.
-        series = ratios[: iters[g, i] + 1, g, i].copy()
+        # finite.
+        series = ratios[g][: iters[g, i] + 1, i]
+        if n > 1:
+            series = series.copy()
         diagnostics = ()
         if diag_counts[g, i]:
             diagnostics = (
@@ -451,14 +477,16 @@ def _run_batch(
     return trajectories
 
 
-def runs(problem, kind, W0, etas, beta2=0.99, max_iters=100_000, target=1e-6) -> list[Trajectory]:
+def runs(problem, kind, W0, etas, beta2, max_iters, target) -> list[Trajectory]:
     """Run ``kind`` from each start W0[i] at step size etas[i], each run on its own.
 
     The runs share one engine call as one-row groups, so each run keeps the
     bits it has when run alone, and stops only by its own target, divergence
     or budget; none is ever ``"pruned"``.  ``target=None`` runs every run to
     the budget unless it diverges.  ``beta2`` is read by ``adam_ema`` only.
-    Returns one Trajectory per start, in order.
+    A run that stops early is not stepped again after its chunk, so the call
+    costs about what the lone runs cost together.  Returns one Trajectory
+    per start, in order.
     """
     W0 = np.asarray(W0, dtype=float)
     etas = np.asarray(etas, dtype=float)
@@ -469,12 +497,12 @@ def gd_run(problem, w0, eta=None, max_iters=100_000, target=1e-8) -> Trajectory:
     """Gradient descent w <- w - eta (Hw - h); eta defaults to 2/(l1 + ld)."""
     if eta is None:
         eta = default_gd_eta(problem)
-    return runs(problem, "gd", [w0], [eta], max_iters=max_iters, target=target)[0]
+    return runs(problem, "gd", [w0], [eta], None, max_iters, target)[0]
 
 
 def adam_fixed_run(problem, w0, eta, max_iters=100_000, target=1e-8) -> Trajectory:
     """Preconditioned descent with the frozen diagonal D = diag(|grad L(w0)|)."""
-    return runs(problem, "adam_fixed", [w0], [eta], max_iters=max_iters, target=target)[0]
+    return runs(problem, "adam_fixed", [w0], [eta], None, max_iters, target)[0]
 
 
 def adam_ema_run(problem, w0, eta, beta2, max_iters=100_000, target=None) -> Trajectory:

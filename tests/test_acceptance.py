@@ -131,7 +131,7 @@ def test_c05_adam_upper_bound():
     t0 = time.perf_counter()
     W0 = np.array([gaussian_init(9, seed=10, index=i) for i in range(100)])
     etas = [theory_report(prob, w0).eta_theory for w0 in W0]
-    trajectories = runs(prob, "adam_fixed", W0, etas, max_iters=10_000, target=None)
+    trajectories = runs(prob, "adam_fixed", W0, etas, beta2=None, max_iters=10_000, target=None)
     total_violations = sum(verify_bounds(traj).violations for traj in trajectories)
     elapsed = time.perf_counter() - t0
     assert total_violations == 0

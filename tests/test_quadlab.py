@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -740,8 +746,88 @@ def test_grid_groups_stop_on_their_own(kind):
     both = _run_batch(ORACLE_CASE, W0, np.tile(etas, (2, 1)), kind, 0.99, 22_000, 1e-6)
     alone = [grid_search(ORACLE_CASE, kind, etas, w0, budget=22_000, target=1e-6).trajectories for w0 in starts]
     _assert_same_runs(both, alone[0] + alone[1])
+    # A grid's rows are copied out, so keeping its best run does not keep the grid.
+    assert all(tr.loss_ratios.base is None for tr in both)
     pruned_at = [{tr.iterations for tr in group if tr.status == "pruned"} for group in alone]
     assert len(pruned_at[0]) == len(pruned_at[1]) == 1 and pruned_at[0] != pruned_at[1]
+
+
+def _theory_starts(count, seed=3):
+    W0 = np.array([gaussian_init(9, seed=seed, index=i) for i in range(count)])
+    return W0, [theory_report(ORACLE_CASE, w0).eta_theory for w0 in W0]
+
+
+def test_runs_step_each_run_only_up_to_its_own_chunk(monkeypatch):
+    # A run that stops is not stepped past the end of its chunk, so one long
+    # run among short ones does not make every run as long as it.
+    W0, etas = _theory_starts(12)
+    W0, etas = np.vstack([W0, W0[:1]]), etas + [1e-6]  # the last runs to the budget
+    budget = 3000
+    stepped = []
+    matmul = np.matmul
+
+    def counting(a, b, out=None):
+        stepped.append(out.shape[0])  # the groups stepped in this column
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    batch = runs(ORACLE_CASE, "adam_fixed", W0, etas, None, budget, 1e-6)
+    monkeypatch.undo()
+    iterations = [tr.iterations for tr in batch]
+    assert batch[-1].status == "max_iters" and max(iterations[:-1]) < budget // 2
+    assert len({it // CHUNK for it in iterations}) >= 4
+    own_chunks = [min(-(-(it + 1) // CHUNK) * CHUNK, budget + 1) for it in iterations]
+    assert sum(stepped) == sum(own_chunks) < len(batch) * (budget + 1) / 3
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_runs_hold_each_ratio_once():
+    # Every run keeps every column without a target.  3000 more columns of
+    # budget should raise the peak by what the 40 runs keep, not twice that.
+    W0, etas = _theory_starts(40)
+    small, small_peak = _traced_peak(lambda: runs(ORACLE_CASE, "adam_fixed", W0, etas, None, 1000, None))
+    large, large_peak = _traced_peak(lambda: runs(ORACLE_CASE, "adam_fixed", W0, etas, None, 4000, None))
+    kept = sum(tr.loss_ratios.nbytes for tr in large) - sum(tr.loss_ratios.nbytes for tr in small)
+    assert kept == 40 * 3000 * 8
+    assert large_peak - small_peak <= 1.25 * kept
+
+
+RSS_PROBE = """
+import resource, sys
+import numpy as np
+from blockspectra.quadlab import gaussian_init, make_case, runs, theory_report
+problem = make_case(3, seed=0)
+W0 = np.array([gaussian_init(9, seed=3, index=i) for i in range(40)])
+etas = [theory_report(problem, w0).eta_theory for w0 in W0]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+trajectories = runs(problem, "adam_fixed", W0, etas, None, int(sys.argv[1]), 1e-6)
+assert {tr.status for tr in trajectories} == {"converged"}
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_runs_resident_memory_follows_the_columns_run():
+    # Every run converges before column 2000, so a budget of 200,000 reserves
+    # 63 MB more for the 40 runs' ratios but should touch none of it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def growth_kib(budget):
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE, str(budget)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    assert growth_kib(200_000) - growth_kib(2000) <= 2048
 
 
 # ---------------------------------------------------------------------------
