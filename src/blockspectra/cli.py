@@ -559,14 +559,16 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
         seed=args.seed,
         snapshot_stride=cfg["snapshot_stride"],
     )
-    steps_axis = np.arange(result.losses.size)
-    idx = _stride_indices(result.losses.size)
+    # One rate, one row; NaN follows its last step.
+    reached = np.count_nonzero(~np.isnan(result.losses[0]))
+    losses, accs, status = result.losses[0, :reached], result.accuracies[0, :reached], result.status[0]
+    idx = _stride_indices(reached)
     fileio.write_csv(
         os.path.join(args.out, "curves.csv"),
         ["step", "loss", "accuracy"],
-        ([int(t), result.losses[t], result.accuracies[t]] for t in idx),
+        ([int(t), losses[t], accs[t]] for t in idx),
     )
-    print(f"wrote {os.path.join(args.out, 'curves.csv')} (status {result.status})")
+    print(f"wrote {os.path.join(args.out, 'curves.csv')} (status {status})")
 
     if result.snapshots:
         mass_rows, js0_rows = [], []
@@ -582,11 +584,11 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
         path = os.path.join(args.out, "training.svg")
         svgplot.line_plot_svg(
             path,
-            [("loss", steps_axis[idx], np.maximum(result.losses[idx], 1e-300))],
+            [("loss", idx, np.maximum(losses[idx], 1e-300))],
             title="training loss", x_label="step", y_label="loss", log_y=True,
         )
         print(f"wrote {path}")
-    if result.status == "diverged" and cfg["strict"]:
+    if status == "diverged" and cfg["strict"]:
         return 1
     return 0
 
@@ -598,9 +600,8 @@ def _scaled_cell(cfg, dataset, c, s):
     and of Adam over the learning rates of ``lr_grid``; a rate that diverges
     scores 0, and ``diverged`` names each such optimizer and rate.  Each
     optimizer trains the whole grid in one ``toynet.train`` call on a stack
-    of copies of the cell's network.  ``hessian_fd`` and a
-    stacked ``train`` both leave the network's parameters as they found
-    them, so one network serves all three calls.
+    of copies of the cell's network.  No ``toynet`` function leaves a
+    network changed, so one network serves all three calls.
     """
     mlp = toynet.scaled_mlp(cfg["widths"], c, seed=s)
     snap = toynet.hessian_fd(mlp, dataset.X, dataset.y)

@@ -20,8 +20,14 @@ label is p = 1 / (1 + exp(-y f)).
 The flattened vector may carry a leading stack axis of k copies:
 ``set_flat`` / ``get_flat`` take and return (k, num_params), ``logits``
 returns (k, n), and ``loss_grad`` returns k losses and a (k, num_params)
-gradient.  ``train`` uses it to step a whole grid of learning rates at once;
-``num_params`` and ``partition()`` always describe one copy.
+gradient.  ``train`` steps every run as such a stack, one row per learning
+rate; ``num_params`` and ``partition()`` always describe one copy.
+
+Two rules hold throughout.  No function here leaves a model changed: ``train``
+and ``hessian_fd`` hand the model back with the parameters it came with, and
+``train`` returns the trained ones.  A network, or a row of a stack, whose
+logits are not all finite has a NaN loss and a NaN gradient; ``train`` scores
+such a row as diverged, and ``hessian_fd`` raises.
 """
 
 from __future__ import annotations
@@ -58,12 +64,6 @@ def _accuracy(f: np.ndarray, y):
     return np.mean((f > 0) == (np.asarray(y) > 0), axis=-1)
 
 
-def _check_finite_logits(f: np.ndarray):
-    bad = np.where(~np.isfinite(f))[0]
-    if bad.size:
-        raise FloatingPointError(f"non-finite activation at sample index {int(bad[0])}")
-
-
 class ScaledMLP:
     """Dense tanh MLP with one output logit, trained with logistic loss.
 
@@ -78,7 +78,8 @@ class ScaledMLP:
     ``set_flat`` with shape (k, dim) makes a stack, after which ``get_flat``
     returns (k, dim), ``logits`` (k, n), and ``loss_grad`` k losses and a
     (k, dim) gradient.  Each row is computed by the same operations as a lone
-    network, so it matches that network bit for bit.
+    network, so it matches that network bit for bit, a row with a non-finite
+    logit included: its loss and gradient are NaN either way.
     """
 
     def __init__(self, weights, biases):
@@ -150,19 +151,22 @@ class ScaledMLP:
     def loss_grad(self, X, y):
         """Mean logistic loss over the batch and its analytic gradient.
 
-        A lone network raises ``FloatingPointError`` on a non-finite logit.
-        A stack instead gives that row a NaN loss and a NaN gradient, and
-        the other rows are unaffected.
+        A network, or a row of a stack, with a non-finite logit gets a NaN
+        loss and a NaN gradient; the other rows are unaffected.
         """
         y = np.asarray(y, dtype=float)
         activations, f = self._forward(X)
-        if f.ndim == 1:
-            _check_finite_logits(f)
         b = activations[0].shape[0]
         if b == 0:
             raise ValueError("empty batch")
         loss = _logistic_loss(f, y)
         delta = (-y * _sigmoid(-y * f) / b)[..., None]
+        if not np.isfinite(f).all():
+            # A NaN delta carries a bad row through the backward pass quietly,
+            # where an infinite logit's would meet inf * 0.
+            bad = ~np.isfinite(f).all(axis=-1)
+            loss = np.where(bad, np.nan, loss)
+            delta[bad] = np.nan
         grad = np.empty(f.shape[:-1] + (self.num_params,))
         grads_w, grads_b = self._views(grad)
         for k in range(self.num_layers - 1, -1, -1):
@@ -171,10 +175,6 @@ class ScaledMLP:
                 grads_b[k][...] = delta.sum(axis=-2)
             if k > 0:
                 delta = (delta @ self.weights[k].mT) * (1.0 - activations[k] ** 2)
-        if f.ndim > 1:
-            bad = ~np.all(np.isfinite(f), axis=-1)
-            loss[bad] = np.nan
-            grad[bad] = np.nan
         return loss, grad
 
 
@@ -285,9 +285,10 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     inspection.  The snapshot carries ``model.partition()``.  Quadratic cost,
     so the flattened dimension is capped.  The model's parameters come back
     bit for bit as they were, so every column is taken about the same point.
-    An overflow or invalid value anywhere in the differencing raises a
-    ``ValueError`` naming it, rather than yielding a Hessian of overflowed
-    layers.
+    A non-finite parameter, an overflow or invalid value anywhere in the
+    differencing, or a non-finite column (a NaN gradient, see
+    ``ScaledMLP.loss_grad``) raises a ``ValueError`` naming it, rather than
+    yielding a Hessian of overflowed layers.
     """
     dim = model.num_params
     if dim > MAX_FD_DIM:
@@ -295,6 +296,9 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     theta = model.get_flat()
     if theta.ndim != 1:
         raise ValueError(f"hessian_fd needs one network, got a stack of {theta.shape[0]}")
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"finite-difference Hessian failed: non-finite parameter {theta[bad[0]]} at index {bad[0]}")
     H = np.empty((dim, dim))
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -310,6 +314,9 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
                 # t + hj - hj need not be t in floating point, so restore t itself
                 theta[j] = t
                 H[:, j] = (g_plus - g_minus) / (2 * hj)
+            bad = np.flatnonzero(~np.all(np.isfinite(H), axis=0))
+            if bad.size:
+                raise ValueError(f"finite-difference Hessian failed: non-finite value in column {bad[0]}")
             asym = float(np.abs(H - H.T).max())
             H = 0.5 * (H + H.T)
     except FloatingPointError as exc:
@@ -324,7 +331,7 @@ def offdiag_mass_ratio(snapshot: HessianSnapshot) -> float:
     matrix = snapshot.matrix
     total = float(np.sum(matrix * matrix))
     if total == 0:
-        raise ValueError("zero matrix: off-diagonal mass ratio is undefined")
+        raise ValueError(f"Hessian at step {snapshot.step_index} is zero: off-diagonal mass ratio is undefined")
     on = sum(float(np.sum(matrix[a:z, a:z] ** 2)) for a, z in snapshot.partition.ranges())
     return (total - on) / total
 
@@ -414,22 +421,24 @@ def load_dataset_csv(path) -> Dataset:
 
 @dataclass
 class TrainResult:
-    """Full-dataset loss and accuracy at each step of a training run.
+    """Full-dataset loss and accuracy at each step of k training runs.
 
-    With a scalar ``eta`` the arrays hold one value per step reached and
-    ``status`` is "completed" or "diverged".  With a sequence of k rates the
-    arrays are (k, steps + 1), NaN after a row's last step, and ``status``
-    is a list of k such strings.
+    ``losses`` and ``accuracies`` are (k, steps + 1), NaN after a row's last
+    step, and ``status`` holds k strings, "completed" or "diverged".
+    ``params`` is (k, num_params): the parameters each row held when it
+    stopped, which for a diverged row are those that gave the non-finite
+    value.
     """
 
     losses: np.ndarray
     accuracies: np.ndarray
-    status: str | list[str]
+    status: list[str]
+    params: np.ndarray
     snapshots: list
 
 
 def _learning_rates(eta, snapshot_stride: int) -> np.ndarray:
-    """``eta`` as a float array of shape () or (k,)."""
+    """``eta`` as a float array of shape (k,)."""
     try:
         rates = np.asarray(eta, dtype=float)
     except (TypeError, ValueError):
@@ -438,9 +447,9 @@ def _learning_rates(eta, snapshot_stride: int) -> np.ndarray:
         raise ValueError(f"eta must be a number or a nonempty 1-D sequence, got shape {rates.shape}")
     if not np.all(rates >= 0):
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if rates.ndim and snapshot_stride > 0:
-        raise ValueError("eta is a sequence, but snapshot_stride > 0 needs a single rate")
-    return rates
+    if rates.size > 1 and snapshot_stride > 0:
+        raise ValueError(f"eta holds {rates.size} rates, but snapshot_stride > 0 needs a single rate")
+    return rates.reshape(-1)
 
 
 def train(
@@ -455,22 +464,24 @@ def train(
 ) -> TrainResult:
     """Minibatch training with heavy-ball SGD or bias-corrected Adam.
 
-    Each step evaluates the full dataset with one forward pass: the logistic
-    loss and the accuracy both come from the same ``model.logits`` call, and
-    only the minibatch gradient runs a backward pass.  When
-    ``snapshot_stride`` > 0 a finite-difference Hessian of the full-dataset
-    loss is captured at that stride (and at the final step), which is only
-    practical for small models.
+    ``eta`` is one learning rate, or a 1-D sequence of k rates; one rate is
+    k = 1.  The k runs are stepped as one stack of copies of the model: every
+    copy starts from the model's parameters and draws the same minibatches,
+    so each step is one forward and one backward pass for all rates, and
+    each row matches a one-rate call at its rate bit for bit.  Each step
+    evaluates the full dataset with one forward pass: the logistic loss and
+    the accuracy both come from the same ``model.logits`` call, and only the
+    minibatch gradient runs a backward pass.
 
-    ``eta`` is one learning rate, or a 1-D sequence of k rates.  A sequence
-    trains k copies of the model as one stack: every copy starts from the
-    model's parameters and draws the same minibatches, so each step is one
-    forward and one backward pass for all rates, and each row matches a lone
-    run at its rate bit for bit.  A row leaves the stack at the step where
-    its lone run would diverge (a non-finite full-dataset logit or loss,
-    minibatch logit or gradient), and the other rows go on.  A lone run
-    leaves its trained parameters in the model; a stacked run leaves the
-    model's parameters as it found them.
+    A row leaves the stack at the step where it diverges (a non-finite
+    full-dataset logit or loss, or a non-finite minibatch gradient), and the
+    other rows go on.  The trained parameters are ``TrainResult.params``;
+    the model's own come back as they were, also when a snapshot raises.
+
+    When ``snapshot_stride`` > 0, which needs a single rate, a
+    finite-difference Hessian of the full-dataset loss is captured at that
+    stride (and at the final step), with the one row set as a lone network;
+    this is only practical for small models.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
@@ -480,7 +491,6 @@ def train(
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = derive_rng(seed, TAG_TRAIN, steps)
-    stacked = rates.ndim == 1
     k = rates.size
     start = model.get_flat()
     if start.ndim != 1:
@@ -494,80 +504,67 @@ def train(
     losses = np.full((k, steps + 1), np.nan)
     accs = np.full((k, steps + 1), np.nan)
     status = ["completed"] * k
+    params = np.empty_like(theta)
     snapshots = []
     n = len(dataset)
     batch_size = min(batch_size, n)
-
-    def place():
-        model.set_flat(theta if stacked else theta[0])
 
     def keep_rows(keep):
         nonlocal rows, eta_col, theta, buf, vbuf
         for r in rows[~keep]:
             status[r] = "diverged"
+        params[rows[~keep]] = theta[~keep]
         rows, eta_col, theta, buf, vbuf = (a[keep] for a in (rows, eta_col, theta, buf, vbuf))
 
-    if stacked:
-        place()
     # A diverging row overflows before the finiteness checks below drop it,
     # and its status says so, so numpy's overflow warnings would only repeat it.
     # A snapshot is no training row, so it runs under the caller's settings
     # (hessian_fd raises on its own overflows).
     caller_err = np.geterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps + 1):
-            f = model.logits(dataset.X).reshape(rows.size, n)
-            full_loss = _logistic_loss(f, dataset.y)
-            keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
-            if not keep.all():
-                keep_rows(keep)
-                if not rows.size:
+    try:
+        model.set_flat(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(steps + 1):
+                f = model.logits(dataset.X)
+                full_loss = _logistic_loss(f, dataset.y)
+                keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
+                if not keep.all():
+                    keep_rows(keep)
+                    if not rows.size:
+                        break
+                    f, full_loss = f[keep], full_loss[keep]
+                    model.set_flat(theta)
+                losses[rows, step] = full_loss
+                accs[rows, step] = _accuracy(f, dataset.y)
+                if snapshot_stride > 0 and (step % snapshot_stride == 0 or step == steps):
+                    model.set_flat(theta[0])
+                    with np.errstate(**caller_err):
+                        snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
+                    model.set_flat(theta)
+                if step == steps:
                     break
-                f, full_loss = f[keep], full_loss[keep]
-                place()
-            losses[rows, step] = full_loss
-            accs[rows, step] = _accuracy(f, dataset.y)
-            want_snapshot = snapshot_stride > 0 and (
-                step % snapshot_stride == 0 or step == steps
-            )
-            if want_snapshot:
-                with np.errstate(**caller_err):
-                    snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
-            if step == steps:
-                break
-            idx = rng.integers(0, n, size=batch_size)
-            try:
+                idx = rng.integers(0, n, size=batch_size)
                 _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
-            except FloatingPointError:  # a lone network's non-finite logit; a stack row gets a NaN gradient
-                g = np.nan
-            g = np.broadcast_to(g, theta.shape)
-            keep = np.all(np.isfinite(g), axis=1)
-            if not keep.all():
-                keep_rows(keep)
-                if not rows.size:
-                    break
-                g = g[keep]
-            if optimizer == "sgd":
-                buf = SGD_MOMENTUM * buf + g
-                theta = theta - eta_col * buf
-            else:
-                buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
-                vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
-                mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
-                vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
-                theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            place()
-
-    if stacked:
+                keep = np.all(np.isfinite(g), axis=1)
+                if not keep.all():
+                    keep_rows(keep)
+                    if not rows.size:
+                        break
+                    g = g[keep]
+                if optimizer == "sgd":
+                    buf = SGD_MOMENTUM * buf + g
+                    theta = theta - eta_col * buf
+                else:
+                    buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
+                    vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
+                    mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
+                    vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
+                    theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
+                model.set_flat(theta)
+    finally:
         model.set_flat(start)
-        return TrainResult(losses=losses, accuracies=accs, status=status, snapshots=snapshots)
-    reached = ~np.isnan(losses[0])
-    return TrainResult(
-        losses=losses[0, reached],
-        accuracies=accs[0, reached],
-        status=status[0],
-        snapshots=snapshots,
-    )
+    params[rows] = theta
+    return TrainResult(losses=losses, accuracies=accs, status=status, params=params, snapshots=snapshots)
 
 
 def snapshot_js0(snapshot: HessianSnapshot) -> float:

@@ -276,7 +276,8 @@ def test_c12_offdiag_mass_decay():
         data = make_blobs(128, 5, separation=3.0, seed=seed)
         before = offdiag_mass_ratio(hessian_fd(net, data.X, data.y))
         result = train(net, data, optimizer="adam", eta=0.02, steps=3000, batch_size=32, seed=seed)
-        assert result.status == "completed"
+        assert result.status == ["completed"]
+        net.set_flat(result.params[0])
         assert np.mean(1.0 / (1.0 + np.exp(-data.y * net.logits(data.X)))) >= 0.95  # mean p of the labels
         after = offdiag_mass_ratio(hessian_fd(net, data.X, data.y))
         factors.append(after / before)

@@ -558,6 +558,36 @@ def test_toynet_train_outputs(tmp_path):
     assert js0[0] == ["step", "js0"]
 
 
+TOYNET_HUGE_STEP = "experiment = train\nsamples = 32\nfeatures = 3\neta = 1e307\noptimizer = sgd\n"
+
+
+@pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)], ids=["lenient", "strict"])
+def test_toynet_train_diverging_rate_writes_the_steps_it_reached(tmp_path, capsys, strict, code):
+    import warnings
+
+    cfg = write_config(tmp_path / "t.cfg", TOYNET_HUGE_STEP + f"steps = 20\nstrict = {str(strict).lower()}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["toynet", "--config", cfg, "--out", str(out)]) == code
+    assert caught == []
+    curves = read_rows(out / "curves.csv")
+    assert [row[0] for row in curves] == ["step", "0", "1"]
+    assert np.all(np.isfinite(np.array(curves[1:], dtype=float)))
+    assert capsys.readouterr().out == f"wrote {out / 'curves.csv'} (status diverged)\n"
+
+
+def test_toynet_train_zero_snapshot_hessian_names_its_step(tmp_path, capsys):
+    # A step this large saturates every tanh, so the loss is flat about the
+    # trained point and the finite-difference Hessian is exactly zero.
+    cfg = write_config(tmp_path / "t.cfg", TOYNET_HUGE_STEP + "steps = 4\nsnapshot_stride = 2\n")
+    out = tmp_path / "out"
+    assert main(["toynet", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out / 'curves.csv'} (status completed)\n"
+    assert captured.err == "error: Hessian at step 2 is zero: off-diagonal mass ratio is undefined\n"
+
+
 TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = true\nlr_grid = 0.01\n"
 QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
 

@@ -1,4 +1,4 @@
-"""Property tests over generated spectra, matrices and step-size batches.
+"""Property tests over generated spectra, matrices, step-size batches and toy networks.
 
 Densities are always built on one shared grid (``smoothed_densities``), so
 ``js_distance`` never resamples onto the capped union grid.  Every property
@@ -15,6 +15,7 @@ from blockspectra.heterogeneity import js_distance
 from blockspectra.operators import DenseSymmetric, exact_eigenvalues, principal_block
 from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case, runs
 from blockspectra.slq import smoothed_densities
+from blockspectra.toynet import hessian_fd, make_blobs, random_toynet, train
 from helpers import block_diag
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -108,3 +109,35 @@ def test_runs_rows_equal_their_lone_runs(case3, log_etas, kind, target, zero_blo
         assert (tr.eta, tr.status, tr.iterations, tr.diagnostics) == (alone.eta, alone.status, alone.iterations, alone.diagnostics)
         assert tr.loss_ratios.tobytes() == alone.loss_ratios.tobytes()
         assert tr.iterates.tobytes() == alone.iterates.tobytes()
+
+
+@PROPERTY
+@given(
+    n_hidden=st.integers(1, 4),
+    d_in=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    optimizer=st.sampled_from(("sgd", "adam")),
+    rates=st.lists(st.sampled_from((0.0, 0.02, 0.5, 1e308)), min_size=1, max_size=4),
+    stride=st.sampled_from((0, 1, 3)),
+)
+def test_train_and_hessian_fd_leave_the_model_bit_identical(n_hidden, d_in, seed, optimizer, rates, stride):
+    # 1e308 diverges on most nets within a few steps; snapshots need a single rate.
+    if stride:
+        rates = rates[:1]
+    net = random_toynet(n_hidden, d_in, seed=seed)
+    data = make_blobs(12, d_in, seed=seed)
+    before = net.get_flat().tobytes()
+    kw = dict(optimizer=optimizer, steps=10, batch_size=4, seed=seed)
+    try:
+        result = train(net, data, eta=rates, snapshot_stride=stride, **kw)
+    except ValueError as exc:  # a snapshot of overflowing layers; the model still comes back
+        assert str(exc).startswith("finite-difference Hessian failed"), exc
+        result = None
+    assert net.get_flat().tobytes() == before
+    hessian_fd(net, data.X, data.y)
+    assert net.get_flat().tobytes() == before
+    if result is not None:
+        assert result.params.shape == (len(rates), net.num_params)
+        for row, eta in enumerate(rates):
+            alone = train(net, data, eta=eta, **kw)
+            assert result.params[row].tobytes() == alone.params[0].tobytes()

@@ -12,6 +12,7 @@ from blockspectra.toynet import (
     HessianSnapshot,
     ScaledMLP,
     ToyNet,
+    TrainResult,
     _accuracy,
     hessian_fd,
     load_dataset_csv,
@@ -81,10 +82,10 @@ def test_loss_rejects_empty_batch():
         net.loss_grad(np.empty((0, 2)), np.empty(0))
 
 
-def test_nonfinite_activation_reports_sample():
+def test_nonfinite_logit_gives_a_nan_loss_and_gradient():
     net = ToyNet(np.ones((1, 1)), np.array([np.inf]))
-    with pytest.raises(FloatingPointError, match="sample index 0"):
-        net.loss_grad(np.array([[1.0]]), np.array([1.0]))
+    loss, grad = net.loss_grad(np.array([[1.0]]), np.array([1.0]))
+    assert np.isnan(loss) and grad.shape == (2,) and np.all(np.isnan(grad))
 
 
 def test_flatten_roundtrip_toynet():
@@ -184,7 +185,12 @@ def test_cross_blocks_match_fd_hessian(seed):
 # ---------------------------------------------------------------------------
 
 class _QuadraticModel:
-    """Harness with a known quadratic loss 0.5 th' A th + b' th."""
+    """Harness with a known quadratic loss 0.5 th' A th + b' th, A symmetric.
+
+    The parameters may carry a leading stack axis, as a network's do.  Its
+    logits are zero, so the full-dataset loss in ``train`` stays finite and
+    a rate that is too large diverges through a non-finite minibatch gradient.
+    """
 
     def __init__(self, A, b):
         self.A = A
@@ -193,7 +199,7 @@ class _QuadraticModel:
 
     @property
     def num_params(self):
-        return self.theta.size
+        return self.theta.shape[-1]
 
     def get_flat(self):
         return self.theta.copy()
@@ -202,14 +208,14 @@ class _QuadraticModel:
         self.theta = np.asarray(theta, dtype=float).copy()
 
     def loss_grad(self, X, y):
-        g = self.A @ self.theta + self.b
-        return float(0.5 * self.theta @ (self.A @ self.theta) + self.b @ self.theta), g
+        At = self.theta @ self.A
+        return np.sum((0.5 * At + self.b) * self.theta, axis=-1), At + self.b
 
     def logits(self, X):
-        return np.zeros(len(X))
+        return np.zeros(self.theta.shape[:-1] + (len(X),))
 
     def partition(self):
-        return BlockPartition([self.theta.size])
+        return BlockPartition([self.num_params])
 
 
 def test_hessian_fd_recovers_quadratic(rng):
@@ -220,6 +226,26 @@ def test_hessian_fd_recovers_quadratic(rng):
     snap = hessian_fd(model, None, None)
     assert np.abs(snap.matrix - A).max() <= 1e-6 * np.abs(A).max()
     assert snap.asymmetry <= 1e-6
+
+
+def test_hessian_fd_rejects_a_non_finite_parameter():
+    net = ToyNet(np.ones((2, 2)), [np.inf, 1.0])
+    data = make_blobs(8, 2, seed=0)
+    before = net.get_flat()
+    with pytest.raises(ValueError, match="non-finite parameter inf at index 4"):
+        hessian_fd(net, data.X, data.y)
+    assert np.array_equal(net.get_flat(), before)
+
+
+def test_hessian_fd_rejects_a_non_finite_column(rng):
+    # A NaN gradient entry, as a network with a non-finite logit gives, makes
+    # every column non-finite; no floating-point flag is raised on the way.
+    model = _QuadraticModel(np.eye(3), np.array([0.0, np.nan, 0.0]))
+    model.set_flat(rng.standard_normal(3))
+    before = model.get_flat()
+    with pytest.raises(ValueError, match="finite-difference Hessian failed: non-finite value in column 0"):
+        hessian_fd(model, None, None)
+    assert np.array_equal(model.get_flat(), before)
 
 
 @pytest.mark.parametrize(
@@ -291,8 +317,8 @@ def test_mass_ratio_all_ones_half():
 
 
 def test_mass_ratio_zero_matrix_errors():
-    with pytest.raises(ValueError):
-        offdiag_mass_ratio(HessianSnapshot(matrix=np.zeros((4, 4)), partition=BlockPartition([2, 2])))
+    with pytest.raises(ValueError, match="^Hessian at step 7 is zero: off-diagonal mass ratio is undefined$"):
+        offdiag_mass_ratio(HessianSnapshot(matrix=np.zeros((4, 4)), partition=BlockPartition([2, 2]), step_index=7))
 
 
 def test_mass_ratio_invariant_under_within_block_permutation(rng):
@@ -353,8 +379,8 @@ def test_adam_learns_separable_blobs():
     net = random_toynet(8, 5, seed=0)
     data = make_blobs(256, 5, separation=3.0, seed=0)
     result = train(net, data, optimizer="adam", eta=0.02, steps=2000, batch_size=64, seed=0)
-    assert result.status == "completed"
-    assert result.accuracies[-1] >= 0.99
+    assert result.status == ["completed"]
+    assert result.accuracies.shape == (1, 2001) and result.accuracies[0, -1] >= 0.99
 
 
 def test_training_divergence_is_reported(rng):
@@ -363,18 +389,21 @@ def test_training_divergence_is_reported(rng):
     model = _QuadraticModel(0.5 * (g + g.T) + 3 * np.eye(5), rng.standard_normal(5))
     model.set_flat(rng.standard_normal(5))
     data = make_blobs(8, 2, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = train(model, data, optimizer="sgd", eta=1e150, steps=50, seed=0)
-    assert result.status == "diverged"
-    assert np.all(np.isfinite(result.losses))
-    assert result.losses.size < 51
+    result = train(model, data, optimizer="sgd", eta=1e150, steps=50, seed=0)
+    assert result.status == ["diverged"]
+    reached = np.count_nonzero(np.isfinite(result.losses[0]))
+    assert 0 < reached < 51
+    assert np.all(np.isnan(result.losses[0, reached:]))
 
 
 def _parent_train(model, dataset, optimizer, eta, steps, batch_size, seed):
-    """The training loop before it shared one forward pass per step.
+    """The lone-network training loop before it shared one forward pass per step.
 
     Each step evaluated the full-dataset loss with ``loss_grad`` and the
     accuracy with a second forward pass; the loss gradient was discarded.
+    A non-finite logit makes ``loss_grad`` NaN, which ends the run.  Returns
+    the losses and accuracies reached, the status, and the parameters the
+    run ended on.
     """
     rng = derive_rng(seed, TAG_TRAIN, steps)
     theta = model.get_flat()
@@ -385,11 +414,7 @@ def _parent_train(model, dataset, optimizer, eta, steps, batch_size, seed):
     n = len(dataset)
     batch_size = min(batch_size, n)
     for step in range(steps + 1):
-        try:
-            full_loss, _ = model.loss_grad(dataset.X, dataset.y)
-        except FloatingPointError:
-            status = "diverged"
-            break
+        full_loss, _ = model.loss_grad(dataset.X, dataset.y)
         if not np.isfinite(full_loss):
             status = "diverged"
             break
@@ -398,11 +423,7 @@ def _parent_train(model, dataset, optimizer, eta, steps, batch_size, seed):
         if step == steps:
             break
         idx = rng.integers(0, n, size=batch_size)
-        try:
-            _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
-        except FloatingPointError:
-            status = "diverged"
-            break
+        _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
         if not np.all(np.isfinite(g)):
             status = "diverged"
             break
@@ -416,7 +437,7 @@ def _parent_train(model, dataset, optimizer, eta, steps, batch_size, seed):
             vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
             theta = theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
         model.set_flat(theta)
-    return np.asarray(losses), np.asarray(accs), status
+    return np.asarray(losses), np.asarray(accs), status, model.get_flat()
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -429,19 +450,36 @@ def test_train_matches_the_two_pass_loop_bit_for_bit(kind, optimizer, eta):
         return scaled_mlp((4, 6, 6, 6, 1), 4.0, seed=1)
 
     data = make_xor_blobs(48, 4, seed=1)
+    result = train(make(), data, optimizer=optimizer, eta=eta, steps=40, batch_size=16, seed=2)
     with np.errstate(over="ignore", invalid="ignore"):
-        result = train(make(), data, optimizer=optimizer, eta=eta, steps=40, batch_size=16, seed=2)
-        losses, accs, status = _parent_train(make(), data, optimizer, eta, 40, 16, 2)
-    assert result.status == status == ("diverged" if eta > 1 else "completed")
-    assert result.losses.shape == losses.shape and np.all(result.losses == losses)
-    assert result.accuracies.shape == accs.shape and np.all(result.accuracies == accs)
+        losses, accs, status, params = _parent_train(make(), data, optimizer, eta, 40, 16, 2)
+    assert result.status == [status] == ["diverged" if eta > 1 else "completed"]
+    m = losses.size
+    assert result.losses.shape == result.accuracies.shape == (1, 41)
+    assert np.all(result.losses[0, :m] == losses) and np.all(result.accuracies[0, :m] == accs)
+    assert np.all(np.isnan(result.losses[0, m:])) and np.all(np.isnan(result.accuracies[0, m:]))
+    assert np.array_equal(result.params[0], params)
 
 
 def _lone_and_stacked(make, data, optimizer, grid, **kw):
-    with np.errstate(over="ignore", invalid="ignore"):
-        lone = [train(make(), data, optimizer=optimizer, eta=lr, **kw) for lr in grid]
-        stacked = train(make(), data, optimizer=optimizer, eta=grid, **kw)
-    return lone, stacked
+    """k one-rate calls, joined row by row, and one k-rate call."""
+    lone = [train(make(), data, optimizer=optimizer, eta=lr, **kw) for lr in grid]
+    stacked = train(make(), data, optimizer=optimizer, eta=grid, **kw)
+    joined = TrainResult(
+        losses=np.vstack([r.losses for r in lone]),
+        accuracies=np.vstack([r.accuracies for r in lone]),
+        status=[s for r in lone for s in r.status],
+        params=np.vstack([r.params for r in lone]),
+        snapshots=[],
+    )
+    return joined, stacked
+
+
+def _assert_same_rows(lone, stacked):
+    assert stacked.status == lone.status
+    for field in ("losses", "accuracies", "params"):
+        a, b = getattr(lone, field), getattr(stacked, field)
+        assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), field
 
 
 def _stacking_mlp():
@@ -462,50 +500,24 @@ def test_stacked_train_matches_lone_runs_bit_for_bit(make, optimizer):
     grid = [0.003, 0.05, 1e307, 0.3]
     lone, stacked = _lone_and_stacked(make, data, optimizer, grid, steps=40, batch_size=16, seed=2)
     assert stacked.losses.shape == stacked.accuracies.shape == (4, 41)
-    assert stacked.status == [r.status for r in lone]
-    assert [r.status for r in lone] == ["completed", "completed", "diverged", "completed"]
-    for row, r in enumerate(lone):
-        m = r.losses.size
-        assert np.all(stacked.losses[row, :m] == r.losses)
-        assert np.all(stacked.accuracies[row, :m] == r.accuracies)
-        assert np.all(np.isnan(stacked.losses[row, m:])) and np.all(np.isnan(stacked.accuracies[row, m:]))
-
-
-class _StackedDiagonalQuadratic(_QuadraticModel):
-    """0.5 sum a th^2 + b' th with a leading stack axis; its logits are zero.
-
-    With zero logits the full-dataset loss stays finite, so a rate that is
-    too large diverges through a non-finite minibatch gradient.
-    """
-
-    @property
-    def num_params(self):
-        return self.theta.shape[-1]
-
-    def loss_grad(self, X, y):
-        loss = np.sum((0.5 * self.A * self.theta + self.b) * self.theta, axis=-1)
-        return loss, self.A * self.theta + self.b
-
-    def logits(self, X):
-        return np.zeros(self.theta.shape[:-1] + (len(X),))
+    assert stacked.status == ["completed", "completed", "diverged", "completed"]
+    _assert_same_rows(lone, stacked)
 
 
 def test_stacked_rows_drop_out_at_their_own_gradient_divergence(rng):
     a, b, start = rng.uniform(1, 4, 5), rng.standard_normal(5), rng.standard_normal(5)
 
     def make():
-        model = _StackedDiagonalQuadratic(a, b)
+        model = _QuadraticModel(np.diag(a), b)
         model.set_flat(start)
         return model
 
     grid = [0.01, 1e150, 0.1, 1e60]
     lone, stacked = _lone_and_stacked(make, make_blobs(8, 2, seed=0), "sgd", grid, steps=50, batch_size=4)
-    assert stacked.status == [r.status for r in lone] == ["completed", "diverged", "completed", "diverged"]
-    lengths = [r.losses.size for r in lone]
-    assert lengths[1] < lengths[3] < 51
-    for row, r in enumerate(lone):
-        assert np.all(stacked.losses[row, : lengths[row]] == r.losses)
-        assert np.all(np.isnan(stacked.losses[row, lengths[row] :]))
+    assert stacked.status == ["completed", "diverged", "completed", "diverged"]
+    lengths = np.count_nonzero(~np.isnan(stacked.losses), axis=1)
+    assert lengths[1] < lengths[3] < 51 == lengths[0] == lengths[2]
+    _assert_same_rows(lone, stacked)
 
 
 def test_stacked_train_leaves_the_model_as_it_found_it():
@@ -513,15 +525,6 @@ def test_stacked_train_leaves_the_model_as_it_found_it():
     before = mlp.get_flat()
     train(mlp, make_xor_blobs(32, 4, seed=0), optimizer="adam", eta=[0.01, 0.1], steps=5, batch_size=8)
     assert mlp.get_flat().shape == before.shape and np.array_equal(mlp.get_flat(), before)
-
-
-def test_one_rate_stack_matches_the_scalar_result():
-    data = make_xor_blobs(32, 4, seed=0)
-    lone, stacked = _lone_and_stacked(
-        lambda: scaled_mlp((4, 6, 6, 6, 1), 2.0, seed=0), data, "sgd", [0.05], steps=10, batch_size=8
-    )
-    assert stacked.status == [lone[0].status] and stacked.losses.shape == (1, 11)
-    assert np.all(stacked.losses[0] == lone[0].losses) and np.all(stacked.accuracies[0] == lone[0].accuracies)
 
 
 def _check_stacked_rows_match_lone_networks(make):
@@ -535,19 +538,15 @@ def _check_stacked_rows_match_lone_networks(make):
     assert np.array_equal(model.get_flat(), stack)
     assert model.num_params == stack.shape[1] and model.partition().dim == stack.shape[1]
     logits = model.logits(data.X)
-    with np.errstate(invalid="ignore"):  # an infinite output weight meets inf * 0 going back
-        losses, grads = model.loss_grad(data.X[:16], data.y[:16])
+    losses, grads = model.loss_grad(data.X[:16], data.y[:16])
     assert logits.shape == (3, 40) and losses.shape == (3,) and grads.shape == stack.shape
     assert np.isnan(losses[1]) and np.all(np.isnan(grads[1]))
     lone = make()
-    for row in (0, 2):
+    for row in range(3):
         lone.set_flat(stack[row])
         assert np.array_equal(lone.logits(data.X), logits[row])
         loss, grad = lone.loss_grad(data.X[:16], data.y[:16])
-        assert loss == losses[row] and np.array_equal(grad, grads[row])
-    lone.set_flat(stack[1])
-    with pytest.raises(FloatingPointError):
-        lone.loss_grad(data.X[:16], data.y[:16])
+        assert np.array_equal(loss, losses[row], equal_nan=True) and np.array_equal(grad, grads[row], equal_nan=True)
 
 
 def test_stacked_mlp_rows_match_lone_networks_bit_for_bit():
@@ -585,7 +584,7 @@ def _per_lr_gap(data, widths, c, seed, lr_grid, steps, batch):
         for lr in lr_grid:
             model = scaled_mlp(widths, c, seed=seed)
             res = train(model, data, optimizer=opt, eta=lr, steps=steps, batch_size=batch, seed=seed)
-            accs.append(res.accuracies[-1] if res.status == "completed" else 0.0)
+            accs.append(res.accuracies[0, -1] if res.status == ["completed"] else 0.0)
         best[opt] = max(accs)
     return [c, seed, best["sgd"], best["adam"], best["adam"] - best["sgd"]]
 
@@ -723,7 +722,8 @@ def test_trained_toynet_offdiag_mass_halves():
         data = make_blobs(128, 5, separation=3.0, seed=seed)
         before = offdiag_mass_ratio(hessian_fd(net, data.X, data.y))
         result = train(net, data, optimizer="adam", eta=0.02, steps=3000, batch_size=32, seed=seed)
-        assert result.status == "completed"
+        assert result.status == ["completed"]
+        net.set_flat(result.params[0])
         assert np.mean(1.0 / (1.0 + np.exp(-data.y * net.logits(data.X)))) >= 0.95  # mean p of the labels
         after = offdiag_mass_ratio(hessian_fd(net, data.X, data.y))
         factors.append(after / before)
