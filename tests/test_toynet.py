@@ -372,7 +372,8 @@ def test_zero_learning_rate_keeps_loss_constant():
     net = random_toynet(4, 3, seed=0)
     data = make_blobs(32, 3, seed=0)
     result = train(net, data, optimizer="sgd", eta=0.0, steps=20, seed=0)
-    assert np.all(result.losses == result.losses[0])
+    assert result.status == ["completed"] and result.losses.shape == (1, 21)
+    assert np.all(result.losses[0] == result.losses[0, 0])
 
 
 def test_adam_learns_separable_blobs():
