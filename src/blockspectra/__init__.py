@@ -33,6 +33,7 @@ from blockspectra.slq import (
     SpectralDensity,
     blockwise_densities,
     lanczos,
+    lanczos_stack,
     ritz_quadrature,
     smoothed_densities,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "SpectralDensity",
     "blockwise_densities",
     "lanczos",
+    "lanczos_stack",
     "ritz_quadrature",
     "smoothed_densities",
     "Dataset",

@@ -1,11 +1,11 @@
 """Symmetric linear operators and the exact eigendecomposition oracle.
 
-Operators expose only a dimension and a matrix-vector product, which is the
-sole access path the stochastic Lanczos machinery needs.  The one concrete
-realization is ``DenseSymmetric``: every operator the package builds (a
-matrix CSV, a quadratic case, a finite-difference Hessian) is a dense
-symmetric matrix, so its principal blocks can be cross-checked against an
-exact eigendecomposition.
+Operators expose only a dimension and a matrix-vector product, which also
+takes a stack of vectors; that is the sole access path the stochastic
+Lanczos machinery needs.  The one concrete realization is ``DenseSymmetric``:
+every operator the package builds (a matrix CSV, a quadratic case, a
+finite-difference Hessian) is a dense symmetric matrix, so its principal
+blocks can be cross-checked against an exact eigendecomposition.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ class SymmetricOperator:
     """A symmetric linear map given by its dimension and a matvec.
 
     Subclasses implement ``apply``, which must be deterministic, side-effect
-    free, and symmetric: <u, A v> == <v, A u> for all u, v.  Instances are
-    immutable after construction and safe to share across threads.
+    free, and symmetric: <u, A v> == <v, A u> for all u, v.  It takes one
+    vector, or a (k, dim) stack of vectors whose k products it returns as the
+    rows of a (k, dim) array.  Instances are immutable after construction and
+    safe to share across threads.
     """
 
     @property
@@ -34,10 +36,12 @@ class SymmetricOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_vector(self, v: np.ndarray) -> np.ndarray:
+    def _check_vectors(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of shape ({self.dim},), got {v.shape}")
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise ValueError(
+                f"expected a vector of shape ({self.dim},) or a stack of shape (k, {self.dim}), got {v.shape}"
+            )
         return v
 
 
@@ -71,7 +75,9 @@ class DenseSymmetric(SymmetricOperator):
         return self._matrix
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._matrix @ self._check_vector(v)
+        v = self._check_vectors(v)
+        # M == M.T exactly, so row i of V M is M v_i: one matrix product for the stack.
+        return self._matrix @ v if v.ndim == 1 else v @ self._matrix
 
 
 class BlockPartition:

@@ -481,7 +481,8 @@ def train(
     When ``snapshot_stride`` > 0, which needs a single rate, a
     finite-difference Hessian of the full-dataset loss is captured at that
     stride (and at the final step), with the one row set as a lone network;
-    this is only practical for small models.
+    this is only practical for small models.  A snapshot's ``hessian_fd``
+    error is raised with the step appended.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
@@ -538,8 +539,11 @@ def train(
                 accs[rows, step] = _accuracy(f, dataset.y)
                 if snapshot_stride > 0 and (step % snapshot_stride == 0 or step == steps):
                     model.set_flat(theta[0])
-                    with np.errstate(**caller_err):
-                        snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
+                    try:
+                        with np.errstate(**caller_err):
+                            snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
+                    except ValueError as exc:
+                        raise ValueError(f"{exc} (snapshot at step {step})") from None
                     model.set_flat(theta)
                 if step == steps:
                     break

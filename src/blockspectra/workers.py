@@ -2,7 +2,7 @@
 
 ``fork_map`` is the one process pool of the package: ``toynet scaled``
 maps its (scale, seed) cells through it, and ``slq.blockwise_densities``
-its (block, probe) Lanczos runs.
+its blocks, each one stack of probe Lanczos recursions.
 """
 
 from __future__ import annotations

@@ -588,6 +588,19 @@ def test_toynet_train_zero_snapshot_hessian_names_its_step(tmp_path, capsys):
     assert captured.err == "error: Hessian at step 2 is zero: off-diagonal mass ratio is undefined\n"
 
 
+def test_toynet_train_overflowing_snapshot_names_its_step(tmp_path, capsys):
+    # After one step at this rate the finite differences overflow.
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        "experiment = train\nsamples = 12\nfeatures = 1\nhidden = 1\nbatch = 4\nsteps = 10\n"
+        "eta = 1e308\noptimizer = sgd\nsnapshot_stride = 1\n",
+    )
+    assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: finite-difference Hessian failed: overflow encountered in matmul (snapshot at step 1)\n"
+    )
+
+
 TOYNET_GAP = "experiment = scaled\nc_values = 1\nseeds = 1\nsamples = 32\ngap = true\nlr_grid = 0.01\n"
 QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
 
@@ -960,13 +973,14 @@ def test_heatmap_slq_outputs_byte_identical_across_jobs(tmp_path, two_cpus, fork
 
 
 def test_spectrum_probes_byte_identical_across_jobs(tmp_path, two_cpus, fork_methods):
-    # No partition: the whole operator is one block, so the probes are the only tasks.
+    # No partition: the whole operator is one block, whose probe stack is the
+    # one task, so --jobs 2 runs it in this process and forks no pool.
     g = np.random.default_rng(6).standard_normal((40, 40))
     mpath = tmp_path / "m.csv"
     write_matrix_csv(mpath, g + g.T)
     cfg = write_config(tmp_path / "s.cfg", f"source = matrix\nmatrix = {mpath}\nsteps = 10\nprobes = 4\n")
     outs = _outputs_at_jobs_1_and_2(tmp_path, "spectrum", cfg)
-    assert fork_methods == ["fork"]
+    assert fork_methods == []
     assert sorted(outs[1]) == ["density_full.csv"]
     assert outs[1] == outs[2]
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,21 @@ def test_principal_block_matches_submatrix(rng):
     assert sub.dim == 3
     v = rng.standard_normal(3)
     assert np.allclose(sub.apply(v), d.matrix[2:5, 2:5] @ v)
+
+
+def test_apply_to_a_stack_returns_each_product_as_a_row(rng):
+    g = rng.standard_normal((40, 40))
+    op = DenseSymmetric(0.5 * (g + g.T))
+    V = rng.standard_normal((5, 40))
+    out = op.apply(V)
+    assert out.shape == (5, 40)
+    for v, row in zip(V, out):
+        ref = op.matrix @ v
+        assert np.abs(row - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(op.apply(V[0]), op.matrix @ V[0])
+    for shape in ((2, 5, 40), (5, 39), (39,)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            op.apply(np.ones(shape))
 
 
 def test_partition_validation():

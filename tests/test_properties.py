@@ -6,15 +6,19 @@ runs a bounded, derandomized number of examples so the suite stays fast and
 repeatable.
 """
 
+import multiprocessing
+import os
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockspectra.heterogeneity import js_distance
-from blockspectra.operators import DenseSymmetric, exact_eigenvalues, principal_block
+from blockspectra.operators import BlockPartition, DenseSymmetric, exact_eigenvalues, principal_block
 from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case, runs
-from blockspectra.slq import smoothed_densities
+from blockspectra.slq import SLQParams, blockwise_densities, smoothed_densities
 from blockspectra.toynet import hessian_fd, make_blobs, random_toynet, train
 from helpers import block_diag
 
@@ -141,3 +145,24 @@ def test_train_and_hessian_fd_leave_the_model_bit_identical(n_hidden, d_in, seed
         for row, eta in enumerate(rates):
             alone = train(net, data, eta=eta, **kw)
             assert result.params[row].tobytes() == alone.params[0].tobytes()
+
+
+@settings(PROPERTY, max_examples=10)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    steps=st.integers(1, 12),
+    probes=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_densities_are_bit_identical_at_one_and_two_jobs(sizes, steps, probes, seed):
+    # Random SPD blocks, weakly coupled; each block's probe stack is one task.
+    g = np.random.default_rng(seed).standard_normal((sum(sizes), sum(sizes) + 2))
+    op = DenseSymmetric(g @ g.T + 1e-3 * np.eye(sum(sizes)))
+    params = SLQParams(steps=steps, probes=probes, seed=seed)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
+        one, two = (blockwise_densities(op, BlockPartition(sizes), params, jobs=jobs) for jobs in (1, 2))
+    assert multiprocessing.active_children() == []
+    assert len(one) == len(two) == len(sizes)
+    for a, b in zip(one, two):
+        assert a.sigma == b.sigma
+        assert np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)

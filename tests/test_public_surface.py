@@ -16,14 +16,16 @@ PACKAGE = Path(blockspectra.__file__).parent
 
 # bench/workloads.py writes the toynet-scaled input with save_dataset_csv and
 # reads the slq-heatmap output with load_heatmap_csv, and bench/layertrace.py
-# wraps gd_run, adam_fixed_run and adam_ema_run; the package itself calls
-# none of them, and runs every lone run through quadlab.runs.
+# wraps gd_run, adam_fixed_run, adam_ema_run and slq.lanczos; the package
+# itself calls none of them: it runs every lone run through quadlab.runs and
+# every Lanczos recursion through slq.lanczos_stack.
 BENCH_ONLY = {
     ("toynet", "save_dataset_csv"),
     ("heterogeneity", "load_heatmap_csv"),
     ("quadlab", "gd_run"),
     ("quadlab", "adam_fixed_run"),
     ("quadlab", "adam_ema_run"),
+    ("slq", "lanczos"),
 }
 
 

@@ -14,6 +14,7 @@ from blockspectra.slq import (
     SLQParams,
     blockwise_densities,
     lanczos,
+    lanczos_stack,
     ritz_quadrature,
     save_density_csv,
     smoothed_densities,
@@ -124,18 +125,63 @@ def _lanczos_cases(case3):
     yield "principal", principal_block(case3.operator(), 2, 7), 5
 
 
-def test_lanczos_matches_the_column_stack_recursion_bit_for_bit(case3):
+def _assert_row_matches(fact, alphas, betas, name):
+    # A stacked product is a gemm where the reference makes gemvs, so the
+    # coefficients may differ in their last bits; the quadrature rule and the
+    # basis may not move beyond rounding.
+    assert fact.steps == alphas.size, name
+    quad = ritz_quadrature(fact)
+    ref = ritz_quadrature(LanczosFactorization(alphas=alphas, betas=betas))
+    assert np.abs(quad.nodes - ref.nodes).max() <= 1e-12 * np.abs(ref.nodes).max(), name
+    assert np.abs(quad.weights - ref.weights).max() <= 1e-12, name
+    V = fact.basis
+    assert V.shape[1] == fact.steps, name
+    assert np.abs(V.T @ V - np.eye(fact.steps)).max() <= 1e-12, name
+
+
+def test_lanczos_stack_rows_match_the_column_stack_recursion(case3):
     rng = np.random.default_rng(11)
     for name, op, m in _lanczos_cases(case3):
-        for v0 in (np.ones(op.dim), rng.standard_normal(op.dim)):
-            v0 = v0 / np.linalg.norm(v0)
-            alphas, betas, basis = _column_stack_lanczos(op, v0, m)
-            fact = lanczos(op, v0, m)
-            assert fact.alphas.shape == alphas.shape, name
-            assert np.all(fact.alphas == alphas), name
-            assert np.all(fact.betas == betas), name
-            assert fact.basis.shape == basis.shape, name
-            assert np.all(fact.basis == basis), name
+        starts = np.stack([np.ones(op.dim)] + [rng.standard_normal(op.dim) for _ in range(2)])
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        refs = [_column_stack_lanczos(op, v0, m) for v0 in starts]
+        for i in range(2):
+            (fact,) = lanczos_stack(op, starts[i : i + 1], m)
+            _assert_row_matches(fact, *refs[i][:2], f"{name} k=1 row {i}")
+        for i, fact in enumerate(lanczos_stack(op, starts, m)):
+            _assert_row_matches(fact, *refs[i][:2], f"{name} k=3 row {i}")
+
+
+def test_lanczos_stack_rows_stop_at_their_own_breakdowns():
+    # Start vectors spanning 6, 1 and 2 eigenvectors of diag(1..6): the
+    # Krylov spaces have those dimensions, so the rows stop at steps 6, 1 and
+    # 2, and each row's rule is the exact spectral measure of its start vector.
+    eigs = np.arange(1.0, 7.0)
+    op = DenseSymmetric(np.diag(eigs))
+    starts = np.zeros((3, 6))
+    starts[0] = 1 / np.sqrt(6)
+    starts[1, 2] = 1.0
+    starts[2, [0, 3]] = 1 / np.sqrt(2)
+    facts = lanczos_stack(op, starts, 6)
+    assert [f.steps for f in facts] == [6, 1, 2]
+    for v0, fact in zip(starts, facts):
+        support = np.flatnonzero(v0)
+        quad = ritz_quadrature(fact)
+        assert np.abs(quad.nodes - eigs[support]).max() <= 1e-12 * eigs.max()
+        assert np.abs(quad.weights - v0[support] ** 2).max() <= 1e-12
+        # Row 0 runs on after the others leave the stack: it still matches its lone run.
+        (lone,) = lanczos_stack(op, v0[None, :], 6)
+        _assert_row_matches(fact, lone.alphas, lone.betas, f"support {support}")
+
+
+def test_lanczos_stack_input_validation():
+    op = DenseSymmetric(np.diag(np.arange(1.0, 6.0)))
+    unit = np.ones(5) / np.sqrt(5)
+    for bad in (unit, np.zeros((0, 5)), np.ones((2, 4)) / 2, unit[None, None, :]):
+        with pytest.raises(ValueError, match="V0 has shape"):
+            lanczos_stack(op, bad, 3)
+    with pytest.raises(ValueError, match="row 1"):
+        lanczos_stack(op, np.stack([unit, 2 * unit]), 3)
 
 
 # ---------------------------------------------------------------------------
