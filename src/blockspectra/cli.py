@@ -3,9 +3,9 @@
 Every subcommand takes ``--config PATH --out DIR --seed N --jobs K
 [--cheap]``.  ``--jobs`` fans independent work out over up to K forked
 worker processes (``workers.fork_map``): ``heatmap`` and ``spectrum`` their
-SLQ probes, one Lanczos run per (block, probe), and ``toynet scaled`` its
-(scale, seed) cells.  ``quadlab`` and ``toynet train`` record it in the
-manifest and otherwise ignore it.  Outputs are the same at any K.
+blocks, each one stack of SLQ probes, ``toynet scaled`` its (scale, seed)
+cells, and ``toynet train`` its Hessian snapshots.  ``quadlab`` records it in
+the manifest and otherwise ignores it.  Outputs are the same at any K.
 Configs are flat ``key = value`` text files.  The keys a subcommand accepts,
 each with its kind, default and bound, are its table below: ``SPECTRUM``,
 ``HEATMAP``, ``QUADLAB``, and for ``toynet`` ``TRAIN`` or ``SCALED`` as its
@@ -109,6 +109,11 @@ def or_words(kind: Kind, *words: str) -> Kind:
     )
 
 
+def distinct(kind: Kind) -> Kind:
+    """A ``list_of`` kind in which no value repeats."""
+    return Kind(f"{kind.text}, none repeated", kind.parse, lambda v: kind.ok(v) and len(set(v)) == len(v))
+
+
 def list_of(kind: Kind) -> Kind:
     return Kind(
         f"one or more values separated by commas, each {kind.text}",
@@ -152,7 +157,7 @@ QUADLAB = {
     "case": (or_words(INTEGER, "hard", "scalar"), 3),
     "w0": (NUMBER, None, {"case": lambda case: case == "scalar"}),
     "spectrum_files": (list_of(PATH), None, {"case": lambda case: case in (1, 2)}),
-    "optimizer": (list_of(one_of(*quadlab.KINDS)), ("gd",)),
+    "optimizer": (distinct(list_of(one_of(*quadlab.KINDS))), ("gd",)),
     "seeds": (at_least(1), 1),
     "eta": (or_words(NUMBER, "theory", "default"), None, {"eta_grid": lambda grid: not grid}),
     "eta_grid": (FLAG, False),
@@ -204,7 +209,7 @@ SCALED = {
     "dataset": (DATASET, "xor", GENERATED),
     "widths": (WIDTHS, (6, 8, 8, 8, 1)),
     "c_values": (
-        list_of(Kind("a finite number >= 1", float, lambda v: 1 <= v < np.inf)),
+        distinct(list_of(Kind("a finite number >= 1", float, lambda v: 1 <= v < np.inf))),
         (1.0, 2.0, 4.0, 8.0),
     ),
     "seeds": (at_least(1), 5),
@@ -268,8 +273,7 @@ def _write_manifest(args: argparse.Namespace, config: dict):
 def _stride_indices(n: int, cap: int = MAX_CSV_ROWS) -> np.ndarray:
     if n <= cap:
         return np.arange(n)
-    idx = np.unique(np.linspace(0, n - 1, cap).astype(int))
-    return idx
+    return np.unique(np.linspace(0, n - 1, cap).astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +550,18 @@ def _toynet_datasets(cfg, features, seeds):
     return [make(cfg["samples"], features, separation=cfg["separation"], seed=s) for s in seeds]
 
 
+def _snapshot_measures(net, dataset, step, theta):
+    """(mass ratio, js0) of the FD Hessian at ``theta``, or None where it is zero."""
+    net.set_flat(theta)
+    try:
+        snap = toynet.hessian_fd(net, dataset.X, dataset.y)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (snapshot at step {step})") from None
+    if not snap.matrix.any():
+        return None
+    return toynet.offdiag_mass_ratio(snap), toynet.snapshot_js0(snap)
+
+
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     (dataset,) = _toynet_datasets(cfg, cfg["features"], [args.seed])
     net = toynet.random_toynet(cfg["hidden"], dataset.X.shape[1], seed=args.seed)
@@ -562,6 +578,9 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     # One rate, one row; NaN follows its last step.
     reached = np.count_nonzero(~np.isnan(result.losses[0]))
     losses, accs, status = result.losses[0, :reached], result.accuracies[0, :reached], result.status[0]
+    # Row 0's snapshots up to its last step; after it, the row is NaN.
+    snapshots = [(step, theta[0]) for step, theta in result.snapshots if step < reached]
+    values = fork_map(lambda step, theta: _snapshot_measures(net, dataset, step, theta), snapshots, args.jobs)
     idx = _stride_indices(reached)
     fileio.write_csv(
         os.path.join(args.out, "curves.csv"),
@@ -570,14 +589,15 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     )
     print(f"wrote {os.path.join(args.out, 'curves.csv')} (status {status})")
 
-    if result.snapshots:
-        mass_rows, js0_rows = [], []
-        for snap in result.snapshots:
-            mass_rows.append([snap.step_index, toynet.offdiag_mass_ratio(snap)])
-            js0_rows.append([snap.step_index, toynet.snapshot_js0(snap)])
-        fileio.write_csv(os.path.join(args.out, "mass_ratio.csv"), ["step", "ratio"], mass_rows)
-        fileio.write_csv(os.path.join(args.out, "js0_series.csv"), ["step", "js0"], js0_rows)
-        print(f"wrote {os.path.join(args.out, 'mass_ratio.csv')} ({len(mass_rows)} snapshots)")
+    if snapshots:
+        steps = [step for step, _ in snapshots]
+        for step, value in zip(steps, values):
+            if value is None:
+                print(f"warning: Hessian at step {step} is zero: mass ratio and js0 written as nan", file=sys.stderr)
+        mass, js0 = zip(*(value or (np.nan, np.nan) for value in values))
+        fileio.write_csv(os.path.join(args.out, "mass_ratio.csv"), ["step", "ratio"], zip(steps, mass))
+        fileio.write_csv(os.path.join(args.out, "js0_series.csv"), ["step", "js0"], zip(steps, js0))
+        print(f"wrote {os.path.join(args.out, 'mass_ratio.csv')} ({len(steps)} snapshots)")
         print(f"wrote {os.path.join(args.out, 'js0_series.csv')}")
 
     if cfg["svg"]:
@@ -692,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs", type=int, default=1,
             help="worker processes, at most the usable CPUs (default 1), for the SLQ probes "
-            "of heatmap and spectrum and the (scale, seed) cells of toynet scaled; "
-            "quadlab and toynet train ignore it",
+            "of heatmap and spectrum, the (scale, seed) cells of toynet scaled and the "
+            "Hessian snapshots of toynet train; only quadlab ignores it",
         )
         p.add_argument("--cheap", action="store_true", help="fast low-fidelity preset")
     return parser

@@ -554,25 +554,11 @@ def grid_search(
     W0 = np.repeat(np.asarray(w0, dtype=float)[None], etas.size, axis=0)
     trajectories = _run_batch(problem, W0[None], etas[None], kind, beta2, budget, target)
 
-    converged = [
-        (tr.iterations, tr.eta, i)
-        for i, tr in enumerate(trajectories)
-        if tr.status == "converged"
-    ]
-    if converged:
-        best_index = min(converged)[2]
-    else:
-        finished = [
-            (tr.final_ratio(), tr.eta, i)
-            for i, tr in enumerate(trajectories)
-            if tr.status != "diverged"
-        ]
-        if not finished:
-            raise AllDivergedError(
-                f"all {etas.size} runs diverged for kind={kind!r}"
-            )
-        best_index = min(finished)[2]
-    return GridSearchResult(trajectories=trajectories, best_index=best_index)
+    converged = [(tr.iterations, tr.eta, i) for i, tr in enumerate(trajectories) if tr.status == "converged"]
+    finished = [(tr.final_ratio(), tr.eta, i) for i, tr in enumerate(trajectories) if tr.status != "diverged"]
+    if not finished:
+        raise AllDivergedError(f"all {etas.size} runs diverged for kind={kind!r}")
+    return GridSearchResult(trajectories=trajectories, best_index=min(converged or finished)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -250,10 +250,10 @@ def _gaussian_mixture(grid, nodes, weights, sigma) -> np.ndarray:
 def _finalize_density(grid, raw, sigma) -> SpectralDensity:
     mass = np.trapezoid(raw, grid)
     if abs(mass - 1.0) > MASS_LEAK_TOL:
-        raise GridError(
-            f"mass leakage {abs(mass - 1.0):.4g} exceeds {MASS_LEAK_TOL}; "
-            "the grid is too narrow for the kernel width"
-        )
+        spacing = float(np.max(np.diff(grid)))  # a narrower kernel can fall between grid points
+        narrow = f"the kernel is too narrow for the grid: its width {sigma:.4g} is below the grid spacing {spacing:.4g}"
+        cause = narrow if sigma < spacing else "the grid is too narrow for the kernel width"
+        raise GridError(f"mass leakage {abs(mass - 1.0):.4g} exceeds {MASS_LEAK_TOL}; {cause}")
     return SpectralDensity(grid=grid, values=raw / mass, sigma=sigma)
 
 

@@ -21,17 +21,20 @@ The flattened vector may carry a leading stack axis of k copies:
 ``set_flat`` / ``get_flat`` take and return (k, num_params), ``logits``
 returns (k, n), and ``loss_grad`` returns k losses and a (k, num_params)
 gradient.  ``train`` steps every run as such a stack, one row per learning
-rate; ``num_params`` and ``partition()`` always describe one copy.
+rate, and only trains: its snapshots are the rows' parameters, and the caller
+chooses which Hessian to take of them.  ``num_params`` and ``partition()``
+always describe one copy.
 
 Two rules hold throughout.  No function here leaves a model changed: ``train``
-and ``hessian_fd`` hand the model back with the parameters it came with, and
-``train`` returns the trained ones.  A network, or a row of a stack, whose
-logits are not all finite has a NaN loss and a NaN gradient; ``train`` scores
-such a row as diverged, and ``hessian_fd`` raises.
+and ``hessian_fd`` work on a copy, and ``train`` returns the trained
+parameters.  A network, or a row of a stack, whose logits are not all finite
+has a NaN loss and a NaN gradient; ``train`` scores such a row as diverged,
+and ``hessian_fd`` raises.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -39,8 +42,10 @@ from itertools import accumulate
 import numpy as np
 
 from blockspectra import fileio
+from blockspectra.heterogeneity import log_magnitude_spectra, pairwise_heatmap
 from blockspectra.operators import BlockPartition, block_eigenvalues
 from blockspectra.rng import TAG_DATA, TAG_INIT, TAG_TRAIN, derive_rng
+from blockspectra.slq import smoothed_densities
 
 MAX_FD_DIM = 500
 FD_STEP = 1e-4
@@ -273,18 +278,18 @@ class HessianSnapshot:
 
     matrix: np.ndarray
     partition: BlockPartition
-    step_index: int = 0
     asymmetry: float = 0.0
 
 
-def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
+def hessian_fd(model, X, y) -> HessianSnapshot:
     """Full Hessian by central differences of the analytic gradient.
 
     Column j uses step h_j = FD_STEP * (1 + |theta_j|); the result is
     symmetrized as (H + H')/2 and the pre-symmetrization defect is kept for
     inspection.  The snapshot carries ``model.partition()``.  Quadratic cost,
-    so the flattened dimension is capped.  The model's parameters come back
-    bit for bit as they were, so every column is taken about the same point.
+    so the flattened dimension is capped.  A copy of the model is
+    differenced, its parameters reset after each column, so every column is
+    taken about the same point and the model itself never changes.
     A non-finite parameter, an overflow or invalid value anywhere in the
     differencing, or a non-finite column (a NaN gradient, see
     ``ScaledMLP.loss_grad``) raises a ``ValueError`` naming it, rather than
@@ -299,6 +304,7 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(f"finite-difference Hessian failed: non-finite parameter {theta[bad[0]]} at index {bad[0]}")
+    model = copy.copy(model)
     H = np.empty((dim, dim))
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -321,9 +327,7 @@ def hessian_fd(model, X, y, step_index: int = 0) -> HessianSnapshot:
             H = 0.5 * (H + H.T)
     except FloatingPointError as exc:
         raise ValueError(f"finite-difference Hessian failed: {exc}") from None
-    finally:
-        model.set_flat(theta)
-    return HessianSnapshot(matrix=H, partition=model.partition(), step_index=step_index, asymmetry=asym)
+    return HessianSnapshot(matrix=H, partition=model.partition(), asymmetry=asym)
 
 
 def offdiag_mass_ratio(snapshot: HessianSnapshot) -> float:
@@ -331,7 +335,7 @@ def offdiag_mass_ratio(snapshot: HessianSnapshot) -> float:
     matrix = snapshot.matrix
     total = float(np.sum(matrix * matrix))
     if total == 0:
-        raise ValueError(f"Hessian at step {snapshot.step_index} is zero: off-diagonal mass ratio is undefined")
+        raise ValueError("Hessian is zero: off-diagonal mass ratio is undefined")
     on = sum(float(np.sum(matrix[a:z, a:z] ** 2)) for a, z in snapshot.partition.ranges())
     return (total - on) / total
 
@@ -427,7 +431,8 @@ class TrainResult:
     step, and ``status`` holds k strings, "completed" or "diverged".
     ``params`` is (k, num_params): the parameters each row held when it
     stopped, which for a diverged row are those that gave the non-finite
-    value.
+    value.  ``snapshots`` holds the recorded ``(step, (k, num_params))``
+    pairs, in step order.
     """
 
     losses: np.ndarray
@@ -437,7 +442,7 @@ class TrainResult:
     snapshots: list
 
 
-def _learning_rates(eta, snapshot_stride: int) -> np.ndarray:
+def _learning_rates(eta) -> np.ndarray:
     """``eta`` as a float array of shape (k,)."""
     try:
         rates = np.asarray(eta, dtype=float)
@@ -447,8 +452,6 @@ def _learning_rates(eta, snapshot_stride: int) -> np.ndarray:
         raise ValueError(f"eta must be a number or a nonempty 1-D sequence, got shape {rates.shape}")
     if not np.all(rates >= 0):
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if rates.size > 1 and snapshot_stride > 0:
-        raise ValueError(f"eta holds {rates.size} rates, but snapshot_stride > 0 needs a single rate")
     return rates.reshape(-1)
 
 
@@ -476,17 +479,17 @@ def train(
     A row leaves the stack at the step where it diverges (a non-finite
     full-dataset logit or loss, or a non-finite minibatch gradient), and the
     other rows go on.  The trained parameters are ``TrainResult.params``;
-    the model's own come back as they were, also when a snapshot raises.
+    the stack is a copy of the model, whose own parameters never change.
 
-    When ``snapshot_stride`` > 0, which needs a single rate, a
-    finite-difference Hessian of the full-dataset loss is captured at that
-    stride (and at the final step), with the one row set as a lone network;
-    this is only practical for small models.  A snapshot's ``hessian_fd``
-    error is raised with the step appended.
+    When ``snapshot_stride`` > 0, every row's parameters are recorded at that
+    stride and at the final step, while any row still trains, as a
+    ``(step, (k, num_params) array)`` pair in ``TrainResult.snapshots``.  A
+    row that has stopped is NaN there.  A row's parameters at a step are
+    those its loss at that step was computed from.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
-    rates = _learning_rates(eta, snapshot_stride)
+    rates = _learning_rates(eta)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if batch_size < 1:
@@ -517,56 +520,47 @@ def train(
         params[rows[~keep]] = theta[~keep]
         rows, eta_col, theta, buf, vbuf = (a[keep] for a in (rows, eta_col, theta, buf, vbuf))
 
+    stack = copy.copy(model)
+    stack.set_flat(theta)
     # A diverging row overflows before the finiteness checks below drop it,
     # and its status says so, so numpy's overflow warnings would only repeat it.
-    # A snapshot is no training row, so it runs under the caller's settings
-    # (hessian_fd raises on its own overflows).
-    caller_err = np.geterr()
-    try:
-        model.set_flat(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(steps + 1):
-                f = model.logits(dataset.X)
-                full_loss = _logistic_loss(f, dataset.y)
-                keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
-                if not keep.all():
-                    keep_rows(keep)
-                    if not rows.size:
-                        break
-                    f, full_loss = f[keep], full_loss[keep]
-                    model.set_flat(theta)
-                losses[rows, step] = full_loss
-                accs[rows, step] = _accuracy(f, dataset.y)
-                if snapshot_stride > 0 and (step % snapshot_stride == 0 or step == steps):
-                    model.set_flat(theta[0])
-                    try:
-                        with np.errstate(**caller_err):
-                            snapshots.append(hessian_fd(model, dataset.X, dataset.y, step_index=step))
-                    except ValueError as exc:
-                        raise ValueError(f"{exc} (snapshot at step {step})") from None
-                    model.set_flat(theta)
-                if step == steps:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps + 1):
+            f = stack.logits(dataset.X)
+            full_loss = _logistic_loss(f, dataset.y)
+            keep = np.all(np.isfinite(f), axis=1) & np.isfinite(full_loss)
+            if not keep.all():
+                keep_rows(keep)
+                if not rows.size:
                     break
-                idx = rng.integers(0, n, size=batch_size)
-                _, g = model.loss_grad(dataset.X[idx], dataset.y[idx])
-                keep = np.all(np.isfinite(g), axis=1)
-                if not keep.all():
-                    keep_rows(keep)
-                    if not rows.size:
-                        break
-                    g = g[keep]
-                if optimizer == "sgd":
-                    buf = SGD_MOMENTUM * buf + g
-                    theta = theta - eta_col * buf
-                else:
-                    buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
-                    vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
-                    mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
-                    vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
-                    theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
-                model.set_flat(theta)
-    finally:
-        model.set_flat(start)
+                f, full_loss = f[keep], full_loss[keep]
+                stack.set_flat(theta)
+            losses[rows, step] = full_loss
+            accs[rows, step] = _accuracy(f, dataset.y)
+            if snapshot_stride > 0 and (step % snapshot_stride == 0 or step == steps):
+                recorded = np.full((k, theta.shape[1]), np.nan)
+                recorded[rows] = theta
+                snapshots.append((step, recorded))
+            if step == steps:
+                break
+            idx = rng.integers(0, n, size=batch_size)
+            _, g = stack.loss_grad(dataset.X[idx], dataset.y[idx])
+            keep = np.all(np.isfinite(g), axis=1)
+            if not keep.all():
+                keep_rows(keep)
+                if not rows.size:
+                    break
+                g = g[keep]
+            if optimizer == "sgd":
+                buf = SGD_MOMENTUM * buf + g
+                theta = theta - eta_col * buf
+            else:
+                buf = ADAM_BETA1 * buf + (1 - ADAM_BETA1) * g
+                vbuf = ADAM_BETA2 * vbuf + (1 - ADAM_BETA2) * g * g
+                mhat = buf / (1 - ADAM_BETA1 ** (step + 1))
+                vhat = vbuf / (1 - ADAM_BETA2 ** (step + 1))
+                theta = theta - eta_col * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            stack.set_flat(theta)
     params[rows] = theta
     return TrainResult(losses=losses, accuracies=accs, status=status, params=params, snapshots=snapshots)
 
@@ -579,9 +573,6 @@ def snapshot_js0(snapshot: HessianSnapshot) -> float:
     scale gap becomes a translation the smoothing kernel can resolve;
     magnitudes below 1e-8 times the largest one are clamped to that floor.
     """
-    from blockspectra.heterogeneity import log_magnitude_spectra, pairwise_heatmap
-    from blockspectra.slq import smoothed_densities
-
     eigs = block_eigenvalues(snapshot.matrix, snapshot.partition)
     logs = log_magnitude_spectra(eigs)
     densities = smoothed_densities(logs)

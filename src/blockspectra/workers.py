@@ -1,8 +1,9 @@
 """Independent tasks mapped over forked worker processes.
 
 ``fork_map`` is the one process pool of the package: ``toynet scaled``
-maps its (scale, seed) cells through it, and ``slq.blockwise_densities``
-its blocks, each one stack of probe Lanczos recursions.
+maps its (scale, seed) cells through it, ``toynet train`` its Hessian
+snapshots, and ``slq.blockwise_densities`` its blocks, each one stack of
+probe Lanczos recursions.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ def fork_map(fn, tasks: list, jobs: int) -> list:
     which a fork hands over by copying memory, not by pickling.  So ``fn``
     may be a closure, and whatever it holds (a matrix, a dataset) is shared
     copy-on-write rather than sent with every task; only the tasks and the
-    results are pickled.  Results come back in task order, and an exception
-    a task raises is raised here.  The pool is closed and joined on every
-    path, so no worker outlives the call.
+    results are pickled.  Results come back in task order, and the exception
+    of the first task in that order that raises is raised here, as with one
+    worker, whichever task fails first in time.  The pool is closed and
+    joined on every path, so no worker outlives the call.
     """
     workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
@@ -47,7 +49,7 @@ def fork_map(fn, tasks: list, jobs: int) -> list:
 
     pool = multiprocessing.get_context("fork").Pool(workers, initializer=_adopt, initargs=(fn,))
     try:
-        return pool.map(_run, tasks, chunksize=1)
+        return list(pool.imap(_run, tasks, chunksize=1))
     finally:
         pool.close()
         pool.join()

@@ -167,6 +167,16 @@ def test_bad_matrix_file_exits_2_naming_it(tmp_path, capsys, subcommand, matrix,
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_spectrum_kernel_narrower_than_the_grid_spacing_names_both(tmp_path, capsys):
+    # The grid always has a 3-sigma margin, so mass leaks only from a kernel
+    # that falls between grid points.
+    cfg = write_config(tmp_path / "s.cfg", "source = case\ncase = 4\nsigma = 1e-12\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass leakage 1 exceeds 0.01; the kernel is too narrow for the grid: ")
+    assert re.fullmatch(r".*its width 1e-12 is below the grid spacing [0-9.]+\n", err)
+
+
 # ---------------------------------------------------------------------------
 # heatmap
 # ---------------------------------------------------------------------------
@@ -577,15 +587,27 @@ def test_toynet_train_diverging_rate_writes_the_steps_it_reached(tmp_path, capsy
     assert capsys.readouterr().out == f"wrote {out / 'curves.csv'} (status diverged)\n"
 
 
-def test_toynet_train_zero_snapshot_hessian_names_its_step(tmp_path, capsys):
+def test_toynet_train_zero_snapshot_hessian_names_its_step(tmp_path, capsys, two_cpus):
     # A step this large saturates every tanh, so the loss is flat about the
-    # trained point and the finite-difference Hessian is exactly zero.
+    # trained point and the finite-difference Hessian is exactly zero.  Such
+    # a snapshot is written as nan and named on stderr; the others are kept.
     cfg = write_config(tmp_path / "t.cfg", TOYNET_HUGE_STEP + "steps = 4\nsnapshot_stride = 2\n")
-    out = tmp_path / "out"
-    assert main(["toynet", "--config", cfg, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == f"wrote {out / 'curves.csv'} (status completed)\n"
-    assert captured.err == "error: Hessian at step 2 is zero: off-diagonal mass ratio is undefined\n"
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        assert main(["toynet", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"wrote {out / 'curves.csv'} (status completed)\n"
+            f"wrote {out / 'mass_ratio.csv'} (3 snapshots)\nwrote {out / 'js0_series.csv'}\n"
+        )
+        assert captured.err == "".join(
+            f"warning: Hessian at step {step} is zero: mass ratio and js0 written as nan\n" for step in (2, 4)
+        )
+        for name, column in (("mass_ratio.csv", "ratio"), ("js0_series.csv", "js0")):
+            rows = read_rows(out / name)
+            assert rows[0] == ["step", column]
+            assert [row[0] for row in rows[1:]] == ["0", "2", "4"]
+            assert 0 < float(rows[1][1]) < 1 and rows[2][1] == rows[3][1] == "nan"
 
 
 def test_toynet_train_overflowing_snapshot_names_its_step(tmp_path, capsys):
@@ -632,10 +654,12 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = 0.1,0.2\n", "eta"),
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 1,2\n", "max_iters"),
         ("quadlab", "case = 3\noptimizer = gd,adam_fxed\nmax_iters = 50\n", "optimizer"),
+        ("quadlab", "case = 3\noptimizer = gd,gd\nseeds = 2\nmax_iters = 50\n", "optimizer"),
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nsvg = maybe\n", "svg"),
         ("quadlab", "case = 3\noptimizer = gd\nmax_iters = 50\nstrict = maybe\n", "strict"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 2.5\n", "steps"),
         ("toynet", "experiment = scaled\nc_values = 1,0.5\nseeds = 1\nsamples = 32\n", "c_values"),
+        ("toynet", "experiment = scaled\nc_values = 1,1.0\nseeds = 1\nsamples = 32\n", "c_values"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\neta = nan\n", "eta"),
         ("spectrum", "source = case\ncase = 3\nmatrix = /nonexistent.csv\n", "matrix"),
         ("spectrum", "source = case\ncase = 3\nblocks = 1,2\n", "blocks"),
@@ -649,8 +673,9 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         "toynet_lr_grid_negative", "toynet_lr_grid_nan", "toynet_snapshot_stride_negative",
         "quadlab_window_negative", "quadlab_window_0", "quadlab_grid_points_negative",
         "quadlab_grid_points_0", "spectrum_sigma_nan", "spectrum_sigma_negative", "toynet_eta_list",
-        "quadlab_max_iters_list", "quadlab_optimizer_typo", "quadlab_svg_maybe", "quadlab_strict_maybe",
-        "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_eta_nan", "spectrum_matrix_under_case",
+        "quadlab_max_iters_list", "quadlab_optimizer_typo", "quadlab_optimizer_repeated", "quadlab_svg_maybe",
+        "quadlab_strict_maybe", "toynet_steps_fractional", "toynet_c_values_below_1", "toynet_c_values_repeated",
+        "toynet_eta_nan", "spectrum_matrix_under_case",
         "spectrum_blocks_under_case", "toynet_widths_output_2", "toynet_widths_four",
     ],
 )
@@ -659,6 +684,28 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, subcommand, text, ke
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{key} must" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, line, message",
+    [
+        ("quadlab", "optimizer = gd,adam_fixed,gd", "optimizer must be one or more values separated by commas, "
+         "each one of gd, adam_fixed, adam_ema, none repeated, got 'gd,adam_fixed,gd'"),
+        ("toynet", "experiment = scaled\nc_values = 1,2,1", "c_values must be one or more values separated by "
+         "commas, each a finite number >= 1, none repeated, got '1,2,1'"),
+    ],
+    ids=["quadlab_optimizer", "toynet_c_values"],
+)
+def test_repeated_list_value_exits_2_before_any_work(tmp_path, monkeypatch, capsys, subcommand, line, message):
+    # A repeated optimizer would run and write each of its runs twice, and a
+    # repeated scale each of its cells and medians.
+    from blockspectra import quadlab, toynet
+
+    monkeypatch.setattr(quadlab, "runs", None)
+    monkeypatch.setattr(toynet, "hessian_fd", None)
+    cfg = write_config(tmp_path / "c.cfg", line + "\n")
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Every key a table reads only under some setting: (table, the key as written,
@@ -905,8 +952,8 @@ def test_fork_map_caps_workers_and_always_joins(monkeypatch):
             log.append(("pool", workers))
             initializer(*initargs)
 
-        def map(self, fn, tasks, chunksize):
-            return [fn(task) for task in tasks]
+        def imap(self, fn, tasks, chunksize):
+            return (fn(task) for task in tasks)
 
         def close(self):
             log.append("close")
@@ -957,6 +1004,23 @@ def test_fork_map_runs_a_closure_in_forked_workers(two_cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_fork_map_raises_the_first_failing_task_in_task_order(two_cpus):
+    import multiprocessing
+    import time
+
+    from blockspectra.workers import fork_map
+
+    def fail(name, delay):
+        time.sleep(delay)
+        raise ValueError(name)
+
+    # Task 1 fails first in time; task 0 is still the one raised, as with one worker.
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="^task 0$"):
+            fork_map(fail, [("task 0", 0.3), ("task 1", 0.0)], jobs)
+        assert multiprocessing.active_children() == []
+
+
 def test_heatmap_slq_outputs_byte_identical_across_jobs(tmp_path, two_cpus, fork_methods):
     rng = np.random.default_rng(5)
     g = rng.standard_normal((30, 30))
@@ -969,6 +1033,18 @@ def test_heatmap_slq_outputs_byte_identical_across_jobs(tmp_path, two_cpus, fork
     outs = _outputs_at_jobs_1_and_2(tmp_path, "heatmap", cfg)
     assert fork_methods == ["fork"]
     assert sorted(outs[1]) == ["heatmap.csv", "summary.txt"]
+    assert outs[1] == outs[2]
+
+
+def test_toynet_train_snapshots_byte_identical_across_jobs(tmp_path, two_cpus, fork_methods):
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        "experiment = train\ndataset = xor\nsamples = 64\nfeatures = 3\nsteps = 40\nsnapshot_stride = 7\n",
+    )
+    outs = _outputs_at_jobs_1_and_2(tmp_path, "toynet", cfg)
+    assert fork_methods == ["fork"]
+    assert sorted(outs[1]) == ["curves.csv", "js0_series.csv", "mass_ratio.csv"]
+    assert [row[0] for row in read_rows(tmp_path / "j2" / "mass_ratio.csv")] == ["step", "0", "7", "14", "21", "28", "35", "40"]
     assert outs[1] == outs[2]
 
 

@@ -317,8 +317,8 @@ def test_mass_ratio_all_ones_half():
 
 
 def test_mass_ratio_zero_matrix_errors():
-    with pytest.raises(ValueError, match="^Hessian at step 7 is zero: off-diagonal mass ratio is undefined$"):
-        offdiag_mass_ratio(HessianSnapshot(matrix=np.zeros((4, 4)), partition=BlockPartition([2, 2]), step_index=7))
+    with pytest.raises(ValueError, match="^Hessian is zero: off-diagonal mass ratio is undefined$"):
+        offdiag_mass_ratio(HessianSnapshot(matrix=np.zeros((4, 4)), partition=BlockPartition([2, 2])))
 
 
 def test_mass_ratio_invariant_under_within_block_permutation(rng):
@@ -568,13 +568,24 @@ def test_stacked_toynet_rows_match_lone_networks_bit_for_bit():
         (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), float("nan"), {}),
         (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), "fast", {}),
         (lambda: random_toynet(2, 2, seed=0), float("nan"), {}),
-        (lambda: scaled_mlp((2, 3, 3, 3, 1), 1.0), [0.1, 0.2], {"snapshot_stride": 2}),
     ],
-    ids=["empty", "2d", "negative", "nan_entry", "nan_scalar", "text", "toynet_nan", "stack_with_snapshots"],
+    ids=["empty", "2d", "negative", "nan_entry", "nan_scalar", "text", "toynet_nan"],
 )
 def test_train_rejects_bad_eta_naming_it(make_model, eta, kwargs):
     with pytest.raises(ValueError, match="eta"):
         train(make_model(), make_blobs(8, 2, seed=0), eta=eta, steps=3, **kwargs)
+
+
+def test_train_snapshots_a_stack_row_by_row():
+    model = scaled_mlp((2, 3, 3, 3, 1), 1.0)
+    data = make_blobs(8, 2, seed=0)
+    result = train(model, data, eta=[0.1, 0.2], steps=3, snapshot_stride=2)
+    assert [step for step, _ in result.snapshots] == [0, 2, 3]
+    for _, theta in result.snapshots:
+        assert theta.shape == (2, model.num_params)
+    # Every row starts from the model, and the last pair holds the trained rows.
+    assert np.all(result.snapshots[0][1] == model.get_flat())
+    assert np.array_equal(result.snapshots[-1][1], result.params)
 
 
 def _per_lr_gap(data, widths, c, seed, lr_grid, steps, batch):
@@ -631,23 +642,7 @@ def test_train_snapshots_at_stride():
     net = random_toynet(4, 3, seed=0)
     data = make_blobs(32, 3, seed=0)
     result = train(net, data, optimizer="adam", eta=0.02, steps=100, seed=0, snapshot_stride=50)
-    assert [s.step_index for s in result.snapshots] == [0, 50, 100]
-
-
-def test_train_snapshot_overflow_still_warns(monkeypatch):
-    # train excuses the overflows of rows it scores as diverged, not those of
-    # a finite-difference snapshot.
-    import blockspectra.toynet as toynet
-
-    def overflowing_hessian_fd(*args, **kwargs):
-        np.float64(1e308) * np.float64(10.0)
-        return hessian_fd(*args, **kwargs)
-
-    monkeypatch.setattr(toynet, "hessian_fd", overflowing_hessian_fd)
-    net = random_toynet(4, 3, seed=0)
-    data = make_blobs(32, 3, seed=0)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        train(net, data, optimizer="adam", eta=0.02, steps=2, seed=0, snapshot_stride=2)
+    assert [step for step, _ in result.snapshots] == [0, 50, 100]
 
 
 # ---------------------------------------------------------------------------
