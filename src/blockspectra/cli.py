@@ -565,6 +565,9 @@ def _snapshot_measures(net, dataset, step, theta):
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     (dataset,) = _toynet_datasets(cfg, cfg["features"], [args.seed])
     net = toynet.random_toynet(cfg["hidden"], dataset.X.shape[1], seed=args.seed)
+    if cfg["snapshot_stride"] > 0 and net.num_params > toynet.MAX_FD_DIM:
+        # hessian_fd would refuse every snapshot, so refuse before training.
+        raise ValueError(f"model has {net.num_params} parameters, finite differences capped at {toynet.MAX_FD_DIM}")
     result = toynet.train(
         net,
         dataset,

@@ -12,9 +12,12 @@ oracle lives with the tests (``tests/helpers.py``), which check
 Both expose the protocol that ``hessian_fd`` and ``train`` rely on:
 ``num_params``; ``get_flat`` / ``set_flat`` for the flattened parameter
 vector; ``loss_grad`` returning the mean logistic loss and its analytic
-gradient over a batch; ``logits``; and ``partition()``, the
+gradient over a batch; ``block_grads``, the gradients of a stack of copies
+that differ only in one run of entries; ``logits``; and ``partition()``, the
 ``BlockPartition`` of the flattened vector into the model's parameter
-blocks.  Labels are -1/+1 and the per-sample probability of the observed
+blocks.  ``loss_grad`` and ``block_grads`` share one forward and one backward
+pass, which takes each layer's weight and bias arrays with or without a stack
+axis.  Labels are -1/+1 and the per-sample probability of the observed
 label is p = 1 / (1 + exp(-y f)).
 
 The flattened vector may carry a leading stack axis of k copies:
@@ -22,14 +25,16 @@ The flattened vector may carry a leading stack axis of k copies:
 returns (k, n), and ``loss_grad`` returns k losses and a (k, num_params)
 gradient.  ``train`` steps every run as such a stack, one row per learning
 rate, and only trains: its snapshots are the rows' parameters, and the caller
-chooses which Hessian to take of them.  ``num_params`` and ``partition()``
-always describe one copy.
+chooses which Hessian to take of them.  ``hessian_fd`` differences its
+columns in chunks, each chunk's perturbed copies one stack through
+``block_grads``, in which only the perturbed weight or bias array carries the
+stack axis.  ``num_params`` and ``partition()`` always describe one copy.
 
 Two rules hold throughout.  No function here leaves a model changed: ``train``
-and ``hessian_fd`` work on a copy, and ``train`` returns the trained
-parameters.  A network, or a row of a stack, whose logits are not all finite
-has a NaN loss and a NaN gradient; ``train`` scores such a row as diverged,
-and ``hessian_fd`` raises.
+works on a copy and returns the trained parameters, and ``hessian_fd`` only
+reads the model's parameters.  A network, or a row of a stack, whose logits
+are not all finite has a NaN loss and a NaN gradient; ``train`` scores such a
+row as diverged, and ``hessian_fd`` raises.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ from blockspectra.slq import smoothed_densities
 
 MAX_FD_DIM = 500
 FD_STEP = 1e-4
+# Byte budget for the logits of one stacked pass of ``hessian_fd``: 2c rows of
+# n float64, so c = 8 columns at n = 256.  Each layer's activations take its
+# width times this (256 KiB at width 8).  Of 4, 6, 8, 12 and 16 columns at
+# n = 256, 8 gave the fastest whole ``toynet scaled`` runs.
+FD_STACK_BYTES = 32 * 1024
 SGD_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -141,17 +151,55 @@ class ScaledMLP:
     @staticmethod
     def _affine(a, w, b):
         z = a @ w
-        return z if b is None else z + b[..., None, :]
+        if b is None:
+            return z
+        b = b[..., None, :]
+        # In place when z already has the stacked shape: one temporary fewer.
+        return np.add(z, b, out=z) if z.ndim >= b.ndim else z + b
 
-    def _forward(self, X: np.ndarray):
+    def _forward(self, X: np.ndarray, weights, biases):
         """Each layer's input, and the logits."""
         activations = [np.atleast_2d(np.asarray(X, dtype=float))]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            activations.append(np.tanh(self._affine(activations[-1], w, b)))
-        return activations, self._affine(activations[-1], self.weights[-1], self.biases[-1])[..., 0]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            z = self._affine(activations[-1], w, b)
+            activations.append(np.tanh(z, out=z))
+        return activations, self._affine(activations[-1], weights[-1], biases[-1])[..., 0]
+
+    def _gradient(self, X, y, weights, biases):
+        """Logits and analytic gradient of the mean logistic loss.
+
+        ``weights`` and ``biases`` are one array per layer, each with or
+        without a leading stack axis; the logits and the (k, dim) gradient
+        carry the stack axis if any array does.  A row with a non-finite
+        logit gets a NaN gradient.  The loss itself is not computed.
+        """
+        activations, f = self._forward(X, weights, biases)
+        b = activations[0].shape[0]
+        if b == 0:
+            raise ValueError("empty batch")
+        delta = (-y * _sigmoid(-y * f) / b)[..., None]
+        if not np.isfinite(f).all():
+            # A NaN delta carries a bad row through the backward pass quietly,
+            # where an infinite logit's would meet inf * 0.
+            delta[~np.isfinite(f).all(axis=-1)] = np.nan
+        grad = np.empty(f.shape[:-1] + (self.num_params,))
+        grads_w, grads_b = self._views(grad)
+        for k in range(self.num_layers - 1, -1, -1):
+            # Each layer's input is dropped once used, and becomes tanh' =
+            # 1 - a**2 in place: the pass holds one activation fewer at its peak.
+            a = activations.pop()
+            grads_w[k][...] = a.mT @ delta
+            if grads_b[k] is not None:
+                grads_b[k][...] = delta.sum(axis=-2)
+            if k > 0:
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta = delta @ weights[k].mT
+                delta *= a
+        return f, grad
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[1]
+        return self._forward(X, self.weights, self.biases)[1]
 
     def loss_grad(self, X, y):
         """Mean logistic loss over the batch and its analytic gradient.
@@ -160,27 +208,33 @@ class ScaledMLP:
         loss and a NaN gradient; the other rows are unaffected.
         """
         y = np.asarray(y, dtype=float)
-        activations, f = self._forward(X)
-        b = activations[0].shape[0]
-        if b == 0:
-            raise ValueError("empty batch")
+        f, grad = self._gradient(X, y, self.weights, self.biases)
         loss = _logistic_loss(f, y)
-        delta = (-y * _sigmoid(-y * f) / b)[..., None]
         if not np.isfinite(f).all():
-            # A NaN delta carries a bad row through the backward pass quietly,
-            # where an infinite logit's would meet inf * 0.
-            bad = ~np.isfinite(f).all(axis=-1)
-            loss = np.where(bad, np.nan, loss)
-            delta[bad] = np.nan
-        grad = np.empty(f.shape[:-1] + (self.num_params,))
-        grads_w, grads_b = self._views(grad)
-        for k in range(self.num_layers - 1, -1, -1):
-            grads_w[k][...] = activations[k].mT @ delta
-            if grads_b[k] is not None:
-                grads_b[k][...] = delta.sum(axis=-2)
-            if k > 0:
-                delta = (delta @ self.weights[k].mT) * (1.0 - activations[k] ** 2)
+            loss = np.where(~np.isfinite(f).all(axis=-1), np.nan, loss)
         return loss, grad
+
+    def block_grads(self, X, y, start: int, values: np.ndarray) -> np.ndarray:
+        """Gradients of k copies of this network that differ in one run of entries.
+
+        Copy r holds ``values[r]`` at flat entries start:start + width and
+        this network's parameters elsewhere; the result is (k, dim).  Only the
+        weight and bias arrays holding those entries carry the stack axis, so
+        the other layers' products are plain broadcast matmuls.  Each row
+        matches ``loss_grad`` of a lone network at that copy bit for bit.
+        """
+        if self._flat.ndim != 1:
+            raise ValueError(f"block_grads needs one network, got a stack of {self._flat.shape[0]}")
+        stop = start + values.shape[1]
+        stack = np.tile(self._flat, (len(values), 1))
+        stack[:, start:stop] = values
+        varies = np.zeros(self.num_params, dtype=bool)
+        varies[start:stop] = True
+        weights, biases = (
+            [s if m is not None and m.any() else a for a, s, m in zip(*arrays)]
+            for arrays in zip(self._views(self._flat), self._views(stack), self._views(varies))
+        )
+        return self._gradient(X, np.asarray(y, dtype=float), weights, biases)[1]
 
 
 def scaled_mlp(widths, scale_growth: float, seed: int = 0) -> ScaledMLP:
@@ -287,9 +341,15 @@ def hessian_fd(model, X, y) -> HessianSnapshot:
     Column j uses step h_j = FD_STEP * (1 + |theta_j|); the result is
     symmetrized as (H + H')/2 and the pre-symmetrization defect is kept for
     inspection.  The snapshot carries ``model.partition()``.  Quadratic cost,
-    so the flattened dimension is capped.  A copy of the model is
-    differenced, its parameters reset after each column, so every column is
-    taken about the same point and the model itself never changes.
+    so the flattened dimension is capped.
+
+    The columns are differenced one partition block at a time, c columns
+    at once, c as large as keeps the logits of 2c stacked copies within
+    ``FD_STACK_BYTES`` (8 columns at 256 samples).  A chunk's copies at +h
+    and at -h are one stack through ``model.block_grads``; each differs from
+    the model's parameters in one entry and goes through the same operations
+    as a lone network at it, so the Hessian is the same, bit for bit, at any
+    chunk size.  The model's own parameters are only read.
     A non-finite parameter, an overflow or invalid value anywhere in the
     differencing, or a non-finite column (a NaN gradient, see
     ``ScaledMLP.loss_grad``) raises a ``ValueError`` naming it, rather than
@@ -304,22 +364,23 @@ def hessian_fd(model, X, y) -> HessianSnapshot:
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(f"finite-difference Hessian failed: non-finite parameter {theta[bad[0]]} at index {bad[0]}")
-    model = copy.copy(model)
+    chunk = max(1, FD_STACK_BYTES // (2 * 8 * np.size(y)))
+    partition = model.partition()
     H = np.empty((dim, dim))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for j in range(dim):
-                t = theta[j]
-                hj = FD_STEP * (1.0 + abs(t))
-                theta[j] = t + hj
-                model.set_flat(theta)
-                _, g_plus = model.loss_grad(X, y)
-                theta[j] = (t + hj) - 2 * hj
-                model.set_flat(theta)
-                _, g_minus = model.loss_grad(X, y)
-                # t + hj - hj need not be t in floating point, so restore t itself
-                theta[j] = t
-                H[:, j] = (g_plus - g_minus) / (2 * hj)
+            for start, stop in partition.ranges():
+                for j in range(start, stop, chunk):
+                    t = theta[j : min(j + chunk, stop)]
+                    c = t.size
+                    h = FD_STEP * (1.0 + np.abs(t))
+                    # Rows 0..c-1 step column j + r up by h, rows c..2c-1 down.
+                    values = np.tile(t, (2 * c, 1))
+                    diag = np.arange(c)
+                    values[diag, diag] = t + h
+                    values[c + diag, diag] = (t + h) - 2 * h
+                    g = model.block_grads(X, y, j, values)
+                    H[:, j : j + c] = ((g[:c] - g[c:]) / (2 * h)[:, None]).T
             bad = np.flatnonzero(~np.all(np.isfinite(H), axis=0))
             if bad.size:
                 raise ValueError(f"finite-difference Hessian failed: non-finite value in column {bad[0]}")
@@ -327,7 +388,7 @@ def hessian_fd(model, X, y) -> HessianSnapshot:
             H = 0.5 * (H + H.T)
     except FloatingPointError as exc:
         raise ValueError(f"finite-difference Hessian failed: {exc}") from None
-    return HessianSnapshot(matrix=H, partition=model.partition(), asymmetry=asym)
+    return HessianSnapshot(matrix=H, partition=partition, asymmetry=asym)
 
 
 def offdiag_mass_ratio(snapshot: HessianSnapshot) -> float:

@@ -4,12 +4,14 @@ The package has no caller for any of these, so they live here rather than in
 ``blockspectra``.  Test modules import them as ``from helpers import ...``.
 """
 
+import copy
+
 import numpy as np
 
 from blockspectra import fileio
 from blockspectra.quadlab import QuadraticProblem
 from blockspectra.slq import SpectralDensity
-from blockspectra.toynet import ToyNet, _sigmoid
+from blockspectra.toynet import FD_STEP, HessianSnapshot, ToyNet, _sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,36 @@ def cross_neuron_hessian_block(net: ToyNet, x: np.ndarray, y: float, i: int, j: 
     phi_i = 1.0 - np.tanh(net.W[i] @ x) ** 2
     phi_j = 1.0 - np.tanh(net.W[j] @ x) ** 2
     return p * (1.0 - p) * net.v[i] * net.v[j] * phi_i * phi_j * np.outer(x, x)
+
+
+def hessian_fd_by_columns(model, X, y) -> HessianSnapshot:
+    """``hessian_fd`` one column at a time, through the model's own ``loss_grad``.
+
+    The reference for the stacked differences: column j sets entry j of a
+    copy's parameters to theta_j + h_j, then to (theta_j + h_j) - 2 h_j, and
+    differences the two lone gradients, with the steps, symmetrization and
+    floating-point checks of ``hessian_fd``.
+    """
+    theta = model.get_flat()
+    dim = theta.size
+    model = copy.copy(model)
+    H = np.empty((dim, dim))
+    with np.errstate(over="raise", invalid="raise"):
+        for j in range(dim):
+            t = theta[j]
+            hj = FD_STEP * (1.0 + abs(t))
+            theta[j] = t + hj
+            model.set_flat(theta)
+            _, g_plus = model.loss_grad(X, y)
+            theta[j] = (t + hj) - 2 * hj
+            model.set_flat(theta)
+            _, g_minus = model.loss_grad(X, y)
+            # t + hj - hj need not be t in floating point, so restore t itself
+            theta[j] = t
+            H[:, j] = (g_plus - g_minus) / (2 * hj)
+        asym = float(np.abs(H - H.T).max())
+        H = 0.5 * (H + H.T)
+    return HessianSnapshot(matrix=H, partition=model.partition(), asymmetry=asym)
 
 
 def block_diag(*blocks) -> np.ndarray:

@@ -838,6 +838,19 @@ def test_toynet_scaled_data_width_mismatch_exits_2_before_any_work(tmp_path, mon
     assert err.startswith("error: widths ") and str(data) in err
 
 
+def test_toynet_train_over_the_fd_cap_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    from blockspectra import toynet
+
+    monkeypatch.setattr(toynet, "train", lambda *a, **k: pytest.fail("train ran"))
+    # 40 * (20 + 1) = 840 parameters: no snapshot's Hessian can be taken.
+    cfg = write_config(
+        tmp_path / "t.cfg",
+        "experiment = train\nsamples = 64\nhidden = 40\nfeatures = 20\nsteps = 3000\nsnapshot_stride = 1000\n",
+    )
+    assert main(["toynet", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: model has 840 parameters, finite differences capped at {toynet.MAX_FD_DIM}\n"
+
+
 def test_toynet_label_only_data_csv_exits_2_before_training(tmp_path, monkeypatch, capsys):
     from blockspectra import toynet
 

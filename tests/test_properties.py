@@ -19,8 +19,9 @@ from blockspectra.heterogeneity import js_distance
 from blockspectra.operators import BlockPartition, DenseSymmetric, exact_eigenvalues, principal_block
 from blockspectra.quadlab import KINDS, _run_batch, gaussian_init, make_case, runs
 from blockspectra.slq import SLQParams, blockwise_densities, smoothed_densities
-from blockspectra.toynet import hessian_fd, make_blobs, random_toynet, train
-from helpers import block_diag
+from blockspectra import toynet
+from blockspectra.toynet import hessian_fd, make_blobs, make_xor_blobs, random_toynet, scaled_mlp, train
+from helpers import block_diag, hessian_fd_by_columns
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -169,3 +170,23 @@ def test_blockwise_densities_are_bit_identical_at_one_and_two_jobs(sizes, steps,
     for a, b in zip(one, two):
         assert a.sigma == b.sigma
         assert np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(
+    widths=st.lists(st.integers(1, 6), min_size=4, max_size=4),
+    scale=st.floats(1.0, 8.0),
+    seed=st.integers(0, 2**16),
+    samples=st.integers(4, 40),
+    chunk=st.integers(1, 9),
+)
+def test_hessian_fd_is_the_column_loop_bit_for_bit(widths, scale, seed, samples, chunk):
+    mlp = scaled_mlp(widths + [1], scale, seed=seed)
+    data = make_xor_blobs(samples, max(widths[0], 2), seed=seed)
+    X = data.X[:, : widths[0]]
+    # The byte budget that gives ``chunk`` columns per stacked pass.
+    with mock.patch.object(toynet, "FD_STACK_BYTES", chunk * 2 * 8 * samples):
+        snap = hessian_fd(mlp, X, data.y)
+    reference = hessian_fd_by_columns(mlp, X, data.y)
+    assert snap.matrix.tobytes() == reference.matrix.tobytes()
+    assert snap.asymmetry == reference.asymmetry

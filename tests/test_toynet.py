@@ -25,7 +25,8 @@ from blockspectra.toynet import (
     snapshot_js0,
     train,
 )
-from helpers import cross_neuron_hessian_block
+from blockspectra import toynet
+from helpers import cross_neuron_hessian_block, hessian_fd_by_columns
 
 
 def fd_loss_gradient(model, X, y, step=1e-6):
@@ -187,7 +188,8 @@ def test_cross_blocks_match_fd_hessian(seed):
 class _QuadraticModel:
     """Harness with a known quadratic loss 0.5 th' A th + b' th, A symmetric.
 
-    The parameters may carry a leading stack axis, as a network's do.  Its
+    The parameters may carry a leading stack axis, as a network's do, and
+    ``block_grads`` follows the networks' protocol for ``hessian_fd``.  Its
     logits are zero, so the full-dataset loss in ``train`` stays finite and
     a rate that is too large diverges through a non-finite minibatch gradient.
     """
@@ -210,6 +212,11 @@ class _QuadraticModel:
     def loss_grad(self, X, y):
         At = self.theta @ self.A
         return np.sum((0.5 * At + self.b) * self.theta, axis=-1), At + self.b
+
+    def block_grads(self, X, y, start, values):
+        theta = np.tile(self.theta, (len(values), 1))
+        theta[:, start : start + values.shape[1]] = values
+        return theta @ self.A + self.b
 
     def logits(self, X):
         return np.zeros(self.theta.shape[:-1] + (len(X),))
@@ -298,6 +305,30 @@ def test_hessian_fd_dim_cap():
     assert mlp.num_params > 500
     with pytest.raises(ValueError):
         hessian_fd(mlp, np.zeros((2, 30)), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("budget", [1, toynet.FD_STACK_BYTES, 1 << 30], ids=["chunk1", "default", "whole_blocks"])
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        lambda: scaled_mlp((6, 8, 8, 8, 1), 1.0, seed=0),
+        lambda: scaled_mlp((6, 8, 8, 8, 1), 8.0, seed=1),
+        # Arrays of 25, 5, 35, 7, 21, 3, 3 and 1 entries: none is a multiple
+        # of the default 8-column chunk at 256 samples.
+        lambda: scaled_mlp((5, 5, 7, 3, 1), 3.0, seed=2),
+        lambda: random_toynet(7, 6, seed=3),
+    ],
+    ids=["scaled_c1", "scaled_c8", "ragged_widths", "toynet"],
+)
+def test_hessian_fd_matches_the_column_loop_bit_for_bit(monkeypatch, make_model, budget):
+    model = make_model()
+    data = make_xor_blobs(256, model.weights[0].shape[0], seed=4)
+    monkeypatch.setattr(toynet, "FD_STACK_BYTES", budget)
+    snap = hessian_fd(model, data.X, data.y)
+    reference = hessian_fd_by_columns(model, data.X, data.y)
+    assert snap.matrix.tobytes() == reference.matrix.tobytes()
+    assert snap.asymmetry == reference.asymmetry
+    assert snap.partition == reference.partition
 
 
 # ---------------------------------------------------------------------------
