@@ -16,102 +16,9 @@ The package has five functional layers:
   studying near-block-diagonal structure and layer-scale heterogeneity.
 
 The ``cli`` module ties these together into reproducible experiment runs.
+The package root re-exports nothing and imports none of its modules: import
+each name from the module that defines it, e.g.
+``from blockspectra.slq import blockwise_densities``.
 """
 
-from blockspectra.operators import (
-    BlockPartition,
-    DenseSymmetric,
-    SymmetricOperator,
-    condition_number,
-    exact_eigenvalues,
-    principal_block,
-)
-from blockspectra.slq import (
-    LanczosFactorization,
-    RitzQuadrature,
-    SLQParams,
-    SpectralDensity,
-    blockwise_densities,
-    lanczos,
-    lanczos_stack,
-    ritz_quadrature,
-    smoothed_densities,
-)
-from blockspectra.toynet import (
-    Dataset,
-    HessianSnapshot,
-    ScaledMLP,
-    ToyNet,
-    hessian_fd,
-    make_blobs,
-    offdiag_mass_ratio,
-    random_toynet,
-    scaled_mlp,
-    train,
-)
-from blockspectra.heterogeneity import (
-    HeterogeneityReport,
-    js_distance,
-    normalize_spectrum,
-    pairwise_heatmap,
-)
-from blockspectra.quadlab import (
-    QuadraticProblem,
-    TheoryReport,
-    Trajectory,
-    adam_ema_run,
-    adam_fixed_run,
-    detect_limit_cycle,
-    gd_run,
-    grid_search,
-    make_case,
-    make_hard_instance,
-    theory_report,
-    verify_bounds,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockPartition",
-    "DenseSymmetric",
-    "SymmetricOperator",
-    "condition_number",
-    "exact_eigenvalues",
-    "principal_block",
-    "LanczosFactorization",
-    "RitzQuadrature",
-    "SLQParams",
-    "SpectralDensity",
-    "blockwise_densities",
-    "lanczos",
-    "lanczos_stack",
-    "ritz_quadrature",
-    "smoothed_densities",
-    "Dataset",
-    "HessianSnapshot",
-    "ScaledMLP",
-    "ToyNet",
-    "hessian_fd",
-    "make_blobs",
-    "offdiag_mass_ratio",
-    "random_toynet",
-    "scaled_mlp",
-    "train",
-    "HeterogeneityReport",
-    "js_distance",
-    "normalize_spectrum",
-    "pairwise_heatmap",
-    "QuadraticProblem",
-    "TheoryReport",
-    "Trajectory",
-    "adam_ema_run",
-    "adam_fixed_run",
-    "detect_limit_cycle",
-    "gd_run",
-    "grid_search",
-    "make_case",
-    "make_hard_instance",
-    "theory_report",
-    "verify_bounds",
-]

@@ -54,8 +54,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_config(path) -> dict:
-    """The ``key = value`` pairs of a config file, values as written."""
+    """The ``key = value`` pairs of a config file, values as written; a key may appear once."""
     cfg = {}
+    lines = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -64,7 +65,11 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+            lines[key] = lineno
+            cfg[key] = value.strip()
     return cfg
 
 
@@ -443,66 +448,50 @@ def _quadlab_runs(problem, fixed_w0, kind, cfg, seed):
     return quadlab.runs(problem, kind, starts, etas, beta2, max_iters, target)
 
 
-def _quadlab_record(kind, run_index, trajectory, cfg):
-    record = {
-        "optimizer": kind,
-        "seed": run_index,
-        "beta2": cfg["beta2"] if kind == "adam_ema" else 1.0,
-        "violations": "",
-        "cycling": "",
-        "tail_min_loss": "",
-    }
-    check = quadlab.verify_bounds(trajectory)
-    if check is not None:
-        record["violations"] = check.violations
-
+def _summary_row(case_label, run_index, trajectory, check, cfg) -> list:
+    """One run's ``summary.csv`` row, in ``SUMMARY_FIELDS`` order; ``check`` is its ``verify_bounds``."""
+    kind = trajectory.kind
+    cycling = tail_min_loss = ""
     if kind == "adam_ema":
         transient, window = _cycle_window(cfg, trajectory.loss_ratios.size)
         if trajectory.loss_ratios.size >= transient + window and window > 0:
             cycle = quadlab.detect_limit_cycle(trajectory, transient, window)
-            record["cycling"] = str(cycle.cycling).lower()
-            record["tail_min_loss"] = cycle.tail_min_loss
-
-    record.update(
-        eta=trajectory.eta,
-        status=trajectory.status,
-        iterations=trajectory.iterations,
-        final_ratio=trajectory.final_ratio(),
-    )
-    return record
+            cycling, tail_min_loss = str(cycle.cycling).lower(), cycle.tail_min_loss
+    return [
+        case_label, kind, run_index, trajectory.eta, cfg["beta2"] if kind == "adam_ema" else 1.0,
+        trajectory.status, trajectory.iterations, trajectory.final_ratio(),
+        "" if check is None else check.violations, cycling, tail_min_loss,
+    ]
 
 
 def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
     _check_quadlab(cfg)
     problem, fixed_w0, case_label = _quadlab_problem(cfg, args.seed)
-    keys = [(kind, i) for kind in cfg["optimizer"] for i in range(cfg["seeds"])]
-    trajectories = [
-        trajectory
+    runs = [
+        (i, trajectory)
         for kind in cfg["optimizer"]
-        for trajectory in _quadlab_runs(problem, fixed_w0, kind, cfg, args.seed)
+        for i, trajectory in enumerate(_quadlab_runs(problem, fixed_w0, kind, cfg, args.seed))
     ]
-    records = [_quadlab_record(kind, i, tr, cfg) for (kind, i), tr in zip(keys, trajectories)]
 
     failed = False
     rows = []
-    for (kind, i), record, trajectory in zip(keys, records, trajectories):
+    for i, trajectory in runs:
         if trajectory.diagnostics:
-            print(f"warning: {kind} seed {i}: {'; '.join(trajectory.diagnostics)}", file=sys.stderr)
-        name = f"run_{kind}_s{i:03d}.csv"
+            print(f"warning: {trajectory.kind} seed {i}: {'; '.join(trajectory.diagnostics)}", file=sys.stderr)
         idx = _stride_indices(trajectory.loss_ratios.size)
         fileio.write_csv(
-            os.path.join(args.out, name),
+            os.path.join(args.out, f"run_{trajectory.kind}_s{i:03d}.csv"),
             ["iter", "loss_ratio"],
             zip(idx.tolist(), trajectory.loss_ratios[idx].tolist()),
         )
-        rows.append([case_label] + [record[field] for field in SUMMARY_FIELDS[1:]])
-        if record["status"] == "diverged" or (record["violations"] not in ("", 0)):
-            failed = True
+        check = quadlab.verify_bounds(trajectory)
+        rows.append(_summary_row(case_label, i, trajectory, check, cfg))
+        failed = failed or trajectory.status == "diverged" or (check is not None and check.violations != 0)
     fileio.write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS, rows)
     print(f"wrote {os.path.join(args.out, 'summary.csv')} ({len(rows)} runs)")
 
     # theory.txt describes run 0's start point, which every kind shares.
-    report = quadlab.theory_report(problem, trajectories[0].iterates[0])
+    report = quadlab.theory_report(problem, runs[0][1].iterates[0])
     lines = [
         f"kappa = {report.kappa!r}",
         f"r = {report.r!r}",
@@ -522,10 +511,10 @@ def cmd_quadlab(cfg: dict, args: argparse.Namespace) -> int:
 
     if cfg["svg"]:
         series = []
-        for (kind, i), trajectory in zip(keys, trajectories):
+        for i, trajectory in runs:
             if i == 0:
                 idx = _stride_indices(trajectory.loss_ratios.size)
-                series.append((kind, idx, trajectory.loss_ratios[idx]))
+                series.append((trajectory.kind, idx, trajectory.loss_ratios[idx]))
         path = os.path.join(args.out, "loss_ratio.svg")
         svgplot.line_plot_svg(
             path, series, title=f"case {case_label}", x_label="iteration",

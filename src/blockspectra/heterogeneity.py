@@ -93,11 +93,14 @@ def normalize_spectrum(
     warning = None
     if mode == "tenth_largest" and eigs.size >= 10:
         scale = float(np.sort(eigs)[::-1][9])
+        source, instead = "tenth_largest", "max_abs or none"
     else:
         if mode == "tenth_largest":
             warning = f"only {eigs.size} eigenvalues available; fell back from tenth_largest to max_abs"
         scale = float(np.abs(eigs).max())
-    # rescale_density rejects a scale that is not positive.
+        source, instead = "max_abs", "none"
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale!r} from {source}; use mode {instead}")
     return NormalizedSpectrum(value=rescale_density(density, scale), scale=scale, warning=warning)
 
 
@@ -213,7 +216,10 @@ def pairwise_heatmap(
     normalized = []
     for i, d in enumerate(densities):
         eigs = eigenvalues[i] if eigenvalues is not None else None
-        ns = normalize_spectrum(d, mode=mode, eigenvalues=eigs)
+        try:
+            ns = normalize_spectrum(d, mode=mode, eigenvalues=eigs)
+        except ValueError as exc:
+            raise ValueError(f"{labels[i]}: {exc}") from None
         if ns.warning:
             warnings.append(f"{labels[i]}: {ns.warning}")
         normalized.append(ns.value)

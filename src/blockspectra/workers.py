@@ -27,11 +27,13 @@ def fork_map(fn, tasks: list, jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, computed in up to ``jobs`` processes.
 
     The worker count is the least of ``jobs``, the number of tasks and the
-    CPUs this process may use.  One worker is this process.  More are a
-    forked pool: a forked worker starts with numpy and blockspectra already
-    imported, where a spawned or forkserver one (the Linux default from
-    Python 3.14) would spend about 0.2 s importing them again.  The package
-    starts no threads of its own for a fork to copy mid-operation.
+    CPUs this process may use, which are ``os.cpu_count()`` on a host
+    without ``os.sched_getaffinity`` (macOS); one worker needs no count.
+    One worker is this process.  More are a forked pool: a forked worker
+    starts with numpy and blockspectra already imported, where a spawned or
+    forkserver one (the Linux default from Python 3.14) would spend about
+    0.2 s importing them again.  The package starts no threads of its own
+    for a fork to copy mid-operation.
 
     ``fn`` reaches each worker as the argument of the pool's initializer,
     which a fork hands over by copying memory, not by pickling.  So ``fn``
@@ -42,7 +44,10 @@ def fork_map(fn, tasks: list, jobs: int) -> list:
     worker, whichever task fails first in time.  The pool is closed and
     joined on every path, so no worker outlives the call.
     """
-    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(workers, usable)
     if workers <= 1:
         return [fn(*task) for task in tasks]
     import multiprocessing  # only a pool needs it

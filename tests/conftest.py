@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockspectra import make_case
+from blockspectra.quadlab import make_case
 
 TESTS = Path(__file__).parent
 

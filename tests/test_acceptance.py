@@ -11,40 +11,36 @@ import time
 import numpy as np
 import pytest
 
-from blockspectra import (
-    SLQParams,
-    adam_ema_run,
-    adam_fixed_run,
-    blockwise_densities,
-    gd_run,
-    grid_search,
-    hessian_fd,
-    js_distance,
-    make_blobs,
-    make_case,
-    make_hard_instance,
-    pairwise_heatmap,
-    random_toynet,
-    scaled_mlp,
-    smoothed_densities,
-    theory_report,
-    train,
-    verify_bounds,
-)
 from blockspectra.cli import main as cli_main
+from blockspectra.heterogeneity import js_distance, pairwise_heatmap
 from blockspectra.operators import DenseSymmetric, exact_eigenvalues
 from blockspectra.quadlab import (
+    QuadraticProblem,
+    adam_ema_run,
+    adam_fixed_run,
     default_eta_grid,
     default_gd_eta,
     detect_limit_cycle,
     gaussian_init,
+    gd_run,
+    grid_search,
+    make_case,
+    make_hard_instance,
     runs,
     scalar_problem,
+    theory_report,
+    verify_bounds,
 )
+from blockspectra.slq import SLQParams, blockwise_densities, smoothed_densities
 from blockspectra.toynet import (
+    hessian_fd,
+    make_blobs,
     make_xor_blobs,
     offdiag_mass_ratio,
+    random_toynet,
+    scaled_mlp,
     snapshot_js0,
+    train,
 )
 from helpers import cross_neuron_hessian_block, l1_distance, scaled_problem
 
@@ -204,8 +200,6 @@ def test_c09_scale_invariance():
     for k in (3, 3):
         g = rng.standard_normal((k, k))
         blocks.append(0.5 * (g + g.T) + 4 * np.eye(k))
-    from blockspectra.quadlab import QuadraticProblem
-
     prob = QuadraticProblem(blocks, h=rng.standard_normal(6))
     w0 = rng.standard_normal(6)
     base = adam_fixed_run(prob, w0, 0.05, max_iters=100, target=None)

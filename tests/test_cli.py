@@ -76,6 +76,20 @@ def test_unparsable_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
 
+def test_repeated_key_exits_2_naming_both_lines(tmp_path, monkeypatch, capsys):
+    from blockspectra import quadlab
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran before the config was checked")
+
+    monkeypatch.setattr(quadlab, "runs", no_run)
+    cfg = write_config(tmp_path / "q.cfg", "case = 3\nmax_iters = 50\noptimizer = gd\nmax_iters = 7\n")
+    out = tmp_path / "out"
+    assert main(["quadlab", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read config: {cfg}:4: key 'max_iters' is already set on line 2\n"
+    assert not out.exists()
+
+
 def test_unknown_key_exits_2_naming_the_closest_key(tmp_path, monkeypatch, capsys):
     from blockspectra import quadlab
 
@@ -215,6 +229,22 @@ def test_heatmap_single_block_rejected(tmp_path):
     write_matrix_csv(mpath, np.eye(4))
     cfg = write_config(tmp_path / "h.cfg", f"source = matrix\nmatrix = {mpath}\nblocks = 4\n")
     assert main(["heatmap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_heatmap_non_positive_scale_names_block_and_mode(tmp_path, capsys):
+    # block01's 10th largest eigenvalue is -7: no tenth_largest scale exists.
+    mpath = tmp_path / "m.csv"
+    write_matrix_csv(mpath, np.diag(np.r_[np.arange(1.0, 13.0), 3, 2, 1, -np.arange(1.0, 10.0)]))
+    cfg = write_config(
+        tmp_path / "h.cfg",
+        f"source = matrix\nmatrix = {mpath}\nblocks = 12,12\nestimator = exact\nmode = tenth_largest\n",
+    )
+    out = tmp_path / "out"
+    assert main(["heatmap", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: block01: scale must be positive, got -7.0 from tenth_largest; use mode max_abs or none\n"
+    )
+    assert not (out / "heatmap.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -641,8 +671,8 @@ QUADLAB_GRID = "case = 3\noptimizer = gd\neta_grid = true\nmax_iters = 50\n"
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\nbatch = -3\n", "batch"),
         ("toynet", TOYNET_GAP + "gap_steps = -2\n", "gap_steps"),
         ("toynet", TOYNET_GAP + "gap_steps = 3\nbatch = 0\n", "batch"),
-        ("toynet", TOYNET_GAP + "gap_steps = 3\nlr_grid = 0.01,-0.1\n", "lr_grid"),
-        ("toynet", TOYNET_GAP + "gap_steps = 3\nlr_grid = 0.01,nan\n", "lr_grid"),
+        ("toynet", TOYNET_GAP.replace("lr_grid = 0.01", "lr_grid = 0.01,-0.1") + "gap_steps = 3\n", "lr_grid"),
+        ("toynet", TOYNET_GAP.replace("lr_grid = 0.01", "lr_grid = 0.01,nan") + "gap_steps = 3\n", "lr_grid"),
         ("toynet", "experiment = train\nsamples = 32\nfeatures = 3\nsteps = 5\nsnapshot_stride = -5\n",
          "snapshot_stride"),
         ("quadlab", "case = 3\noptimizer = adam_ema\neta = 0.01\nmax_iters = 50\nwindow = -5\n", "window"),
@@ -951,10 +981,10 @@ def test_toynet_scaled_worker_error_exits_2_as_in_process(tmp_path, capsys, two_
     assert errors[1] == errors[2] == f"error: model has 529 parameters, finite differences capped at {MAX_FD_DIM}\n"
 
 
-def test_fork_map_caps_workers_and_always_joins(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The log of a fake forked pool's sizes, closes and joins; it runs its tasks in this process."""
     import multiprocessing
-
-    from blockspectra.workers import fork_map
 
     log = []
 
@@ -978,6 +1008,13 @@ def test_fork_map_caps_workers_and_always_joins(monkeypatch):
         Pool = InlinePool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Fork)
+    return log
+
+
+def test_fork_map_caps_workers_and_always_joins(monkeypatch, inline_pool):
+    from blockspectra.workers import fork_map
+
+    log = inline_pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     tasks = [(2, k) for k in range(5)]
     powers = [2**k for k in range(5)]
@@ -998,6 +1035,25 @@ def test_fork_map_caps_workers_and_always_joins(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         fork_map(divmod, [(1, 1), (1, 0)], 2)
     assert log == [("pool", 2), "close", "join"]
+
+
+def test_fork_map_without_sched_getaffinity_counts_cpus(monkeypatch, inline_pool):
+    # Hosts such as macOS have no os.sched_getaffinity.
+    from blockspectra.workers import fork_map
+
+    monkeypatch.delattr(os, "sched_getaffinity")
+    tasks = [(2, k) for k in range(5)]
+    powers = [2**k for k in range(5)]
+    assert fork_map(pow, tasks, 1) == powers
+    assert inline_pool == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert fork_map(pow, tasks, 2) == powers
+    assert inline_pool == [("pool", 2), "close", "join"]
+    inline_pool.clear()
+    for cpus in (1, None):  # os.cpu_count() is None where the count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert fork_map(pow, tasks, 2) == powers
+    assert inline_pool == []
 
 
 def test_fork_map_runs_a_closure_in_forked_workers(two_cpus):

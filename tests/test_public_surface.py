@@ -1,13 +1,20 @@
-"""Every public name in the package has a caller in the package.
+"""Every public name in the package has a caller in the package, and one import path.
 
 A public module-level function or class that only tests call is test code
 shipped in ``src/``: oracles and fixture writers belong in ``tests/helpers.py``.
 The scan parses each module with ``ast`` and counts a name as called when
 some package module other than ``__init__.py`` refers to it, as a bare name
-or as an attribute, outside the name's own definition.
+or as an attribute, outside the name's own definition.  The package root
+has nothing to scan: it binds only ``__version__`` and imports none of the
+package's modules, so each name is imported from the module that defines it,
+and a re-export added there would not count as a caller.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import blockspectra
@@ -64,3 +71,22 @@ def test_the_scan_finds_a_name_only_its_own_body_uses(tmp_path):
     )
     (tmp_path / "b.py").write_text("import a\n\nx = a.called() + len([Used])\n")
     assert uncalled_public_names(tmp_path) == {("a", "only_tests")}
+
+
+def test_the_package_root_binds_only_its_version():
+    namespace = {}
+    exec((PACKAGE / "__init__.py").read_text(), namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == ["__doc__", "__version__"]
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # A fresh process: this one has imported the modules already.
+    probe = (
+        "import json, sys, blockspectra\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('blockspectra.'))))"
+    )
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
